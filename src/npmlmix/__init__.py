@@ -18,6 +18,7 @@ from .errors import (
     DegenerateMeasureError,
     InvalidArgumentError,
     ModelViolationError,
+    NpmlError,
     NumericDomainError,
     SupportViolationError,
 )
@@ -55,7 +56,6 @@ from .model import (
     gaussian_log_density,
     laplace_log_density,
     project_mask,
-    time_density,
 )
 from .solver import (
     Certificate,
@@ -64,13 +64,11 @@ from .solver import (
     brute_force_oracle,
     certify,
     concavity_probe,
-    directional_derivative,
     directional_derivatives,
     em_fit,
     em_step,
     fit_npml,
     fit_sieve,
-    refine_support,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

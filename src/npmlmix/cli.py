@@ -7,14 +7,13 @@ The NPML_THREADS environment variable caps experiment parallelism.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import serialize
 from .data import apply_censoring, simulate_dataset
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NpmlError
 from .experiments import (
     ExperimentConfig,
     gnuplot_script,
@@ -25,8 +24,10 @@ from .experiments import (
     write_report_csv,
 )
 from .measures import SieveBasis, SieveDensity
-from .solver import FitOptions, certify, fit_npml, fit_sieve, row_log_mixture
-from .likelihood import build_sieve_kernel_matrix
+from .solver import FitOptions, certify, fit_npml, fit_sieve
+
+# Unused here, but bench/tracer.py patches these two bindings of this module.
+from .likelihood import build_sieve_kernel_matrix, row_log_mixture  # noqa: F401
 
 
 def _parse_box(text: str) -> list:
@@ -40,27 +41,25 @@ def _parse_box(text: str) -> list:
         raise InvalidArgumentError(f"cannot parse box {text!r}; expected 'lo,hi;lo,hi'") from exc
 
 
-def _parse_counts(text: str, p: int) -> list:
-    parts = [int(v) for v in text.split(",")]
-    if len(parts) == 1:
-        return parts * p
-    if len(parts) != p:
-        raise InvalidArgumentError("grid counts must be one integer or one per axis")
-    return parts
+def _parse_counts(text: str):
+    """One node count for every axis, or a list with one count per axis."""
+    try:
+        parts = [int(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise InvalidArgumentError(f"cannot parse grid counts {text!r}; expected integers") from exc
+    return parts[0] if len(parts) == 1 else parts
 
 
 def _options_from_args(args) -> FitOptions:
-    defaults = FitOptions()
-    return FitOptions(
-        tol_rel_loglik=args.tol if args.tol is not None else defaults.tol_rel_loglik,
-        max_em_iters=args.max_iters if args.max_iters is not None else defaults.max_em_iters,
-        prune_eps=args.prune_eps if args.prune_eps is not None else defaults.prune_eps,
-        refine_grid=args.refine_grid if args.refine_grid is not None else defaults.refine_grid,
-        refine_tol=args.refine_tol if args.refine_tol is not None else defaults.refine_tol,
-        max_refinements=(
-            args.max_refinements if args.max_refinements is not None else defaults.max_refinements
-        ),
-    )
+    given = {
+        "tol_rel_loglik": args.tol,
+        "max_em_iters": args.max_iters,
+        "prune_eps": args.prune_eps,
+        "refine_grid": args.refine_grid,
+        "refine_tol": args.refine_tol,
+        "max_refinements": args.max_refinements,
+    }
+    return dataclasses.replace(FitOptions(), **{k: v for k, v in given.items() if v is not None})
 
 
 def cmd_simulate(args) -> int:
@@ -81,18 +80,18 @@ def cmd_simulate(args) -> int:
 def cmd_fit(args) -> int:
     ds = serialize.dataset_from_dict(serialize.read_json(args.data))
     box = _parse_box(args.box)
-    if len(box) != ds.spec.p:
-        raise InvalidArgumentError("box dimension does not match the dataset's p")
     opts = _options_from_args(args)
     if args.method == "npml":
-        counts = _parse_counts(args.grid, ds.spec.p)
-        fit = fit_npml(ds, box, counts, opts)
+        fit = fit_npml(ds, box, _parse_counts(args.grid), opts)
     else:
         if args.sieve_m is None:
             raise InvalidArgumentError("sieve fits need --sieve-m")
-        basis = SieveBasis(box, [args.sieve_m + 1] * ds.spec.p)
+        basis = SieveBasis(box, args.sieve_m + 1)
         fit = fit_sieve(ds, basis, opts, args.quad_points)
-    serialize.write_json(args.out, serialize.fit_to_dict(fit, box=box, include_trace=args.trace))
+    fit_obj = serialize.fit_to_dict(fit, box=box, include_trace=args.trace)
+    if args.method == "sieve":
+        fit_obj["sieve"]["quad_points"] = args.quad_points
+    serialize.write_json(args.out, fit_obj)
     ok = fit.status == "converged" and fit.certificate.sup_dir_derivative <= 1.0 + opts.refine_tol
     print(
         f"fit method={args.method} loglik={fit.final_loglik:.9f} "
@@ -108,27 +107,20 @@ def cmd_certify(args) -> int:
     fit = serialize.fit_from_dict(fit_obj)
     tol = args.tol if args.tol is not None else FitOptions().refine_tol
     if isinstance(fit.measure, SieveDensity):
-        km = build_sieve_kernel_matrix(ds, fit.measure.basis)
-        rows = row_log_mixture(km, fit.measure.coefficients)
-        values = np.exp(km.log_k - rows[:, None]).mean(axis=0)
-        best = int(np.argmax(values))
-        sup = float(values[best])
-        argmax = fit.measure.basis.nodes[best].tolist()
-        resolution = fit.measure.basis.m
+        # a sieve block without quad_points was fitted at the default order
+        quad_points = int(fit_obj["sieve"].get("quad_points", 8))
+        cert = certify(ds, fit.measure, quad_points_per_cell=quad_points)
+    elif "box" not in fit_obj:
+        raise InvalidArgumentError("fit file has no box; cannot build a certification grid")
     else:
-        if "box" not in fit_obj:
-            raise InvalidArgumentError("fit file has no box; cannot build a certification grid")
         cert = certify(ds, fit.measure, fit_obj["box"], args.resolution)
-        sup = cert.sup_dir_derivative
-        argmax = cert.argmax_point.tolist()
-        resolution = cert.grid_resolution
-    optimal = sup <= 1.0 + tol
+    optimal = cert.sup_dir_derivative <= 1.0 + tol
     print(
         serialize.dumps(
             {
-                "sup": sup,
-                "argmax": argmax,
-                "grid_resolution": resolution,
+                "sup": cert.sup_dir_derivative,
+                "argmax": cert.argmax_point.tolist(),
+                "grid_resolution": cert.grid_resolution,
                 "optimal": optimal,
                 "tolerance": tol,
             }
@@ -233,7 +225,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidArgumentError, OSError) as exc:
+    except (NpmlError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import InvalidArgumentError
-from .measures import MixingMeasure
+from .measures import MixingMeasure, _checked_weights
 from .model import GAUSSIAN, CensorMask, ModelSpec, project_mask
 
 
@@ -68,9 +68,7 @@ class CensoringDesign:
             items = list(self.mask_probabilities.items())
         if not items:
             raise InvalidArgumentError("censoring design needs at least one mask")
-        probs = np.array([float(p) for _, p in items])
-        if np.any(probs < 0):
-            raise InvalidArgumentError("mask probabilities must be nonnegative")
+        probs = _checked_weights([p for _, p in items], neg_tol=0.0)
         if abs(probs.sum() - 1.0) > 1e-9:
             raise InvalidArgumentError(f"mask probabilities sum to {probs.sum()!r}, expected 1")
         n_values = {mask.n for mask, _ in items}

@@ -8,14 +8,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .data import Dataset, simulate_dataset
 from .errors import InvalidArgumentError, NumericDomainError, SupportViolationError
-from .measures import MixingMeasure, SieveBasis
+from .measures import MixingMeasure, SieveBasis, _checked_weights
 from .model import log_kernel_block
 
 _ATOM_BLOCK = 512
@@ -51,6 +52,12 @@ class KernelMatrix:
     @property
     def m(self) -> int:
         return self.log_k.shape[1]
+
+    @cached_property
+    def shifted(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(exp(log_k - rowmax), rowmax): the kernel scaled into (0, 1] per row."""
+        shift = self.log_k.max(axis=1)
+        return np.exp(self.log_k - shift[:, None]), shift
 
 
 def kernel_columns(ds: Dataset, points: np.ndarray) -> np.ndarray:
@@ -109,22 +116,10 @@ def build_sieve_kernel_matrix(
     return KernelMatrix(log_k=out, basis=basis, censored=False)
 
 
-def _log_weights(w) -> np.ndarray:
-    w = np.asarray(w, dtype=float).reshape(-1)
-    if np.any(w < -1e-12) or not np.all(np.isfinite(w)):
-        raise InvalidArgumentError("weights must be finite and nonnegative")
-    w = np.maximum(w, 0.0)
-    if w.sum() <= 0:
-        raise InvalidArgumentError("weights must not all be zero")
-    with np.errstate(divide="ignore"):
-        return np.log(w)
-
-
 def row_log_mixture(km: KernelMatrix, w) -> np.ndarray:
     """Per-observation log mixture density log sum_j w_j k_ij, shape (N,)."""
-    log_w = _log_weights(w)
-    if log_w.shape[0] != km.m:
-        raise InvalidArgumentError("weight length does not match the kernel matrix")
+    with np.errstate(divide="ignore"):
+        log_w = np.log(_checked_weights(w, km.m))
     return logsumexp(km.log_k + log_w[None, :], axis=1)
 
 

@@ -7,29 +7,80 @@ read-only, so values can be shared freely between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DegenerateMeasureError, InvalidArgumentError
 
-_WEIGHT_NEG_TOL = 1e-15
+# measures hold simplex points exactly; solver inputs may carry rounding noise
+_MEASURE_NEG_TOL = 1e-15
+_SOLVER_NEG_TOL = 1e-12
 _WEIGHT_SUM_TOL = 1e-6
 
 
-def _clean_weights(weights) -> np.ndarray:
+def _checked_weights(weights, m: Optional[int] = None, neg_tol: float = _SOLVER_NEG_TOL) -> np.ndarray:
+    """The one weight validator: finite, >= -neg_tol, clipped at 0, not all zero.
+
+    When ``m`` is given the vector must also have exactly m entries.
+    """
     w = np.asarray(weights, dtype=float).reshape(-1)
-    if w.size == 0:
-        raise InvalidArgumentError("a measure needs at least one weight")
+    if m is not None and w.shape[0] != m:
+        raise InvalidArgumentError(f"got {w.shape[0]} weights, expected {m}")
     if not np.all(np.isfinite(w)):
         raise InvalidArgumentError("weights must be finite")
-    if np.any(w < -_WEIGHT_NEG_TOL):
+    if np.any(w < -neg_tol):
         raise InvalidArgumentError("weights must be nonnegative")
     w = np.maximum(w, 0.0)
+    if w.sum() <= 0:
+        raise InvalidArgumentError("weights must not all be zero")
+    return w
+
+
+def _clean_weights(weights, m: int) -> np.ndarray:
+    """Validated weights of length m that sum to one, renormalized exactly."""
+    w = _checked_weights(weights, m, _MEASURE_NEG_TOL)
     total = w.sum()
     if abs(total - 1.0) > _WEIGHT_SUM_TOL:
         raise InvalidArgumentError(f"weights sum to {total!r}, expected 1")
     return w / total
+
+
+def _check_box(box, p: Optional[int] = None) -> np.ndarray:
+    """The one box check: a (p, 2) table of lo < hi bounds (any p >= 1 if None)."""
+    box_arr = np.asarray(box, dtype=float)
+    bad_shape = box_arr.ndim != 2 or box_arr.shape[1] != 2 or box_arr.shape[0] == 0
+    if bad_shape or (p is not None and box_arr.shape[0] != p):
+        expected = "p" if p is None else str(p)
+        raise InvalidArgumentError(f"box must be a ({expected}, 2) table of (lo, hi) pairs")
+    if np.any(box_arr[:, 0] >= box_arr[:, 1]):
+        raise InvalidArgumentError("box is empty: each axis needs lo < hi")
+    return box_arr
+
+
+def _grid_axes(box_arr: np.ndarray, counts) -> list:
+    """Per-axis grid nodes: endpoints included, or the midpoint for a single node.
+
+    ``counts`` is an int or a sequence of per-axis node counts.
+    """
+    p = box_arr.shape[0]
+    if np.isscalar(counts):
+        counts = [int(counts)] * p
+    counts = [int(c) for c in counts]
+    if len(counts) != p:
+        raise InvalidArgumentError("node counts length does not match box dimension")
+    if any(c < 1 for c in counts):
+        raise InvalidArgumentError("node counts must be >= 1 per axis")
+    return [
+        np.array([(lo + hi) / 2.0]) if c == 1 else np.linspace(lo, hi, c)
+        for (lo, hi), c in zip(box_arr, counts)
+    ]
+
+
+def _tensor_points(axes) -> np.ndarray:
+    """Tensor product of per-axis values as (P, p) rows, the last axis fastest."""
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.reshape(-1) for g in grids], axis=1)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -53,9 +104,7 @@ class MixingMeasure:
             raise InvalidArgumentError("atoms must form a nonempty (m, p) array")
         if not np.all(np.isfinite(atoms)):
             raise InvalidArgumentError("atoms must be finite")
-        w = _clean_weights(self.weights)
-        if w.shape[0] != atoms.shape[0]:
-            raise InvalidArgumentError("weights length does not match atom count")
+        w = _clean_weights(self.weights, atoms.shape[0])
         object.__setattr__(self, "atoms", _freeze(atoms))
         object.__setattr__(self, "weights", _freeze(w))
 
@@ -70,9 +119,6 @@ class MixingMeasure:
     def mean(self) -> np.ndarray:
         return self.weights @ self.atoms
 
-    def with_weights(self, weights) -> "MixingMeasure":
-        return MixingMeasure(self.atoms, weights)
-
 
 def new_uniform_grid_measure(box: Sequence, counts) -> MixingMeasure:
     """Equal-weight measure on a tensor grid over the box.
@@ -81,24 +127,7 @@ def new_uniform_grid_measure(box: Sequence, counts) -> MixingMeasure:
     per-axis node counts. Axes with a single node get the interval midpoint;
     otherwise nodes include the endpoints.
     """
-    box_arr = np.asarray(box, dtype=float)
-    if box_arr.ndim != 2 or box_arr.shape[1] != 2 or box_arr.shape[0] == 0:
-        raise InvalidArgumentError("box must be a sequence of (lo, hi) pairs")
-    if np.any(box_arr[:, 0] >= box_arr[:, 1]):
-        raise InvalidArgumentError("box is empty: each axis needs lo < hi")
-    p = box_arr.shape[0]
-    if np.isscalar(counts):
-        counts = [int(counts)] * p
-    counts = [int(c) for c in counts]
-    if len(counts) != p:
-        raise InvalidArgumentError("counts length does not match box dimension")
-    if any(c < 1 for c in counts):
-        raise InvalidArgumentError("counts must be >= 1 per axis")
-    axes = []
-    for (lo, hi), c in zip(box_arr, counts):
-        axes.append(np.array([(lo + hi) / 2.0]) if c == 1 else np.linspace(lo, hi, c))
-    grids = np.meshgrid(*axes, indexing="ij")
-    atoms = np.stack([g.reshape(-1) for g in grids], axis=1)
+    atoms = _tensor_points(_grid_axes(_check_box(box), counts))
     m = atoms.shape[0]
     return MixingMeasure(atoms, np.full(m, 1.0 / m))
 
@@ -214,29 +243,11 @@ class SieveBasis:
     """
 
     def __init__(self, box: Sequence, node_counts):
-        box_arr = np.asarray(box, dtype=float)
-        if box_arr.ndim != 2 or box_arr.shape[1] != 2 or box_arr.shape[0] == 0:
-            raise InvalidArgumentError("box must be a sequence of (lo, hi) pairs")
-        if np.any(box_arr[:, 0] >= box_arr[:, 1]):
-            raise InvalidArgumentError("box is empty: each axis needs lo < hi")
-        p = box_arr.shape[0]
-        if np.isscalar(node_counts):
-            node_counts = [int(node_counts)] * p
-        node_counts = [int(c) for c in node_counts]
-        if len(node_counts) != p:
-            raise InvalidArgumentError("node_counts length does not match box dimension")
-        if any(c < 1 for c in node_counts):
-            raise InvalidArgumentError("node_counts must be >= 1 per axis")
+        box_arr = _check_box(box)
+        self._axis_nodes = _grid_axes(box_arr, node_counts)
         self.box = _freeze(box_arr)
-        self.node_counts = tuple(node_counts)
-        self._axis_nodes = []
-        for (lo, hi), c in zip(box_arr, node_counts):
-            if c == 1:
-                self._axis_nodes.append(np.array([(lo + hi) / 2.0]))
-            else:
-                self._axis_nodes.append(np.linspace(lo, hi, c))
-        grids = np.meshgrid(*self._axis_nodes, indexing="ij")
-        self.nodes = _freeze(np.stack([g.reshape(-1) for g in grids], axis=1))
+        self.node_counts = tuple(nodes.shape[0] for nodes in self._axis_nodes)
+        self.nodes = _freeze(_tensor_points(self._axis_nodes))
 
     @property
     def p(self) -> int:
@@ -310,8 +321,8 @@ class SieveBasis:
             raise InvalidArgumentError("points_per_cell must be >= 1")
         gl_x, gl_w = np.polynomial.legendre.leggauss(points_per_cell)
         axis_pts, axis_w = [], []
-        for (lo, hi), c in zip(self.box, self.node_counts):
-            edges = np.array([lo, hi]) if c == 1 else np.linspace(lo, hi, c)
+        for (lo, hi), nodes in zip(self.box, self._axis_nodes):
+            edges = np.array([lo, hi]) if nodes.shape[0] == 1 else nodes
             pts, wts = [], []
             for a, b in zip(edges[:-1], edges[1:]):
                 half = (b - a) / 2.0
@@ -319,12 +330,10 @@ class SieveBasis:
                 wts.append(half * gl_w)
             axis_pts.append(np.concatenate(pts))
             axis_w.append(np.concatenate(wts))
-        grids = np.meshgrid(*axis_pts, indexing="ij")
-        points = np.stack([g.reshape(-1) for g in grids], axis=1)
-        wgrids = np.meshgrid(*axis_w, indexing="ij")
+        points = _tensor_points(axis_pts)
         weights = np.ones(points.shape[0])
-        for g in wgrids:
-            weights = weights * g.reshape(-1)
+        for column in _tensor_points(axis_w).T:
+            weights = weights * column
         return points, np.log(weights)
 
 
@@ -336,9 +345,7 @@ class SieveDensity:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        w = _clean_weights(self.coefficients)
-        if w.shape[0] != self.basis.m:
-            raise InvalidArgumentError("coefficient length does not match the basis size")
+        w = _clean_weights(self.coefficients, self.basis.m)
         object.__setattr__(self, "coefficients", _freeze(w))
 
 

@@ -162,11 +162,6 @@ class TimeDesign:
         return out
 
 
-def time_density(design: TimeDesign, t) -> float:
-    """Design density at a time point (product of reciprocal lengths or 0)."""
-    return design.density(t)
-
-
 # ---------------------------------------------------------------------------
 # Censoring masks
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ repr), so rewriting the same objects produces byte-identical files.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Optional
 
@@ -173,28 +174,16 @@ def dataset_from_dict(obj: dict) -> Dataset:
 # ------------------------------ fit results --------------------------------
 
 
-def fit_options_to_dict(opts: FitOptions) -> dict:
-    return {
-        "tol_rel_loglik": opts.tol_rel_loglik,
-        "max_em_iters": opts.max_em_iters,
-        "prune_eps": opts.prune_eps,
-        "refine_grid": opts.refine_grid,
-        "refine_tol": opts.refine_tol,
-        "max_refinements": opts.max_refinements,
-    }
-
-
 def fit_options_from_dict(obj: Optional[dict]) -> FitOptions:
+    """Options from a (possibly partial) dict; absent fields keep their defaults."""
     obj = obj or {}
     defaults = FitOptions()
-    return FitOptions(
-        tol_rel_loglik=float(obj.get("tol_rel_loglik", defaults.tol_rel_loglik)),
-        max_em_iters=int(obj.get("max_em_iters", defaults.max_em_iters)),
-        prune_eps=float(obj.get("prune_eps", defaults.prune_eps)),
-        refine_grid=int(obj.get("refine_grid", defaults.refine_grid)),
-        refine_tol=float(obj.get("refine_tol", defaults.refine_tol)),
-        max_refinements=int(obj.get("max_refinements", defaults.max_refinements)),
-    )
+    given = {
+        f.name: type(getattr(defaults, f.name))(obj[f.name])
+        for f in dataclasses.fields(FitOptions)
+        if f.name in obj
+    }
+    return dataclasses.replace(defaults, **given)
 
 
 def fit_to_dict(fit: FitResult, box=None, include_trace: bool = False) -> dict:

@@ -5,6 +5,11 @@ then alternates certificate scans with atom insertion at the best candidate
 (a vertex-direction style refinement) until the directional derivative is
 below 1 + refine_tol everywhere on the scan grid. The sieve fit is the same
 EM on the basis-integrated kernel matrix, with the feasible set fixed.
+
+Both kinds of fit are accepted through one certificate routine: the exp-mean
+d = (1/N) sum_i k_i / K(mu)(x_i) over a candidate set (the scan grid plus the
+atoms, or the sieve's basis elements), reduced to its first arg-max. The fits
+call it after each solve, and ``certify`` recomputes it for either kind.
 """
 
 from __future__ import annotations
@@ -24,7 +29,15 @@ from .likelihood import (
     log_likelihood,
     row_log_mixture,
 )
-from .measures import MixingMeasure, SieveBasis, SieveDensity, new_uniform_grid_measure
+from .measures import (
+    MixingMeasure,
+    SieveBasis,
+    SieveDensity,
+    _check_box,
+    _checked_weights,
+    _tensor_points,
+    new_uniform_grid_measure,
+)
 
 STATUS_CONVERGED = "converged"
 STATUS_ITER_LIMIT = "iter-limit"
@@ -74,32 +87,14 @@ class FitResult:
     status: str
 
 
-def _shifted_kernel(km: KernelMatrix) -> Tuple[np.ndarray, np.ndarray]:
-    """Row-max-shifted kernel in probability space: entries in (0, 1]."""
-    shift = km.log_k.max(axis=1)
-    return np.exp(km.log_k - shift[:, None]), shift
-
-
-def _checked_weights(km: KernelMatrix, w) -> np.ndarray:
-    w = np.asarray(w, dtype=float).reshape(-1)
-    if w.shape[0] != km.m:
-        raise InvalidArgumentError("weight length does not match the kernel matrix")
-    if np.any(w < -1e-12) or not np.all(np.isfinite(w)):
-        raise InvalidArgumentError("weights must be finite and nonnegative")
-    w = np.maximum(w, 0.0)
-    if w.sum() <= 0:
-        raise InvalidArgumentError("weights must not all be zero")
-    return w
-
-
 def em_step(km: KernelMatrix, w) -> np.ndarray:
     """One multiplicative EM update of the mixture weights.
 
     w'_j = w_j * (1/N) sum_i k_ij / sum_l w_l k_il, computed against the
     row-max-shifted kernel. Zero weights stay exactly zero.
     """
-    w = _checked_weights(km, w)
-    E, _ = _shifted_kernel(km)
+    w = _checked_weights(w, km.m)
+    E, _ = km.shifted
     M = np.maximum(E @ w, 1e-300)
     new_w = w * (E.T @ (1.0 / M)) / km.N
     total = new_w.sum()
@@ -118,8 +113,8 @@ def em_fit(
     shifted kernel is computed once, so each iteration is two mat-vecs.
     """
     opts = opts or FitOptions()
-    w = _checked_weights(km, w0)
-    E, shift = _shifted_kernel(km)
+    w = _checked_weights(w0, km.m)
+    E, shift = km.shifted
     shift_mean = float(shift.mean())
     M = np.maximum(E @ w, 1e-300)
     current = float(np.mean(np.log(M))) + shift_mean
@@ -142,15 +137,6 @@ def em_fit(
     return w, np.asarray(trace), iterations, status
 
 
-def directional_derivative(ds, mu: MixingMeasure, s) -> float:
-    """First variation of the log-likelihood toward a point mass at s.
-
-    d(s) = (1/N) sum_i k_{x_i}(s) / K(mu)(x_i). At an arg-maximum d <= 1
-    everywhere with equality on the support.
-    """
-    return float(directional_derivatives(ds, mu, np.asarray(s, dtype=float)[None, :])[0])
-
-
 def directional_derivatives(ds, mu: MixingMeasure, points: np.ndarray) -> np.ndarray:
     """Vectorized directional derivatives at many candidate points."""
     km = build_kernel_matrix(ds, mu)
@@ -158,45 +144,23 @@ def directional_derivatives(ds, mu: MixingMeasure, points: np.ndarray) -> np.nda
     return _dir_derivs_from_rows(ds, log_rows, points)
 
 
+def _exp_mean(log_cols: np.ndarray, log_rows: np.ndarray) -> np.ndarray:
+    """Directional derivatives (1/N) sum_i k_ij / K(mu)(x_i) from log columns."""
+    return np.exp(log_cols - log_rows[:, None]).mean(axis=0)
+
+
 def _dir_derivs_from_rows(ds, log_rows: np.ndarray, points: np.ndarray) -> np.ndarray:
     points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points[:, None]
     out = np.empty(points.shape[0])
     block = 2048
     for start in range(0, points.shape[0], block):
         cols = kernel_columns(ds, points[start : start + block])
-        out[start : start + cols.shape[1]] = np.exp(cols - log_rows[:, None]).mean(axis=0)
+        out[start : start + cols.shape[1]] = _exp_mean(cols, log_rows)
     return out
 
 
-def _scan_grid(box: np.ndarray, resolution: int) -> np.ndarray:
-    axes = [np.linspace(lo, hi, resolution) for lo, hi in box]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.reshape(-1) for g in grids], axis=1)
-
-
-def _check_box(box, p: int) -> np.ndarray:
-    box_arr = np.asarray(box, dtype=float)
-    if box_arr.ndim != 2 or box_arr.shape != (p, 2) or np.any(box_arr[:, 0] >= box_arr[:, 1]):
-        raise InvalidArgumentError("box must be a (p, 2) table of lo < hi bounds")
-    return box_arr
-
-
-def certify(ds, mu: MixingMeasure, box, grid_resolution: int = 64) -> Certificate:
-    """Scan the directional derivative over a uniform grid plus the atoms.
-
-    The fit is optimal on the box (up to the scan resolution) when the
-    returned sup is <= 1 + refine_tol. Ties resolve to the lexicographically
-    first grid point, so certificates are deterministic.
-    """
-    box_arr = _check_box(box, mu.p)
-    if grid_resolution < 1:
-        raise InvalidArgumentError("grid_resolution must be >= 1")
-    km = build_kernel_matrix(ds, mu)
-    log_rows = row_log_mixture(km, mu.weights)
-    candidates = np.concatenate([_scan_grid(box_arr, grid_resolution), np.asarray(mu.atoms)])
-    values = _dir_derivs_from_rows(ds, log_rows, candidates)
+def _certificate(values: np.ndarray, candidates: np.ndarray, grid_resolution: int) -> Certificate:
+    """Sup of the directional derivative and its candidate; ties go to the first."""
     best = int(np.argmax(values))
     return Certificate(
         sup_dir_derivative=float(values[best]),
@@ -205,7 +169,51 @@ def certify(ds, mu: MixingMeasure, box, grid_resolution: int = 64) -> Certificat
     )
 
 
-def _guarded_prune(km: KernelMatrix, ds, atoms, w, eps: float):
+def _scan_grid(box_arr: np.ndarray, resolution: int) -> np.ndarray:
+    # plain linspace, not the start-grid node rule: resolution 1 scans lo
+    return _tensor_points([np.linspace(lo, hi, resolution) for lo, hi in box_arr])
+
+
+def _scan_certificate(ds, km: KernelMatrix, w, grid: np.ndarray, resolution: int) -> Certificate:
+    """Discrete certificate over the scan grid plus the support atoms."""
+    log_rows = row_log_mixture(km, w)
+    candidates = np.concatenate([grid, km.atoms])
+    return _certificate(_dir_derivs_from_rows(ds, log_rows, candidates), candidates, resolution)
+
+
+def _sieve_certificate(km: KernelMatrix, w) -> Certificate:
+    """Sieve certificate over the basis elements, the extreme points of the hull."""
+    log_rows = row_log_mixture(km, w)
+    return _certificate(_exp_mean(km.log_k, log_rows), km.basis.nodes, km.basis.m)
+
+
+def certify(
+    ds,
+    mu: Union[MixingMeasure, SieveDensity],
+    box=None,
+    grid_resolution: int = 64,
+    quad_points_per_cell: int = 8,
+) -> Certificate:
+    """Recompute the sup of a fit's directional derivative.
+
+    For a discrete measure the scan covers a uniform grid over the box plus
+    the atoms; the fit is optimal on the box (up to the scan resolution) when
+    the sup is <= 1 + refine_tol. For a SieveDensity the scan covers the basis
+    elements, with the kernel integrated at the fit's quadrature order; box
+    and grid_resolution are then unused. Ties resolve to the first candidate
+    (lexicographically first grid point), so certificates are deterministic.
+    """
+    if isinstance(mu, SieveDensity):
+        km = build_sieve_kernel_matrix(ds, mu.basis, quad_points_per_cell)
+        return _sieve_certificate(km, mu.coefficients)
+    box_arr = _check_box(box, mu.p)
+    if grid_resolution < 1:
+        raise InvalidArgumentError("grid_resolution must be >= 1")
+    km = build_kernel_matrix(ds, mu)
+    return _scan_certificate(ds, km, mu.weights, _scan_grid(box_arr, grid_resolution), grid_resolution)
+
+
+def _guarded_prune(km: KernelMatrix, w, eps: float):
     """Prune small weights unless doing so would drop the log-likelihood.
 
     Pruning a decaying atom raises the objective; the guard only skips the
@@ -214,19 +222,19 @@ def _guarded_prune(km: KernelMatrix, ds, atoms, w, eps: float):
     """
     keep = w >= eps
     if np.all(keep):
-        return km, atoms, w, False
+        return km, w
     if not np.any(keep):
         raise DegenerateMeasureError("all weights fall below the pruning threshold")
     before = log_likelihood(km, w)
     w_new = w[keep] / w[keep].sum()
-    km_new = KernelMatrix(km.log_k[:, keep], atoms=atoms[keep], censored=km.censored)
+    km_new = KernelMatrix(km.log_k[:, keep], atoms=km.atoms[keep], censored=km.censored)
     after = log_likelihood(km_new, w_new)
     if after < before - _TRACE_SLACK:
-        return km, atoms, w, False
-    return km_new, atoms[keep], w_new, True
+        return km, w
+    return km_new, w_new
 
 
-def _insert_atom(km: KernelMatrix, ds, atoms, w, point):
+def _insert_atom(km: KernelMatrix, ds, w, point):
     """Append a support point, shrinking existing weights uniformly.
 
     The new weight starts at 1/(m+1) and halves until the objective does not
@@ -235,7 +243,7 @@ def _insert_atom(km: KernelMatrix, ds, atoms, w, point):
     """
     new_col = kernel_columns(ds, point[None, :])
     log_k = np.concatenate([km.log_k, new_col], axis=1)
-    km_new = KernelMatrix(log_k, atoms=np.concatenate([atoms, point[None, :]]), censored=km.censored)
+    km_new = KernelMatrix(log_k, atoms=np.concatenate([km.atoms, point[None, :]]), censored=km.censored)
     before = log_likelihood(km, w)
     eps = 1.0 / (w.shape[0] + 1)
     for _ in range(200):
@@ -246,11 +254,12 @@ def _insert_atom(km: KernelMatrix, ds, atoms, w, point):
     return km_new, np.concatenate([w * (1.0 - eps), [eps]])
 
 
-def _refine(ds, mu: MixingMeasure, box, opts: FitOptions):
-    """Certificate-driven atom insertion; returns (measure, detail dict)."""
-    box_arr = _check_box(box, mu.p)
+def _refine(ds, mu: MixingMeasure, box_arr: np.ndarray, opts: FitOptions) -> FitResult:
+    """Certificate-driven atom insertion from a starting measure.
+
+    ``box_arr`` is a box already checked against the measure's dimension.
+    """
     km = build_kernel_matrix(ds, mu)
-    atoms = np.array(mu.atoms)
     w = np.array(mu.weights)
     trace_parts: List[np.ndarray] = []
     total_iters = 0
@@ -261,42 +270,28 @@ def _refine(ds, mu: MixingMeasure, box, opts: FitOptions):
         w, trace, iters, status = em_fit(km, w, opts)
         trace_parts.append(trace)
         total_iters += iters
-        km, atoms, w, _ = _guarded_prune(km, ds, atoms, w, opts.prune_eps)
-        log_rows = row_log_mixture(km, w)
-        candidates = np.concatenate([grid, atoms])
-        values = _dir_derivs_from_rows(ds, log_rows, candidates)
-        best = int(np.argmax(values))
-        cert = Certificate(
-            sup_dir_derivative=float(values[best]),
-            argmax_point=candidates[best].copy(),
-            grid_resolution=opts.refine_grid,
-        )
+        km, w = _guarded_prune(km, w, opts.prune_eps)
+        cert = _scan_certificate(ds, km, w, grid, opts.refine_grid)
         if cert.sup_dir_derivative <= 1.0 + opts.refine_tol:
             break
         if round_idx == opts.max_refinements:
             status = STATUS_ITER_LIMIT
             break
-        duplicate = np.any(np.all(atoms == cert.argmax_point[None, :], axis=1))
+        duplicate = np.any(np.all(km.atoms == cert.argmax_point[None, :], axis=1))
         if duplicate:
             # the scan cannot improve on an existing atom; stop honestly
             status = STATUS_ITER_LIMIT
             break
-        km, w = _insert_atom(km, ds, atoms, w, cert.argmax_point)
-        atoms = np.array(km.atoms)
-    measure = MixingMeasure(atoms, w)
-    detail = {
-        "trace": np.concatenate(trace_parts),
-        "iterations": total_iters,
-        "status": status,
-        "certificate": cert,
-    }
-    return measure, detail
-
-
-def refine_support(ds, mu: MixingMeasure, box, opts: Optional[FitOptions] = None) -> MixingMeasure:
-    """Add certificate-argmax atoms until the fit certifies (or budget ends)."""
-    measure, _ = _refine(ds, mu, box, opts or FitOptions())
-    return measure
+        km, w = _insert_atom(km, ds, w, cert.argmax_point)
+    trace = np.concatenate(trace_parts)
+    return FitResult(
+        measure=MixingMeasure(km.atoms, w),
+        loglik_trace=trace,
+        final_loglik=float(trace[-1]),
+        iterations=total_iters,
+        certificate=cert,
+        status=status,
+    )
 
 
 def fit_npml(
@@ -305,17 +300,7 @@ def fit_npml(
     """Discrete maximum-likelihood fit: grid init, EM, prune, refine, certify."""
     opts = opts or FitOptions()
     box_arr = _check_box(box, ds.spec.p)
-    mu0 = new_uniform_grid_measure(box_arr, initial_counts)
-    measure, detail = _refine(ds, mu0, box_arr, opts)
-    trace = detail["trace"]
-    return FitResult(
-        measure=measure,
-        loglik_trace=trace,
-        final_loglik=float(trace[-1]),
-        iterations=detail["iterations"],
-        certificate=detail["certificate"],
-        status=detail["status"],
-    )
+    return _refine(ds, new_uniform_grid_measure(box_arr, initial_counts), box_arr, opts)
 
 
 def fit_sieve(
@@ -334,20 +319,13 @@ def fit_sieve(
     km = build_sieve_kernel_matrix(ds, basis, quad_points_per_cell)
     w0 = np.full(basis.m, 1.0 / basis.m)
     w, trace, iterations, status = em_fit(km, w0, opts)
-    log_rows = row_log_mixture(km, w)
-    values = np.exp(km.log_k - log_rows[:, None]).mean(axis=0)
-    best = int(np.argmax(values))
-    cert = Certificate(
-        sup_dir_derivative=float(values[best]),
-        argmax_point=basis.nodes[best].copy(),
-        grid_resolution=basis.m,
-    )
+    measure = SieveDensity(basis, w)
     return FitResult(
-        measure=SieveDensity(basis, w),
+        measure=measure,
         loglik_trace=trace,
         final_loglik=float(trace[-1]),
         iterations=iterations,
-        certificate=cert,
+        certificate=_sieve_certificate(km, measure.coefficients),
         status=status,
     )
 

@@ -185,3 +185,6 @@ class TestApplyCensoring:
     def test_rejects_bad_design(self):
         with pytest.raises(InvalidArgumentError):
             CensoringDesign(((CensorMask.full(4), 0.5), (CensorMask.empty(4), 0.4)))
+        for bad in (float("nan"), -0.25):
+            with pytest.raises(InvalidArgumentError):
+                CensoringDesign(((CensorMask.full(4), 1.0), (CensorMask.empty(4), bad)))

@@ -294,6 +294,70 @@ class TestCliCertify:
         assert math.isfinite(payload["sup"])
         assert payload["optimal"] == (payload["sup"] <= 1.0 + payload["tolerance"])
 
+    def test_sieve_certify_uses_fit_quadrature(self, tmp_path, capsys):
+        cfg = {
+            "model": {
+                "p": 1,
+                "n": 2,
+                "sigma": 0.3,
+                "f": {"kind": "identity_location"},
+                "time_design": [[0.0, 1.0], [1.0, 2.0]],
+            },
+            "truth": {"atoms": [[0.7], [1.8]], "weights": [0.5, 0.5]},
+            "N": 200,
+            "seed": 3,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        write_json(cfg_path, cfg)
+        data, fit_path = tmp_path / "data.json", tmp_path / "fit.json"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(data)]) == 0
+        fit_args = ["--method", "sieve", "--box", "0.0,2.5", "--sieve-m", "8", "--quad-points", "2"]
+        fit_args += ["--tol", "1e-14", "--max-iters", "200000"]
+        assert main(["fit", "--data", str(data), *fit_args, "--out", str(fit_path)]) == 0
+        fit_obj = read_json(fit_path)
+        assert fit_obj["sieve"]["quad_points"] == 2
+        capsys.readouterr()
+        assert main(["certify", "--data", str(data), "--fit", str(fit_path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["sup"] == fit_obj["certificate"]["sup"]
+        assert payload["argmax"] == fit_obj["certificate"]["argmax"]
+        # a sieve block without quad_points reads as the default order 8
+        del fit_obj["sieve"]["quad_points"]
+        write_json(fit_path, fit_obj)
+        main(["certify", "--data", str(data), "--fit", str(fit_path)])
+        assert json.loads(capsys.readouterr().out)["sup"] != payload["sup"]
+
+
+class TestCliErrors:
+    """Every package error reaches the user as one 'error:' line and exit 1."""
+
+    def _assert_one_line_error(self, capsys, code):
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_non_integer_grid(self, sim_config, tmp_path, capsys):
+        data = tmp_path / "data.json"
+        main(["simulate", "--config", str(sim_config), "--out", str(data)])
+        capsys.readouterr()
+        code = main(
+            ["fit", "--data", str(data), "--method", "npml", "--box", "0.5,2.5;0.1,1.2", "--grid", "abc", "--out", str(tmp_path / "f.json")]
+        )
+        self._assert_one_line_error(capsys, code)
+
+    def test_heteroscedastic_box_outside_model_domain(self, sim_config, tmp_path, capsys):
+        cfg = read_json(sim_config)
+        cfg["model"]["g"] = {"sigma_prime": 0.3}
+        write_json(sim_config, cfg)
+        data = tmp_path / "data.json"
+        assert main(["simulate", "--config", str(sim_config), "--out", str(data)]) == 0
+        capsys.readouterr()
+        # negative amplitudes make the heteroscedastic scale g = sigma' * f negative
+        code = main(
+            ["fit", "--data", str(data), "--method", "npml", "--box=-0.5,2.5;0.05,1.2", "--out", str(tmp_path / "f.json")]
+        )
+        self._assert_one_line_error(capsys, code)
+
 
 class TestCliExitCodes:
     def test_fit_iter_limit_exit_two(self, sim_config, tmp_path):

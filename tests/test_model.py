@@ -20,7 +20,6 @@ from npmlmix import (
     gaussian_log_density,
     laplace_log_density,
     project_mask,
-    time_density,
 )
 
 
@@ -182,15 +181,15 @@ class TestGaussianLogDensity:
 class TestTimeDensity:
     def test_unit_lengths(self):
         design = TimeDesign(((0.0, 1.0), (1.0, 2.0)))
-        assert time_density(design, [0.5, 1.5]) == 1.0
+        assert design.density([0.5, 1.5]) == 1.0
 
     def test_outside_support(self):
         design = TimeDesign(((0.0, 1.0), (1.0, 2.0)))
-        assert time_density(design, [2.5, 1.5]) == 0.0
+        assert design.density([2.5, 1.5]) == 0.0
 
     def test_product_of_reciprocals(self):
         design = TimeDesign(((0.0, 2.0), (2.0, 3.0)))
-        assert time_density(design, [1.0, 2.5]) == pytest.approx(0.5)
+        assert design.density([1.0, 2.5]) == pytest.approx(0.5)
 
     def test_interval_validation(self):
         with pytest.raises(InvalidArgumentError):

@@ -17,17 +17,16 @@ from npmlmix import (
     build_kernel_matrix,
     certify,
     concavity_probe,
-    directional_derivative,
     directional_derivatives,
     em_fit,
     em_step,
     fit_npml,
     fit_sieve,
     log_likelihood,
-    refine_support,
     simulate_dataset,
     SieveBasis,
 )
+from npmlmix.solver import _refine
 
 TIGHT = FitOptions(tol_rel_loglik=1e-14, max_em_iters=200000)
 
@@ -119,11 +118,13 @@ class TestDirectionalDerivative:
         spec = location_model(0.5)
         ds = Dataset(spec=spec, observations=(Observation([0.4], [0.5]),), seed=0)
         mu = MixingMeasure(np.array([[1.1]]), [1.0])
-        assert directional_derivative(ds, mu, [1.1]) == pytest.approx(1.0, abs=1e-12)
+        (d,) = directional_derivatives(ds, mu, np.array([[1.1]]))
+        assert d == pytest.approx(1.0, abs=1e-12)
 
     def test_hand_value_four_thirds(self):
         ds, mu, _ = two_to_one_dataset()
-        assert directional_derivative(ds, mu, [0.0]) == pytest.approx(4.0 / 3.0, rel=1e-12)
+        (d,) = directional_derivatives(ds, mu, np.array([[0.0]]))
+        assert d == pytest.approx(4.0 / 3.0, rel=1e-12)
 
     def test_weighted_average_identity(self, pk_spec, two_point_pk_truth):
         ds = simulate_dataset(pk_spec, two_point_pk_truth, 40, seed=5)
@@ -174,17 +175,17 @@ class TestRefineSupport:
     def test_certified_measure_unchanged(self):
         spec = location_model(0.5)
         ds = Dataset(spec=spec, observations=(Observation([0.8], [0.5]),), seed=0)
-        mu = MixingMeasure(np.array([[0.8]]), [1.0])
-        out = refine_support(ds, mu, [(0.0, 2.0)], TIGHT)
-        np.testing.assert_allclose(out.atoms, mu.atoms)
-        np.testing.assert_allclose(out.weights, mu.weights)
+        # a single start node sits at the box midpoint, here the optimum 0.8
+        out = fit_npml(ds, [(0.0, 1.6)], [1], TIGHT).measure
+        np.testing.assert_allclose(out.atoms, [[0.8]])
+        np.testing.assert_allclose(out.weights, [1.0])
 
     def test_loglik_never_decreases(self, location_spec, two_point_location_truth):
         ds = simulate_dataset(location_spec, two_point_location_truth, 60, seed=7)
         mu0 = MixingMeasure(np.array([[0.5], [1.0], [2.0]]), [1 / 3, 1 / 3, 1 / 3])
         km0 = build_kernel_matrix(ds, mu0)
         before = log_likelihood(km0, mu0.weights)
-        out = refine_support(ds, mu0, [(0.0, 2.5)], FitOptions(max_em_iters=2000))
+        out = _refine(ds, mu0, np.array([(0.0, 2.5)]), FitOptions(max_em_iters=2000)).measure
         km1 = build_kernel_matrix(ds, out)
         assert log_likelihood(km1, out.weights) >= before - 1e-12
 
@@ -254,6 +255,16 @@ class TestFitSieve:
             fit = fit_sieve(ds, SieveBasis([(0.0, 2.5)], [cells + 1]), opts)
             lls.append(fit.final_loglik)
         assert lls[0] <= lls[1] + 1e-9 and lls[1] <= lls[2] + 1e-9
+
+    def test_certify_reproduces_fit_certificate(self, location_spec, two_point_location_truth):
+        ds = simulate_dataset(location_spec, two_point_location_truth, 80, seed=13)
+        opts = FitOptions(tol_rel_loglik=1e-12, max_em_iters=30000)
+        for cells in (4, 8, 16):
+            fit = fit_sieve(ds, SieveBasis([(0.0, 2.5)], [cells + 1]), opts, quad_points_per_cell=3)
+            cert = certify(ds, fit.measure, quad_points_per_cell=3)
+            assert cert.sup_dir_derivative == fit.certificate.sup_dir_derivative
+            np.testing.assert_array_equal(cert.argmax_point, fit.certificate.argmax_point)
+            assert cert.grid_resolution == fit.certificate.grid_resolution == cells + 1
 
     def test_sieve_approaches_npml_from_below(self, location_spec, two_point_location_truth):
         ds = simulate_dataset(location_spec, two_point_location_truth, 80, seed=13)
