@@ -47,12 +47,14 @@ def _clean_weights(weights, m: int) -> np.ndarray:
 
 
 def _check_box(box, p: Optional[int] = None) -> np.ndarray:
-    """The one box check: a (p, 2) table of lo < hi bounds (any p >= 1 if None)."""
+    """The one box check: a (p, 2) table of finite lo < hi bounds (any p >= 1 if None)."""
     box_arr = np.asarray(box, dtype=float)
     bad_shape = box_arr.ndim != 2 or box_arr.shape[1] != 2 or box_arr.shape[0] == 0
     if bad_shape or (p is not None and box_arr.shape[0] != p):
         expected = "p" if p is None else str(p)
         raise InvalidArgumentError(f"box must be a ({expected}, 2) table of (lo, hi) pairs")
+    if not np.all(np.isfinite(box_arr)):
+        raise InvalidArgumentError(f"box bounds must be finite, got {box_arr.tolist()}")
     if np.any(box_arr[:, 0] >= box_arr[:, 1]):
         raise InvalidArgumentError("box is empty: each axis needs lo < hi")
     return box_arr

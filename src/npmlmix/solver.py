@@ -10,6 +10,12 @@ Both kinds of fit are accepted through one certificate routine: the exp-mean
 d = (1/N) sum_i k_i / K(mu)(x_i) over a candidate set (the scan grid plus the
 atoms, or the sieve's basis elements), reduced to its first arg-max. The fits
 call it after each solve, and ``certify`` recomputes it for either kind.
+
+The kernel is computed once per fit. A discrete fit builds the (N, G)
+log-kernel table of its scan grid once; each round's scan is an exp-mean over
+that table and the support's own columns, and an inserted atom takes its
+column from the table. Only the mixture density K(mu)(x_i) changes between
+rounds.
 """
 
 from __future__ import annotations
@@ -144,47 +150,81 @@ def directional_derivatives(ds, mu: MixingMeasure, points: np.ndarray) -> np.nda
     return _dir_derivs_from_rows(ds, log_rows, points)
 
 
+# columns per exp-mean block: the temporaries stay at N x _SCAN_BLOCK
+_SCAN_BLOCK = 2048
+
+
 def _exp_mean(log_cols: np.ndarray, log_rows: np.ndarray) -> np.ndarray:
-    """Directional derivatives (1/N) sum_i k_ij / K(mu)(x_i) from log columns."""
-    return np.exp(log_cols - log_rows[:, None]).mean(axis=0)
+    """Directional derivatives (1/N) sum_i k_ij / K(mu)(x_i) from log columns.
+
+    Taken over blocks of columns; each column is summed down its rows in
+    the same order whatever the block, so the blocking does not move bits.
+    """
+    out = np.empty(log_cols.shape[1])
+    for start in range(0, log_cols.shape[1], _SCAN_BLOCK):
+        block = log_cols[:, start : start + _SCAN_BLOCK]
+        out[start : start + block.shape[1]] = np.exp(block - log_rows[:, None]).mean(axis=0)
+    return out
 
 
 def _dir_derivs_from_rows(ds, log_rows: np.ndarray, points: np.ndarray) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     out = np.empty(points.shape[0])
-    block = 2048
-    for start in range(0, points.shape[0], block):
-        cols = kernel_columns(ds, points[start : start + block])
+    for start in range(0, points.shape[0], _SCAN_BLOCK):
+        cols = kernel_columns(ds, points[start : start + _SCAN_BLOCK])
         out[start : start + cols.shape[1]] = _exp_mean(cols, log_rows)
     return out
 
 
-def _certificate(values: np.ndarray, candidates: np.ndarray, grid_resolution: int) -> Certificate:
-    """Sup of the directional derivative and its candidate; ties go to the first."""
+def _certificate(
+    values: np.ndarray, candidates: np.ndarray, grid_resolution: int
+) -> Tuple[Certificate, int]:
+    """Sup of the directional derivative, its candidate and its index; ties go to the first."""
     best = int(np.argmax(values))
-    return Certificate(
+    cert = Certificate(
         sup_dir_derivative=float(values[best]),
         argmax_point=candidates[best].copy(),
         grid_resolution=grid_resolution,
     )
+    return cert, best
 
 
-def _scan_grid(box_arr: np.ndarray, resolution: int) -> np.ndarray:
+@dataclass(frozen=True)
+class _ScanTable:
+    """A scan grid over the box and its (N, G) log-kernel table, built once per fit."""
+
+    grid: np.ndarray
+    log_k: np.ndarray
+
+
+def _scan_table(ds, box_arr: np.ndarray, resolution: int) -> _ScanTable:
     # plain linspace, not the start-grid node rule: resolution 1 scans lo
-    return _tensor_points([np.linspace(lo, hi, resolution) for lo, hi in box_arr])
+    grid = _tensor_points([np.linspace(lo, hi, resolution) for lo, hi in box_arr])
+    return _ScanTable(grid, kernel_columns(ds, grid))
 
 
-def _scan_certificate(ds, km: KernelMatrix, w, grid: np.ndarray, resolution: int) -> Certificate:
-    """Discrete certificate over the scan grid plus the support atoms."""
+def _scan_certificate(
+    scan: _ScanTable, km: KernelMatrix, w, resolution: int
+) -> Tuple[Certificate, int]:
+    """Discrete certificate over the scan grid, then the support atoms.
+
+    Returns the certificate and its candidate index; an index below G names
+    a grid point, whose kernel column is ``scan.log_k[:, index]``. The
+    support block is made C-ordered first: pruning leaves ``km.log_k``
+    Fortran-ordered, and numpy sums the columns of that layout in another
+    order, which would move the last bits of the sup.
+    """
     log_rows = row_log_mixture(km, w)
-    candidates = np.concatenate([grid, km.atoms])
-    return _certificate(_dir_derivs_from_rows(ds, log_rows, candidates), candidates, resolution)
+    values = np.concatenate(
+        [_exp_mean(scan.log_k, log_rows), _exp_mean(np.ascontiguousarray(km.log_k), log_rows)]
+    )
+    return _certificate(values, np.concatenate([scan.grid, km.atoms]), resolution)
 
 
 def _sieve_certificate(km: KernelMatrix, w) -> Certificate:
     """Sieve certificate over the basis elements, the extreme points of the hull."""
     log_rows = row_log_mixture(km, w)
-    return _certificate(_exp_mean(km.log_k, log_rows), km.basis.nodes, km.basis.m)
+    return _certificate(_exp_mean(km.log_k, log_rows), km.basis.nodes, km.basis.m)[0]
 
 
 def certify(
@@ -209,8 +249,8 @@ def certify(
     box_arr = _check_box(box, mu.p)
     if grid_resolution < 1:
         raise InvalidArgumentError("grid_resolution must be >= 1")
-    km = build_kernel_matrix(ds, mu)
-    return _scan_certificate(ds, km, mu.weights, _scan_grid(box_arr, grid_resolution), grid_resolution)
+    scan = _scan_table(ds, box_arr, grid_resolution)
+    return _scan_certificate(scan, build_kernel_matrix(ds, mu), mu.weights, grid_resolution)[0]
 
 
 def _guarded_prune(km: KernelMatrix, w, eps: float):
@@ -234,16 +274,16 @@ def _guarded_prune(km: KernelMatrix, w, eps: float):
     return km_new, w_new
 
 
-def _insert_atom(km: KernelMatrix, ds, w, point):
-    """Append a support point, shrinking existing weights uniformly.
+def _insert_atom(km: KernelMatrix, w, scan: _ScanTable, index: int):
+    """Append scan grid point ``index`` to the support, with its table column.
 
-    The new weight starts at 1/(m+1) and halves until the objective does not
-    decrease, which always terminates because the candidate's directional
-    derivative exceeds one.
+    Existing weights shrink uniformly: the new weight starts at 1/(m+1) and
+    halves until the objective does not decrease, which always terminates
+    because the candidate's directional derivative exceeds one.
     """
-    new_col = kernel_columns(ds, point[None, :])
-    log_k = np.concatenate([km.log_k, new_col], axis=1)
-    km_new = KernelMatrix(log_k, atoms=np.concatenate([km.atoms, point[None, :]]), censored=km.censored)
+    log_k = np.concatenate([km.log_k, scan.log_k[:, index : index + 1]], axis=1)
+    atoms = np.concatenate([km.atoms, scan.grid[index : index + 1]])
+    km_new = KernelMatrix(log_k, atoms=atoms, censored=km.censored)
     before = log_likelihood(km, w)
     eps = 1.0 / (w.shape[0] + 1)
     for _ in range(200):
@@ -264,14 +304,14 @@ def _refine(ds, mu: MixingMeasure, box_arr: np.ndarray, opts: FitOptions) -> Fit
     trace_parts: List[np.ndarray] = []
     total_iters = 0
     status = STATUS_CONVERGED
-    grid = _scan_grid(box_arr, opts.refine_grid)
+    scan = _scan_table(ds, box_arr, opts.refine_grid)
     cert = None
     for round_idx in range(opts.max_refinements + 1):
         w, trace, iters, status = em_fit(km, w, opts)
         trace_parts.append(trace)
         total_iters += iters
         km, w = _guarded_prune(km, w, opts.prune_eps)
-        cert = _scan_certificate(ds, km, w, grid, opts.refine_grid)
+        cert, best = _scan_certificate(scan, km, w, opts.refine_grid)
         if cert.sup_dir_derivative <= 1.0 + opts.refine_tol:
             break
         if round_idx == opts.max_refinements:
@@ -282,7 +322,8 @@ def _refine(ds, mu: MixingMeasure, box_arr: np.ndarray, opts: FitOptions) -> Fit
             # the scan cannot improve on an existing atom; stop honestly
             status = STATUS_ITER_LIMIT
             break
-        km, w = _insert_atom(km, ds, w, cert.argmax_point)
+        # not a duplicate, so the arg-max is a grid point: best < G
+        km, w = _insert_atom(km, w, scan, best)
     trace = np.concatenate(trace_parts)
     return FitResult(
         measure=MixingMeasure(km.atoms, w),

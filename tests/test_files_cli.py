@@ -335,6 +335,7 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
+        return err
 
     def test_non_integer_grid(self, sim_config, tmp_path, capsys):
         data = tmp_path / "data.json"
@@ -357,6 +358,14 @@ class TestCliErrors:
             ["fit", "--data", str(data), "--method", "npml", "--box=-0.5,2.5;0.05,1.2", "--out", str(tmp_path / "f.json")]
         )
         self._assert_one_line_error(capsys, code)
+
+    @pytest.mark.parametrize("box", ["0,inf;0.1,1.2", "nan,2;0.1,1.2"])
+    def test_non_finite_box(self, sim_config, tmp_path, capsys, box):
+        data = tmp_path / "data.json"
+        main(["simulate", "--config", str(sim_config), "--out", str(data)])
+        capsys.readouterr()
+        code = main(["fit", "--data", str(data), "--method", "npml", f"--box={box}", "--out", str(tmp_path / "f.json")])
+        assert "box" in self._assert_one_line_error(capsys, code)
 
 
 class TestCliExitCodes:

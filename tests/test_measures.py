@@ -78,6 +78,10 @@ class TestUniformGrid:
             new_uniform_grid_measure([(1.0, 1.0)], [2])
         with pytest.raises(InvalidArgumentError):
             new_uniform_grid_measure([(0.0, 1.0)], [0])
+        # NaN compares false, so lo < hi alone would let it through
+        for box in ([(0.0, np.inf)], [(np.nan, 2.0)]):
+            with pytest.raises(InvalidArgumentError, match="finite"):
+                new_uniform_grid_measure(box, [2])
 
 
 class TestPrune:

@@ -1,9 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from npmlmix import (
+    CensorMask,
+    CensoringDesign,
     Dataset,
     FitOptions,
     IdentityLocation,
@@ -13,6 +16,7 @@ from npmlmix import (
     ModelSpec,
     Observation,
     TimeDesign,
+    apply_censoring,
     brute_force_oracle,
     build_kernel_matrix,
     certify,
@@ -23,10 +27,13 @@ from npmlmix import (
     fit_npml,
     fit_sieve,
     log_likelihood,
+    new_uniform_grid_measure,
     simulate_dataset,
     SieveBasis,
 )
-from npmlmix.solver import _refine
+from npmlmix import likelihood, solver
+from npmlmix.likelihood import kernel_columns, row_log_mixture
+from npmlmix.solver import _exp_mean, _guarded_prune, _refine, _scan_certificate, _scan_table
 
 TIGHT = FitOptions(tol_rel_loglik=1e-14, max_em_iters=200000)
 
@@ -200,6 +207,77 @@ class TestRefineSupport:
         for target in (0.7, 1.8):
             dist = np.min(np.abs(fit.measure.atoms[:, 0] - target))
             assert dist <= cell
+
+
+class TestScanTable:
+    """The scan grid's log-kernel table is built once per fit and reused bit for bit."""
+
+    PK_BOX = np.array([(0.5, 2.5), (0.1, 1.2)])
+
+    def test_one_kernel_column_per_grid_point_per_fit(self, pk_spec, two_point_pk_truth, monkeypatch):
+        ds = simulate_dataset(pk_spec, two_point_pk_truth, 200, seed=3)
+        original, original_insert = likelihood.kernel_columns, solver._insert_atom
+        columns, insertions = [], []
+
+        def counting_columns(ds_, points):
+            out = original(ds_, points)
+            columns.append(out.shape[1])
+            return out
+
+        def counting_insert(*args):
+            insertions.append(1)
+            return original_insert(*args)
+
+        monkeypatch.setattr(likelihood, "kernel_columns", counting_columns)
+        monkeypatch.setattr(solver, "kernel_columns", counting_columns)
+        monkeypatch.setattr(solver, "_insert_atom", counting_insert)
+        opts = FitOptions(max_em_iters=2000, refine_grid=9, max_refinements=4)
+        fit_npml(ds, self.PK_BOX, [3, 3], opts)
+        assert len(insertions) >= 2
+        assert sum(columns) == 3 * 3 + 9 * 9
+
+    @pytest.mark.parametrize("variant", ["pk", "heteroscedastic", "censored", "laplace"])
+    def test_table_columns_equal_single_point_columns(self, pk_spec, two_point_pk_truth, variant):
+        changes = {"heteroscedastic": {"sigma_prime": 0.3}, "laplace": {"noise": "laplace"}}
+        spec = replace(pk_spec, **changes.get(variant, {}))
+        ds = simulate_dataset(spec, two_point_pk_truth, 40, seed=4)
+        if variant == "censored":
+            design = CensoringDesign(((CensorMask(4, (0, 2)), 0.4), (CensorMask.full(4), 0.6)))
+            ds = apply_censoring(ds, design, seed=5)
+            assert len(ds.mask_groups()) == 2
+        # 24 x 24 = 576 points: the table spans two of kernel_columns' atom blocks
+        scan = _scan_table(ds, self.PK_BOX, 24)
+        for j, point in enumerate(scan.grid):
+            np.testing.assert_array_equal(scan.log_k[:, j : j + 1], kernel_columns(ds, point[None, :]))
+
+    def test_blocked_exp_mean_equals_full_width(self, pk_spec, two_point_pk_truth):
+        ds = simulate_dataset(pk_spec, two_point_pk_truth, 40, seed=7)
+        # 64 x 64 = 4096 points: the exp-mean runs over two column blocks
+        scan = _scan_table(ds, self.PK_BOX, 64)
+        mu = new_uniform_grid_measure(self.PK_BOX, [3, 3])
+        log_rows = row_log_mixture(build_kernel_matrix(ds, mu), mu.weights)
+        full = np.exp(scan.log_k - log_rows[:, None]).mean(axis=0)
+        np.testing.assert_array_equal(_exp_mean(scan.log_k, log_rows), full)
+
+    def test_scan_of_pruned_support_equals_streaming_path(self, pk_spec, two_point_pk_truth, monkeypatch):
+        ds = simulate_dataset(pk_spec, two_point_pk_truth, 300, seed=6)
+        atoms = np.array([[1.0, 0.3], [2.0, 0.8], [1.4, 0.5], [0.9, 0.9], [2.5, 0.1]])
+        w0 = np.array([0.3, 0.3, 0.2, 0.2 - 1e-9, 1e-9])
+        km, w = _guarded_prune(build_kernel_matrix(ds, MixingMeasure(atoms, w0)), w0, 1e-8)
+        assert km.m == 4 and not km.log_k.flags.c_contiguous
+        scan = _scan_table(ds, self.PK_BOX, 9)
+        seen = []
+        original = solver._certificate
+
+        def spy(values, candidates, resolution):
+            seen.append(values)
+            return original(values, candidates, resolution)
+
+        monkeypatch.setattr(solver, "_certificate", spy)
+        _scan_certificate(scan, km, w, 9)
+        candidates = np.concatenate([scan.grid, km.atoms])
+        expected = _exp_mean(kernel_columns(ds, candidates), row_log_mixture(km, w))
+        np.testing.assert_array_equal(seen[0], expected)
 
 
 class TestFitNpml:
