@@ -2,8 +2,8 @@
 """Consistency: the fitted mixing law approaches the truth as N grows.
 
 Runs a small (N, seed) grid, prints median distances per N, and writes the
-report CSV plus a gnuplot script next to it. Set NPML_THREADS to parallelize
-the cells.
+report CSV plus a gnuplot script next to it. The cells run one after another;
+each seed's rows are the same when disjoint seed lists run as separate processes.
 """
 
 import numpy as np

@@ -64,8 +64,6 @@ class CensoringDesign:
 
     def __post_init__(self):
         items = list(self.mask_probabilities)
-        if isinstance(self.mask_probabilities, dict):
-            items = list(self.mask_probabilities.items())
         if not items:
             raise InvalidArgumentError("censoring design needs at least one mask")
         probs = _checked_weights([p for _, p in items], neg_tol=0.0)

@@ -1,17 +1,15 @@
 """Scripted experiments: consistency, sieve convergence, censoring, contrasts.
 
-Each experiment is deterministic given its config (seeds included). Cells
-may run in parallel when the NPML_THREADS environment variable allows it;
-rows are emitted sorted by (N, m, seed) so results are schedule-independent.
+Each experiment is deterministic given its config (seeds included) and emits
+its rows sorted by (N, m, seed), so disjoint ``seeds`` lists run as separate
+processes give the same rows as one run over all of them.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -100,22 +98,6 @@ class ReportRow:
                 raise InvalidArgumentError(f"report field {name} must be finite")
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("NPML_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _run_cells(worker, args_list: Sequence[tuple]):
-    cap = _thread_cap()
-    if cap <= 1 or len(args_list) <= 1:
-        return [worker(a) for a in args_list]
-    with ProcessPoolExecutor(max_workers=min(cap, len(args_list))) as pool:
-        return list(pool.map(worker, args_list))
-
-
 def _fit_row(
     cfg: ExperimentConfig,
     ds: Dataset,
@@ -142,19 +124,15 @@ def _fit_row(
     return row, fit
 
 
-def _consistency_cell(args) -> ReportRow:
-    cfg, N, seed = args
-    ds = simulate_dataset(cfg.spec, cfg.truth, N, seed)
-    row, _ = _fit_row(cfg, ds, "consistency", N, None, seed)
-    return row
-
-
 def run_consistency_experiment(cfg: ExperimentConfig) -> List[ReportRow]:
     """Simulate and fit over the (N, seed) grid; distances quantify consistency."""
     if cfg.truth is None:
         raise InvalidArgumentError("consistency experiments need the true measure")
-    cells = [(cfg, N, seed) for N in cfg.n_schedule for seed in cfg.seeds]
-    rows = _run_cells(_consistency_cell, cells)
+    rows = []
+    for N in cfg.n_schedule:
+        for seed in cfg.seeds:
+            ds = simulate_dataset(cfg.spec, cfg.truth, N, seed)
+            rows.append(_fit_row(cfg, ds, "consistency", N, None, seed)[0])
     return sorted(rows, key=_row_key)
 
 

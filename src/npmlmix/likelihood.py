@@ -35,7 +35,6 @@ class KernelMatrix:
     log_k: np.ndarray
     atoms: Optional[np.ndarray] = None
     basis: Optional[SieveBasis] = None
-    censored: bool = False
 
     def __post_init__(self):
         lk = np.asarray(self.log_k, dtype=float)
@@ -87,7 +86,7 @@ def build_kernel_matrix(ds: Dataset, mu: MixingMeasure) -> KernelMatrix:
     if mu.p != ds.spec.p:
         raise InvalidArgumentError("measure dimension does not match the spec")
     log_k = kernel_columns(ds, mu.atoms)
-    return KernelMatrix(log_k=log_k, atoms=np.array(mu.atoms), censored=ds.is_censored)
+    return KernelMatrix(log_k=log_k, atoms=np.array(mu.atoms))
 
 
 def build_sieve_kernel_matrix(
@@ -113,7 +112,7 @@ def build_sieve_kernel_matrix(
         support = np.isfinite(log_phi[:, j])
         contrib = log_phi[support, j] + log_w[support]
         out[:, j] = logsumexp(log_kq[:, support] + contrib[None, :], axis=1)
-    return KernelMatrix(log_k=out, basis=basis, censored=False)
+    return KernelMatrix(log_k=out, basis=basis)
 
 
 def row_log_mixture(km: KernelMatrix, w) -> np.ndarray:

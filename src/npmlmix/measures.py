@@ -259,13 +259,6 @@ class SieveBasis:
     def m(self) -> int:
         return self.nodes.shape[0]
 
-    def spacings(self) -> list:
-        """Per-axis node spacing (interval width for single-node axes)."""
-        out = []
-        for (lo, hi), c in zip(self.box, self.node_counts):
-            out.append((hi - lo) if c == 1 else (hi - lo) / (c - 1))
-        return out
-
     def gradient_bound(self) -> float:
         """Upper bound on sup-norm gradients over the basis (hence over the hull)."""
         peaks, slopes = [], []

@@ -78,10 +78,6 @@ class Certificate:
     argmax_point: np.ndarray
     grid_resolution: int
 
-    @property
-    def optimal_within(self) -> float:
-        return self.sup_dir_derivative - 1.0
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -211,13 +207,12 @@ def _scan_certificate(
     Returns the certificate and its candidate index; an index below G names
     a grid point, whose kernel column is ``scan.log_k[:, index]``. The
     support block is made C-ordered first: pruning leaves ``km.log_k``
-    Fortran-ordered, and numpy sums the columns of that layout in another
-    order, which would move the last bits of the sup.
+    Fortran-ordered, and numpy reduces that layout in another order, which
+    would move the sup's last bits away from ``certify``'s on a fresh kernel.
     """
-    log_rows = row_log_mixture(km, w)
-    values = np.concatenate(
-        [_exp_mean(scan.log_k, log_rows), _exp_mean(np.ascontiguousarray(km.log_k), log_rows)]
-    )
+    support = KernelMatrix(np.ascontiguousarray(km.log_k))
+    log_rows = row_log_mixture(support, w)
+    values = np.concatenate([_exp_mean(scan.log_k, log_rows), _exp_mean(support.log_k, log_rows)])
     return _certificate(values, np.concatenate([scan.grid, km.atoms]), resolution)
 
 
@@ -267,7 +262,7 @@ def _guarded_prune(km: KernelMatrix, w, eps: float):
         raise DegenerateMeasureError("all weights fall below the pruning threshold")
     before = log_likelihood(km, w)
     w_new = w[keep] / w[keep].sum()
-    km_new = KernelMatrix(km.log_k[:, keep], atoms=km.atoms[keep], censored=km.censored)
+    km_new = KernelMatrix(km.log_k[:, keep], atoms=km.atoms[keep])
     after = log_likelihood(km_new, w_new)
     if after < before - _TRACE_SLACK:
         return km, w
@@ -283,7 +278,7 @@ def _insert_atom(km: KernelMatrix, w, scan: _ScanTable, index: int):
     """
     log_k = np.concatenate([km.log_k, scan.log_k[:, index : index + 1]], axis=1)
     atoms = np.concatenate([km.atoms, scan.grid[index : index + 1]])
-    km_new = KernelMatrix(log_k, atoms=atoms, censored=km.censored)
+    km_new = KernelMatrix(log_k, atoms=atoms)
     before = log_likelihood(km, w)
     eps = 1.0 / (w.shape[0] + 1)
     for _ in range(200):
@@ -305,7 +300,6 @@ def _refine(ds, mu: MixingMeasure, box_arr: np.ndarray, opts: FitOptions) -> Fit
     total_iters = 0
     status = STATUS_CONVERGED
     scan = _scan_table(ds, box_arr, opts.refine_grid)
-    cert = None
     for round_idx in range(opts.max_refinements + 1):
         w, trace, iters, status = em_fit(km, w, opts)
         trace_parts.append(trace)
@@ -324,9 +318,12 @@ def _refine(ds, mu: MixingMeasure, box_arr: np.ndarray, opts: FitOptions) -> Fit
             break
         # not a duplicate, so the arg-max is a grid point: best < G
         km, w = _insert_atom(km, w, scan, best)
+    measure = MixingMeasure(km.atoms, w)
+    # certify() scans these renormalized weights; scanned before joining the trace (peak memory)
+    cert = _scan_certificate(scan, km, measure.weights, opts.refine_grid)[0]
     trace = np.concatenate(trace_parts)
     return FitResult(
-        measure=MixingMeasure(km.atoms, w),
+        measure=measure,
         loglik_trace=trace,
         final_loglik=float(trace[-1]),
         iterations=total_iters,
@@ -354,25 +351,51 @@ def fit_sieve(
 
     The feasible set is fixed, so there is no support refinement; the
     certificate scans the directional derivative over the basis elements
-    themselves (the extreme points of the hull).
+    themselves (the extreme points of the hull). The fit is ``converged``
+    only when EM converged and the certificate holds (sup <= 1 + refine_tol).
     """
     opts = opts or FitOptions()
     km = build_sieve_kernel_matrix(ds, basis, quad_points_per_cell)
     w0 = np.full(basis.m, 1.0 / basis.m)
     w, trace, iterations, status = em_fit(km, w0, opts)
     measure = SieveDensity(basis, w)
+    cert = _sieve_certificate(km, measure.coefficients)
+    if cert.sup_dir_derivative > 1.0 + opts.refine_tol:
+        status = STATUS_ITER_LIMIT
     return FitResult(
         measure=measure,
         loglik_trace=trace,
         final_loglik=float(trace[-1]),
         iterations=iterations,
-        certificate=_sieve_certificate(km, measure.coefficients),
+        certificate=cert,
         status=status,
     )
 
 
-def _lattice_size(resolution: int, m: int) -> int:
-    return math.comb(resolution + m - 1, m - 1)
+def _lattice_blocks(total: int, m: int, prefix: tuple = ()):
+    """Integer vectors ``prefix + (m entries summing to total)``, lexicographically, in blocks."""
+    if m == 2:
+        block = np.empty((total + 1, len(prefix) + 2), dtype=np.int64)
+        block[:, : len(prefix)] = prefix
+        block[:, -2] = np.arange(total + 1)
+        block[:, -1] = total - block[:, -2]
+        yield block
+        return
+    for a in range(total + 1):
+        yield from _lattice_blocks(total - a, m - 1, prefix + (a,))
+
+
+def _lattice_chunks(total: int, m: int):
+    """The lattice of ``_lattice_blocks`` regrouped into chunks of at least 20000 rows."""
+    chunk, rows = [], 0
+    for block in _lattice_blocks(total, m):
+        chunk.append(block)
+        rows += block.shape[0]
+        if rows >= 20000:
+            yield np.concatenate(chunk)
+            chunk, rows = [], 0
+    if chunk:
+        yield np.concatenate(chunk)
 
 
 def brute_force_oracle(km: KernelMatrix, resolution: int) -> np.ndarray:
@@ -385,69 +408,22 @@ def brute_force_oracle(km: KernelMatrix, resolution: int) -> np.ndarray:
     m = km.m
     if resolution < 1:
         raise InvalidArgumentError("resolution must be >= 1")
-    if m > 4 or resolution * m > 10**7:
-        raise InvalidArgumentError("oracle budget exceeded: needs m <= 4 and resolution*m <= 1e7")
-    if _lattice_size(resolution, m) > 2 * 10**7:
-        raise InvalidArgumentError("oracle budget exceeded: simplex lattice too large")
+    if m > 4 or resolution * m > 10**7 or math.comb(resolution + m - 1, m - 1) > 2 * 10**7:
+        raise InvalidArgumentError(
+            "oracle budget exceeded: needs m <= 4, resolution*m <= 1e7 and at most 2e7 lattice points"
+        )
     if m == 1:
         return np.array([1.0])
 
-    best_value = -np.inf
-    best_w: Optional[np.ndarray] = None
-
-    def consider(W: np.ndarray):
-        nonlocal best_value, best_w
-        shift = km.log_k.max(axis=1)
-        # (C, N): mixture rows for every lattice point in the chunk
-        mix = np.log(
-            np.maximum(
-                (np.exp(km.log_k - shift[:, None])[None, :, :] * (W / resolution)[:, None, :]).sum(
-                    axis=2
-                ),
-                1e-320,
-            )
-        ) + shift[None, :]
-        values = mix.mean(axis=1)
+    E, shift = km.shifted
+    best_value, best_w = -np.inf, None
+    for W in _lattice_chunks(resolution, m):
+        # (C, N): log mixture rows for every lattice point in the chunk
+        mix = np.log(np.maximum((E[None] * (W / resolution)[:, None, :]).sum(axis=2), 1e-320))
+        values = (mix + shift[None, :]).mean(axis=1)
         idx = int(np.argmax(values))
         if values[idx] > best_value:
-            best_value = float(values[idx])
-            best_w = W[idx] / resolution
-
-    chunk: List[np.ndarray] = []
-    count = 0
-
-    def flush():
-        nonlocal chunk, count
-        if chunk:
-            consider(np.concatenate(chunk))
-            chunk = []
-            count = 0
-
-    def emit(block: np.ndarray):
-        nonlocal count
-        chunk.append(block)
-        count += block.shape[0]
-        if count >= 20000:
-            flush()
-
-    R = resolution
-    if m == 2:
-        j1 = np.arange(R + 1)
-        emit(np.stack([j1, R - j1], axis=1))
-    elif m == 3:
-        for a in range(R + 1):
-            j2 = np.arange(R - a + 1)
-            block = np.stack([np.full_like(j2, a), j2, R - a - j2], axis=1)
-            emit(block)
-    else:
-        for a in range(R + 1):
-            for b in range(R - a + 1):
-                j3 = np.arange(R - a - b + 1)
-                block = np.stack(
-                    [np.full_like(j3, a), np.full_like(j3, b), j3, R - a - b - j3], axis=1
-                )
-                emit(block)
-    flush()
+            best_value, best_w = float(values[idx]), W[idx] / resolution
     return np.asarray(best_w, dtype=float)
 
 

@@ -171,18 +171,3 @@ class TestReports:
         with pytest.raises(InvalidArgumentError):
             ReportRow("consistency", 10, None, 1, float("nan"), 0.0, 1, 1.0, 1.0)
 
-
-class TestParallelExecution:
-    def test_thread_cap_matches_serial(self, monkeypatch):
-        cfg = location_config("consistency", n_schedule=(20, 40), seeds=(1, 2))
-        serial = run_consistency_experiment(cfg)
-        monkeypatch.setenv("NPML_THREADS", "2")
-        parallel = run_consistency_experiment(cfg)
-        for a, b in zip(serial, parallel):
-            assert (a.N, a.seed, a.final_loglik, a.distance_to_truth, a.atom_count) == (
-                b.N,
-                b.seed,
-                b.final_loglik,
-                b.distance_to_truth,
-                b.atom_count,
-            )

@@ -294,6 +294,18 @@ class TestCliCertify:
         assert math.isfinite(payload["sup"])
         assert payload["optimal"] == (payload["sup"] <= 1.0 + payload["tolerance"])
 
+    def test_default_resolution_is_the_fits(self, sim_config, tmp_path, capsys):
+        data, fit_path = tmp_path / "data.json", tmp_path / "fit.json"
+        main(["simulate", "--config", str(sim_config), "--out", str(data)])
+        fit_args = ["--method", "npml", "--box", "0.5,2.5;0.1,1.2", "--grid", "5", "--refine-grid", "33"]
+        main(["fit", "--data", str(data), *fit_args, "--out", str(fit_path)])
+        capsys.readouterr()
+        main(["certify", "--data", str(data), "--fit", str(fit_path)])
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["grid_resolution"] == 33
+        fit_cert = read_json(fit_path)["certificate"]
+        assert (payload["sup"], payload["argmax"]) == (fit_cert["sup"], fit_cert["argmax"])
+
     def test_sieve_certify_uses_fit_quadrature(self, tmp_path, capsys):
         cfg = {
             "model": {
@@ -474,6 +486,24 @@ class TestCliExperiment:
         out = tmp_path / "contrast.csv"
         assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
         assert "contrast" in capsys.readouterr().out
+
+    def test_contrast_failure_exit_two(self, tmp_path, capsys):
+        # one EM step and no refinement: the fit is far from the optimum
+        cfg = self._write_config(
+            tmp_path,
+            "contrast",
+            N_schedule=[40],
+            seeds=[1],
+            initial_counts=[3],
+            competitors=200,
+            fit_options={"max_em_iters": 1, "max_refinements": 0},
+        )
+        out = tmp_path / "contrast.csv"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "contrast log" in captured.out
+        assert "optimality tolerance" in captured.err
+        assert out.exists()
 
     def test_unknown_kind_exit_one(self, tmp_path):
         cfg = self._write_config(tmp_path, "consistency")

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -15,6 +16,7 @@ from npmlmix import (
     MixingMeasure,
     ModelSpec,
     Observation,
+    PkExp,
     TimeDesign,
     apply_censoring,
     brute_force_oracle,
@@ -304,6 +306,20 @@ class TestFitNpml:
             assert abs(trace[-1] - log_likelihood(km, w_oracle)) <= 1e-6
             assert np.max(np.abs(w_em - w_oracle)) <= 2 / 2000 + 1e-4
 
+    def test_certificate_is_certify_of_returned_measure(self, two_point_pk_truth):
+        # the fit's certificate scans the returned (renormalized) weights on a C-ordered kernel
+        design = TimeDesign(((0.0, 0.75), (0.75, 1.5), (1.5, 2.25), (2.25, 3.0)))
+        spec = ModelSpec(p=2, n=4, sigma=0.2, f=PkExp(), time_design=design)
+        box = [(0.5, 2.5), (0.05, 1.2)]
+        opts = FitOptions(
+            tol_rel_loglik=1e-11, max_em_iters=4000, prune_eps=1e-6, refine_grid=33, max_refinements=12
+        )
+        ds = simulate_dataset(spec, two_point_pk_truth, 400, seed=0)
+        fit = fit_npml(ds, box, (7, 7), opts)
+        cert = certify(ds, fit.measure, box, 33)
+        assert cert.sup_dir_derivative == fit.certificate.sup_dir_derivative
+        np.testing.assert_array_equal(cert.argmax_point, fit.certificate.argmax_point)
+
     def test_trace_nondecreasing_and_final_matches(self, location_spec, two_point_location_truth):
         ds = simulate_dataset(location_spec, two_point_location_truth, 50, seed=11)
         fit = fit_npml(ds, [(0.0, 2.5)], [6], FitOptions(max_em_iters=2000))
@@ -344,6 +360,14 @@ class TestFitSieve:
             np.testing.assert_array_equal(cert.argmax_point, fit.certificate.argmax_point)
             assert cert.grid_resolution == fit.certificate.grid_resolution == cells + 1
 
+    def test_converged_means_certified(self, two_point_location_truth):
+        # a loose EM tolerance converges before the certificate holds
+        ds = simulate_dataset(location_model(0.3, n=2), two_point_location_truth, 200, seed=3)
+        opts = FitOptions(tol_rel_loglik=1e-6)
+        fit = fit_sieve(ds, SieveBasis([(0.0, 2.5)], [9]), opts)
+        assert fit.certificate.sup_dir_derivative > 1.0 + opts.refine_tol
+        assert fit.status == "iter-limit"
+
     def test_sieve_approaches_npml_from_below(self, location_spec, two_point_location_truth):
         ds = simulate_dataset(location_spec, two_point_location_truth, 80, seed=13)
         opts = FitOptions(tol_rel_loglik=1e-12, max_em_iters=30000)
@@ -370,8 +394,17 @@ class TestBruteForceOracle:
         np.testing.assert_allclose(brute_force_oracle(km, 100), [0.5, 0.5])
 
     def test_lexicographic_tie_break(self):
-        km = KernelMatrix(np.zeros((2, 2)))  # every weight vector ties
-        np.testing.assert_allclose(brute_force_oracle(km, 10), [0.0, 1.0])
+        # every weight vector ties; the lexicographically first is the last vertex
+        np.testing.assert_allclose(brute_force_oracle(KernelMatrix(np.zeros((2, 2))), 10), [0.0, 1.0])
+        # at a power-of-two resolution every lattice point sums to exactly 1, so all m = 4 points tie
+        np.testing.assert_array_equal(
+            brute_force_oracle(KernelMatrix(np.zeros((2, 4))), 8), [0.0, 0.0, 0.0, 1.0]
+        )
+
+    def test_lattice_blocks_are_the_lexicographic_lattice(self):
+        for m in (2, 3, 4):
+            got = np.concatenate(list(solver._lattice_blocks(5, m))).tolist()
+            assert got == [list(v) for v in itertools.product(range(6), repeat=m) if sum(v) == 5]
 
     def test_budget_guard(self):
         km = KernelMatrix(np.zeros((1, 5)))
@@ -383,11 +416,11 @@ class TestBruteForceOracle:
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(14)
-        km = KernelMatrix(rng.normal(size=(4, 3)))
-        perm = np.array([2, 0, 1])
-        w = brute_force_oracle(km, 60)
-        w_perm = brute_force_oracle(KernelMatrix(km.log_k[:, perm]), 60)
-        np.testing.assert_allclose(w_perm, w[perm])
+        for perm, resolution in (([2, 0, 1], 60), ([2, 3, 0, 1], 30)):
+            km = KernelMatrix(rng.normal(size=(4, len(perm))))
+            w = brute_force_oracle(km, resolution)
+            w_perm = brute_force_oracle(KernelMatrix(km.log_k[:, perm]), resolution)
+            np.testing.assert_allclose(w_perm, w[perm])
 
 
 class TestConcavityProbe:
