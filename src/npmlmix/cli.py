@@ -8,7 +8,6 @@ as separate processes, since each seed's rows are the same either way.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -16,7 +15,6 @@ from . import serialize
 from .data import apply_censoring, simulate_dataset
 from .errors import InvalidArgumentError, NpmlError
 from .experiments import (
-    ExperimentConfig,
     gnuplot_script,
     run_censoring_experiment,
     run_consistency_experiment,
@@ -27,8 +25,8 @@ from .experiments import (
 from .measures import SieveBasis, SieveDensity
 from .solver import FitOptions, certify, fit_npml, fit_sieve
 
-# Unused here, but bench/tracer.py patches these two bindings of this module.
-from .likelihood import build_sieve_kernel_matrix, row_log_mixture  # noqa: F401
+# The last two are unused here, but bench/tracer.py patches these bindings of this module.
+from .likelihood import DEFAULT_QUAD_POINTS, build_sieve_kernel_matrix, row_log_mixture  # noqa: F401
 
 
 def _parse_box(text: str) -> list:
@@ -60,26 +58,21 @@ def _options_from_args(args) -> FitOptions:
         "refine_tol": args.refine_tol,
         "max_refinements": args.max_refinements,
     }
-    return dataclasses.replace(FitOptions(), **{k: v for k, v in given.items() if v is not None})
+    return serialize.fit_options_from_dict({k: v for k, v in given.items() if v is not None})
 
 
 def cmd_simulate(args) -> int:
-    cfg = serialize.read_json(args.config)
-    spec = serialize.spec_from_dict(serialize._require(cfg, "model"))
-    truth = serialize.measure_from_dict(serialize._require(cfg, "truth"))
-    N = int(serialize._require(cfg, "N"))
-    seed = int(serialize._require(cfg, "seed"))
+    spec, truth, N, seed, design, censor_seed = serialize.load(args.config, serialize.simulation_from_dict)
     ds = simulate_dataset(spec, truth, N, seed)
-    if "censoring" in cfg:
-        design = serialize.censoring_from_dict(cfg["censoring"])
-        ds = apply_censoring(ds, design, int(cfg.get("censor_seed", seed + 1)))
+    if design is not None:
+        ds = apply_censoring(ds, design, censor_seed)
     serialize.write_json(args.out, serialize.dataset_to_dict(ds))
     print(f"simulated N={ds.N} n={spec.n} p={spec.p} seed={seed} -> {args.out}")
     return 0
 
 
 def cmd_fit(args) -> int:
-    ds = serialize.dataset_from_dict(serialize.read_json(args.data))
+    ds = serialize.load(args.data, serialize.dataset_from_dict)
     box = _parse_box(args.box)
     opts = _options_from_args(args)
     if args.method == "npml":
@@ -101,20 +94,26 @@ def cmd_fit(args) -> int:
     return 0 if fit.status == "converged" else 2
 
 
+def _fit_file(obj: dict) -> tuple:
+    """A fit file's result, its box (None if absent) and its sieve quadrature order."""
+    # a sieve block without quad_points was fitted at the default order
+    quad_points = int(obj["sieve"].get("quad_points", DEFAULT_QUAD_POINTS)) if "sieve" in obj else None
+    box = [[float(v) for v in iv] for iv in obj["box"]] if "box" in obj else None
+    return serialize.fit_from_dict(obj), box, quad_points
+
+
 def cmd_certify(args) -> int:
-    ds = serialize.dataset_from_dict(serialize.read_json(args.data))
-    fit_obj = serialize.read_json(args.fit)
-    fit = serialize.fit_from_dict(fit_obj)
-    tol = args.tol if args.tol is not None else FitOptions().refine_tol
+    ds = serialize.load(args.data, serialize.dataset_from_dict)
+    fit, box, quad_points = serialize.load(args.fit, _fit_file)
+    # the verdict's tolerance is a refine_tol, checked like the fit's own
+    tol = FitOptions().refine_tol if args.tol is None else FitOptions(refine_tol=args.tol).refine_tol
     if isinstance(fit.measure, SieveDensity):
-        # a sieve block without quad_points was fitted at the default order
-        quad_points = int(fit_obj["sieve"].get("quad_points", 8))
         cert = certify(ds, fit.measure, quad_points_per_cell=quad_points)
-    elif "box" not in fit_obj:
+    elif box is None:
         raise InvalidArgumentError("fit file has no box; cannot build a certification grid")
     else:
         resolution = fit.certificate.grid_resolution if args.resolution is None else args.resolution
-        cert = certify(ds, fit.measure, fit_obj["box"], resolution)
+        cert = certify(ds, fit.measure, box, resolution)
     optimal = cert.sup_dir_derivative <= 1.0 + tol
     print(
         serialize.dumps(
@@ -131,29 +130,8 @@ def cmd_certify(args) -> int:
     return 0 if optimal else 2
 
 
-def _experiment_config_from_dict(obj: dict) -> ExperimentConfig:
-    spec = serialize.spec_from_dict(serialize._require(obj, "model"))
-    truth = serialize.measure_from_dict(serialize._require(obj, "truth"))
-    return ExperimentConfig(
-        kind=serialize._require(obj, "kind"),
-        spec=spec,
-        truth=truth,
-        box=tuple(tuple(iv) for iv in serialize._require(obj, "box")),
-        initial_counts=tuple(serialize._require(obj, "initial_counts")),
-        n_schedule=tuple(serialize._require(obj, "N_schedule")),
-        seeds=tuple(serialize._require(obj, "seeds")),
-        m_schedule=tuple(obj.get("m_schedule", ())),
-        options=serialize.fit_options_from_dict(obj.get("fit_options")),
-        censoring=(
-            serialize.censoring_from_dict(obj["censoring"]) if "censoring" in obj else None
-        ),
-        quad_points=int(obj.get("quad_points", 8)),
-        competitors=int(obj.get("competitors", 50)),
-    )
-
-
 def cmd_experiment(args) -> int:
-    cfg = _experiment_config_from_dict(serialize.read_json(args.config))
+    cfg = serialize.load(args.config, serialize.experiment_config_from_dict)
     exit_code = 0
     if cfg.kind == "consistency":
         rows = run_consistency_experiment(cfg)
@@ -196,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--box", required=True, help="per-axis bounds 'lo,hi;lo,hi'")
     p_fit.add_argument("--grid", default="8", help="initial grid nodes per axis")
     p_fit.add_argument("--sieve-m", type=int, default=None, help="sieve cells per axis")
-    p_fit.add_argument("--quad-points", type=int, default=8)
+    p_fit.add_argument("--quad-points", type=int, default=DEFAULT_QUAD_POINTS)
     p_fit.add_argument("--out", required=True)
     p_fit.add_argument("--tol", type=float, default=None)
     p_fit.add_argument("--max-iters", type=int, default=None)

@@ -18,7 +18,7 @@ from scipy.special import ndtri
 
 from .errors import InvalidArgumentError
 from .measures import MixingMeasure, _checked_weights
-from .model import GAUSSIAN, CensorMask, ModelSpec, project_mask
+from .model import GAUSSIAN, CensorMask, ModelSpec, _forward, _scale, project_mask
 
 
 @dataclass(frozen=True)
@@ -126,9 +126,12 @@ class Dataset:
         return np.stack([o.y for o in self.observations])
 
     def mask_groups(self) -> List[tuple]:
-        """Group censored rows by mask: list of (mask, row_indices, Z, T)."""
+        """Group rows by censor mask: list of (mask, row_indices, Z, T).
+
+        An uncensored dataset is one group, (None, all rows, Y, T).
+        """
         if not self.is_censored:
-            raise InvalidArgumentError("dataset is not censored")
+            return [(None, np.arange(self.N), self.values(), self.times())]
         groups: Dict[CensorMask, list] = {}
         for i, o in enumerate(self.observations):
             groups.setdefault(o.mask, []).append(i)
@@ -180,13 +183,9 @@ def simulate_dataset(spec: ModelSpec, mu_true: MixingMeasure, N: int, seed: int)
         s = mu_true.atoms[idx]
         t = bounds[:, 0] + widths * rng.random(spec.n)
         eps = _standard_noise(rng, spec.n, spec.noise)
-        f_val = spec.f.evaluate_many(s[None, :], t[None, :])[0, 0]
-        if not np.all(np.isfinite(f_val)):
-            raise InvalidArgumentError("truth atom lies outside the model function's domain")
+        f_val = _forward(spec, s[None, :], t[None, :])[0, 0]
         if spec.heteroscedastic:
-            g = spec.sigma_prime * f_val
-            if np.any(g < 0):
-                raise InvalidArgumentError("heteroscedastic scale is negative at a truth atom")
+            g = _scale(spec, f_val)
             sd = np.sqrt(spec.sigma**2 + g * g)
         else:
             sd = spec.sigma

@@ -10,32 +10,20 @@ from __future__ import annotations
 import csv
 import math
 import time
+import typing
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .data import CensoringDesign, Dataset, apply_censoring, simulate_dataset
 from .errors import InvalidArgumentError
-from .likelihood import build_kernel_matrix, contrast_value, log_likelihood
+from .likelihood import CONTRAST_TAGS, DEFAULT_QUAD_POINTS, build_kernel_matrix, contrast_value, log_likelihood
 from .measures import MixingMeasure, SieveBasis, measure_distance, sieve_to_measure
 from .model import CensorMask, ModelSpec
 from .solver import FitOptions, FitResult, fit_npml, fit_sieve
 
 REPORT_VERSION = 1
-CSV_HEADER = [
-    "report_version",
-    "experiment",
-    "N",
-    "m",
-    "seed",
-    "final_loglik",
-    "distance_to_truth",
-    "atom_count",
-    "certificate_sup",
-    "wall_time_ms",
-]
-
 EXPERIMENT_KINDS = ("consistency", "sieve", "censoring", "contrast")
 
 
@@ -51,7 +39,7 @@ class ExperimentConfig:
     m_schedule: tuple = ()
     options: FitOptions = field(default_factory=FitOptions)
     censoring: Optional[CensoringDesign] = None
-    quad_points: int = 8
+    quad_points: int = DEFAULT_QUAD_POINTS
     competitors: int = 50
 
     def __post_init__(self):
@@ -60,28 +48,26 @@ class ExperimentConfig:
         for name, schedule in (("N", self.n_schedule), ("seed", self.seeds)):
             if not schedule:
                 raise InvalidArgumentError(f"{name} schedule must be nonempty")
-        if list(self.n_schedule) != sorted(self.n_schedule) or len(set(self.n_schedule)) != len(
-            self.n_schedule
-        ):
+        ns = list(self.n_schedule)
+        if not all(a < b for a, b in zip(ns, ns[1:])):
             raise InvalidArgumentError("N schedule must be strictly increasing")
         if len(set(self.seeds)) != len(self.seeds):
             raise InvalidArgumentError("seeds must be distinct")
         if self.kind == "sieve":
             ms = list(self.m_schedule)
-            if not ms or ms != sorted(ms) or len(set(ms)) != len(ms):
-                raise InvalidArgumentError("sieve experiments need an increasing m schedule")
-            for a, b in zip(ms[:-1], ms[1:]):
-                if b % a != 0:
-                    raise InvalidArgumentError("m schedule must be nested (each m divides the next)")
+            if not ms or ms[0] < 1 or not all(a < b for a, b in zip(ms, ms[1:])):
+                raise InvalidArgumentError("sieve experiments need an increasing schedule of positive m")
+            if any(b % a for a, b in zip(ms, ms[1:])):
+                raise InvalidArgumentError("m schedule must be nested (each m divides the next)")
         object.__setattr__(self, "box", tuple(tuple(float(v) for v in iv) for iv in self.box))
-        object.__setattr__(self, "initial_counts", tuple(int(c) for c in self.initial_counts))
-        object.__setattr__(self, "n_schedule", tuple(int(v) for v in self.n_schedule))
-        object.__setattr__(self, "seeds", tuple(int(v) for v in self.seeds))
-        object.__setattr__(self, "m_schedule", tuple(int(v) for v in self.m_schedule))
+        for name in ("initial_counts", "n_schedule", "seeds", "m_schedule"):
+            object.__setattr__(self, name, tuple(int(v) for v in getattr(self, name)))
 
 
 @dataclass(frozen=True)
 class ReportRow:
+    """One report line; its fields, in order, are the CSV columns after report_version."""
+
     experiment: str
     N: int
     m: Optional[int]
@@ -93,9 +79,14 @@ class ReportRow:
     wall_time_ms: float
 
     def __post_init__(self):
-        for name in ("final_loglik", "distance_to_truth", "certificate_sup", "wall_time_ms"):
-            if not math.isfinite(getattr(self, name)):
+        for name, kind in _ROW_TYPES.items():
+            if kind is float and not math.isfinite(getattr(self, name)):
                 raise InvalidArgumentError(f"report field {name} must be finite")
+
+
+# field name -> type, in field order: the CSV layout after report_version
+_ROW_TYPES = typing.get_type_hints(ReportRow)
+CSV_HEADER = ["report_version", *_ROW_TYPES]
 
 
 def _fit_row(
@@ -106,18 +97,25 @@ def _fit_row(
     m: Optional[int],
     seed: int,
 ) -> Tuple[ReportRow, FitResult]:
+    """Fit and report one row: the discrete NPML, or the sieve with m cells per axis."""
     start = time.perf_counter()
-    fit = fit_npml(ds, cfg.box, cfg.initial_counts, cfg.options)
+    if m is None:
+        fit = fit_npml(ds, cfg.box, cfg.initial_counts, cfg.options)
+        mu, atom_count = fit.measure, fit.measure.m
+    else:
+        basis = SieveBasis(cfg.box, [m + 1] * cfg.spec.p)
+        fit = fit_sieve(ds, basis, cfg.options, cfg.quad_points)
+        mu = sieve_to_measure(fit.measure)
+        atom_count = int(np.sum(fit.measure.coefficients > cfg.options.prune_eps))
     elapsed = (time.perf_counter() - start) * 1000.0
-    distance = measure_distance(fit.measure, cfg.truth)
     row = ReportRow(
         experiment=experiment,
         N=N,
         m=m,
         seed=seed,
         final_loglik=fit.final_loglik,
-        distance_to_truth=distance,
-        atom_count=fit.measure.m,
+        distance_to_truth=measure_distance(mu, cfg.truth),
+        atom_count=atom_count,
         certificate_sup=fit.certificate.sup_dir_derivative,
         wall_time_ms=elapsed,
     )
@@ -146,26 +144,7 @@ def run_sieve_experiment(cfg: ExperimentConfig) -> List[ReportRow]:
     N, seed = cfg.n_schedule[0], cfg.seeds[0]
     ds = simulate_dataset(cfg.spec, cfg.truth, N, seed)
     ref_row, _ = _fit_row(cfg, ds, "sieve/npml", N, None, seed)
-    rows = [ref_row]
-    for m in cfg.m_schedule:
-        basis = SieveBasis(cfg.box, [m + 1] * cfg.spec.p)
-        start = time.perf_counter()
-        fit = fit_sieve(ds, basis, cfg.options, cfg.quad_points)
-        elapsed = (time.perf_counter() - start) * 1000.0
-        mu = sieve_to_measure(fit.measure)
-        rows.append(
-            ReportRow(
-                experiment="sieve",
-                N=N,
-                m=m,
-                seed=seed,
-                final_loglik=fit.final_loglik,
-                distance_to_truth=measure_distance(mu, cfg.truth),
-                atom_count=int(np.sum(fit.measure.coefficients > cfg.options.prune_eps)),
-                certificate_sup=fit.certificate.sup_dir_derivative,
-                wall_time_ms=elapsed,
-            )
-        )
+    rows = [ref_row] + [_fit_row(cfg, ds, "sieve", N, m, seed)[0] for m in cfg.m_schedule]
     return sorted(rows, key=_row_key)
 
 
@@ -181,25 +160,20 @@ def run_censoring_experiment(cfg: ExperimentConfig) -> List[ReportRow]:
     N = cfg.n_schedule[0]
     for seed in cfg.seeds:
         ds = simulate_dataset(cfg.spec, cfg.truth, N, seed)
-        row_a, fit_a = _fit_row(cfg, ds, "censoring/uncensored", N, None, seed)
-        rows.append(row_a)
+        row, fit = _fit_row(cfg, ds, "censoring/uncensored", N, None, seed)
+        rows.append(row)
 
         full = CensoringDesign(((CensorMask.full(cfg.spec.n), 1.0),))
         ds_full = apply_censoring(ds, full, seed + 1)
-        km_plain = build_kernel_matrix(ds, fit_a.measure)
-        km_full = build_kernel_matrix(ds_full, fit_a.measure)
-        gap = abs(
-            log_likelihood(km_plain, fit_a.measure.weights)
-            - log_likelihood(km_full, fit_a.measure.weights)
-        )
+        km_plain = build_kernel_matrix(ds, fit.measure)
+        km_full = build_kernel_matrix(ds_full, fit.measure)
+        gap = abs(log_likelihood(km_plain, fit.measure.weights) - log_likelihood(km_full, fit.measure.weights))
         if gap > 1e-12:
             raise RuntimeError(f"full-mask likelihood differs from uncensored by {gap}")
-        row_b, _ = _fit_row(cfg, ds_full, "censoring/full-mask", N, None, seed)
-        rows.append(row_b)
+        rows.append(_fit_row(cfg, ds_full, "censoring/full-mask", N, None, seed)[0])
 
         ds_rand = apply_censoring(ds, cfg.censoring, seed + 2)
-        row_c, _ = _fit_row(cfg, ds_rand, "censoring/random", N, None, seed)
-        rows.append(row_c)
+        rows.append(_fit_row(cfg, ds_rand, "censoring/random", N, None, seed)[0])
     return sorted(rows, key=_row_key)
 
 
@@ -215,7 +189,7 @@ def run_contrast_experiment(cfg: ExperimentConfig) -> Tuple[List[ReportRow], Dic
     row, fit = _fit_row(cfg, ds, "contrast", N, None, seed)
     km = build_kernel_matrix(ds, fit.measure)
     rng = np.random.default_rng(seed)
-    maxima = {tag: -np.inf for tag in ("log", "t-1", "1-1/t")}
+    maxima = {tag: -np.inf for tag in CONTRAST_TAGS}
     for _ in range(cfg.competitors):
         w = rng.exponential(size=fit.measure.m)
         w = w / w.sum()
@@ -231,25 +205,20 @@ def _row_key(row: ReportRow):
 # --------------------------------- reports ---------------------------------
 
 
+def _parse_field(kind, text: str):
+    """A CSV cell as the field type ``kind``; an empty cell is None for Optional fields."""
+    if typing.get_origin(kind) is Union:
+        return None if text == "" else _parse_field(typing.get_args(kind)[0], text)
+    return kind(text)
+
+
 def write_report_csv(rows: Sequence[ReportRow], path) -> None:
+    # csv writes None as "" and floats by repr, so floats round-trip exactly
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for r in rows:
-            writer.writerow(
-                [
-                    REPORT_VERSION,
-                    r.experiment,
-                    r.N,
-                    "" if r.m is None else r.m,
-                    r.seed,
-                    repr(r.final_loglik),
-                    repr(r.distance_to_truth),
-                    r.atom_count,
-                    repr(r.certificate_sup),
-                    repr(r.wall_time_ms),
-                ]
-            )
+            writer.writerow([REPORT_VERSION] + [getattr(r, name) for name in _ROW_TYPES])
 
 
 def read_report_csv(path) -> List[ReportRow]:
@@ -262,19 +231,8 @@ def read_report_csv(path) -> List[ReportRow]:
         for rec in reader:
             if int(rec[0]) != REPORT_VERSION:
                 raise InvalidArgumentError(f"unsupported report version {rec[0]!r}")
-            rows.append(
-                ReportRow(
-                    experiment=rec[1],
-                    N=int(rec[2]),
-                    m=None if rec[3] == "" else int(rec[3]),
-                    seed=int(rec[4]),
-                    final_loglik=float(rec[5]),
-                    distance_to_truth=float(rec[6]),
-                    atom_count=int(rec[7]),
-                    certificate_sup=float(rec[8]),
-                    wall_time_ms=float(rec[9]),
-                )
-            )
+            cells = zip(_ROW_TYPES.items(), rec[1:], strict=True)
+            rows.append(ReportRow(**{name: _parse_field(kind, text) for (name, kind), text in cells}))
     return rows
 
 
@@ -285,20 +243,15 @@ def gnuplot_script(csv_path: str, kind: str) -> str:
         "set key outside",
         f"set title '{kind} experiment'",
     ]
-    if kind == "consistency":
-        lines += [
-            "set logscale x",
-            "set xlabel 'N'",
-            "set ylabel 'distance to truth'",
-            f"plot '{csv_path}' every ::1 using 3:7 with points pt 7 title 'fits'",
-        ]
-    elif kind == "sieve":
+    if kind == "sieve":
         lines += [
             "set xlabel 'sieve cells per axis'",
             "set ylabel 'final log-likelihood'",
             f"plot '{csv_path}' every ::1 using 4:6 with linespoints title 'sieve'",
         ]
     else:
+        if kind == "consistency":
+            lines.append("set logscale x")
         lines += [
             "set xlabel 'N'",
             "set ylabel 'distance to truth'",

@@ -21,6 +21,9 @@ from .model import log_kernel_block
 
 _ATOM_BLOCK = 512
 
+# Gauss-Legendre points per sieve cell and axis, unless a fit says otherwise
+DEFAULT_QUAD_POINTS = 8
+
 CONTRAST_TAGS = ("log", "t-1", "1-1/t")
 
 
@@ -66,13 +69,9 @@ def kernel_columns(ds: Dataset, points: np.ndarray) -> np.ndarray:
         points = points[:, None]
     if points.shape[1] != ds.spec.p:
         raise InvalidArgumentError("candidate points have the wrong dimension")
-    N, B = ds.N, points.shape[0]
-    groups = (
-        ds.mask_groups()
-        if ds.is_censored
-        else [(None, np.arange(N), ds.values(), ds.times())]
-    )
-    out = np.empty((N, B))
+    B = points.shape[0]
+    groups = ds.mask_groups()
+    out = np.empty((ds.N, B))
     for start in range(0, B, _ATOM_BLOCK):
         block = points[start : start + _ATOM_BLOCK]
         stop = start + block.shape[0]
@@ -83,14 +82,12 @@ def kernel_columns(ds: Dataset, points: np.ndarray) -> np.ndarray:
 
 def build_kernel_matrix(ds: Dataset, mu: MixingMeasure) -> KernelMatrix:
     """Kernel table for a discrete candidate measure (weights play no role)."""
-    if mu.p != ds.spec.p:
-        raise InvalidArgumentError("measure dimension does not match the spec")
     log_k = kernel_columns(ds, mu.atoms)
     return KernelMatrix(log_k=log_k, atoms=np.array(mu.atoms))
 
 
 def build_sieve_kernel_matrix(
-    ds: Dataset, basis: SieveBasis, quad_points_per_cell: int = 8
+    ds: Dataset, basis: SieveBasis, quad_points_per_cell: int = DEFAULT_QUAD_POINTS
 ) -> KernelMatrix:
     """Kernel table against the sieve basis via per-cell Gauss-Legendre rules.
 
@@ -99,8 +96,6 @@ def build_sieve_kernel_matrix(
     """
     if ds.is_censored:
         raise InvalidArgumentError("sieve fitting expects an uncensored dataset")
-    if basis.p != ds.spec.p:
-        raise InvalidArgumentError("basis dimension does not match the spec")
     if quad_points_per_cell < 1:
         raise InvalidArgumentError("quadrature needs at least one point per cell")
     points, log_w = basis.quadrature(quad_points_per_cell)

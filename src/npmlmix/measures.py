@@ -6,6 +6,7 @@ read-only, so values can be shared freely between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -151,41 +152,27 @@ def merge_close_atoms(mu: MixingMeasure, radius: float) -> MixingMeasure:
     Clusters are connected components of the "within radius" graph, so chains
     merge together; total mass and the measure's mean are preserved.
     """
-    if radius < 0:
+    if not radius >= 0:
         raise InvalidArgumentError("radius must be nonnegative")
-    m = mu.m
-    if m == 1:
+    if mu.m == 1:
         return mu
     diff = mu.atoms[:, None, :] - mu.atoms[None, :, :]
-    close = np.sqrt((diff * diff).sum(axis=2)) <= radius
-    # union-find over the adjacency
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if close[i, j]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    roots = [find(i) for i in range(m)]
-    order = sorted(set(roots), key=roots.index)
+    reach = np.sqrt((diff * diff).sum(axis=2)) <= radius
+    # transitive closure by squaring: the diagonal is set, so each square only adds paths
+    while True:
+        wider = reach @ reach
+        if np.array_equal(wider, reach):
+            break
+        reach = wider
+    # each atom's cluster root is the cluster's first atom; clusters go in that order
+    roots = reach.argmax(axis=1)
     new_atoms, new_weights = [], []
-    for r in order:
-        members = [i for i in range(m) if roots[i] == r]
+    for r in np.unique(roots):
+        members = np.flatnonzero(roots == r)
         w = mu.weights[members]
         total = w.sum()
-        if total <= 0:
-            # zero-mass cluster keeps its first atom location
-            new_atoms.append(mu.atoms[members[0]])
-            new_weights.append(0.0)
-            continue
-        new_atoms.append((w[:, None] * mu.atoms[members]).sum(axis=0) / total)
+        # a zero-mass cluster keeps its first atom's location
+        new_atoms.append((w[:, None] * mu.atoms[members]).sum(axis=0) / total if total > 0 else mu.atoms[r])
         new_weights.append(total)
     return MixingMeasure(np.asarray(new_atoms), np.asarray(new_weights))
 
@@ -270,14 +257,11 @@ class SieveBasis:
                 h = (hi - lo) / (c - 1)
                 peaks.append(2.0 / h)  # boundary tent peak dominates
                 slopes.append(2.0 / (h * h))
-        best = 0.0
-        for axis in range(self.p):
-            val = slopes[axis]
-            for other in range(self.p):
-                if other != axis:
-                    val *= peaks[other]
-            best = max(best, val)
-        return best
+        # one axis's slope times the other axes' peaks, multiplied in axis order
+        return max(
+            math.prod((peaks[o] for o in range(self.p) if o != axis), start=slopes[axis])
+            for axis in range(self.p)
+        )
 
     def _axis_log_values(self, axis: int, x: np.ndarray) -> np.ndarray:
         """Log of the normalized 1-d element values at points x: (len(x), c)."""
@@ -292,8 +276,7 @@ class SieveBasis:
         h = (hi - lo) / (c - 1)
         tent = np.maximum(0.0, 1.0 - np.abs(x[:, None] - nodes[None, :]) / h)
         norms = np.full(c, h)
-        norms[0] = h / 2.0
-        norms[-1] = h / 2.0
+        norms[[0, -1]] = h / 2.0
         vals = tent / norms[None, :]
         with np.errstate(divide="ignore"):
             return np.log(vals)
@@ -318,18 +301,12 @@ class SieveBasis:
         axis_pts, axis_w = [], []
         for (lo, hi), nodes in zip(self.box, self._axis_nodes):
             edges = np.array([lo, hi]) if nodes.shape[0] == 1 else nodes
-            pts, wts = [], []
-            for a, b in zip(edges[:-1], edges[1:]):
-                half = (b - a) / 2.0
-                pts.append((a + b) / 2.0 + half * gl_x)
-                wts.append(half * gl_w)
-            axis_pts.append(np.concatenate(pts))
-            axis_w.append(np.concatenate(wts))
-        points = _tensor_points(axis_pts)
-        weights = np.ones(points.shape[0])
-        for column in _tensor_points(axis_w).T:
-            weights = weights * column
-        return points, np.log(weights)
+            a, b = edges[:-1, None], edges[1:, None]
+            half = (b - a) / 2.0
+            # (cells, points) read row by row: each cell's rule in turn
+            axis_pts.append(((a + b) / 2.0 + half * gl_x).reshape(-1))
+            axis_w.append((half * gl_w).reshape(-1))
+        return _tensor_points(axis_pts), np.log(np.prod(_tensor_points(axis_w), axis=1))
 
 
 @dataclass(frozen=True)

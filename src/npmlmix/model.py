@@ -88,11 +88,8 @@ class LinearInS:
     def dim(self) -> int:
         return len(self.coefficients)
 
-    def _table(self) -> np.ndarray:
-        return np.asarray(self.coefficients, dtype=float)
-
     def evaluate_many(self, S: np.ndarray, T: np.ndarray) -> np.ndarray:
-        table = self._table()
+        table = np.asarray(self.coefficients, dtype=float)
         degree = table.shape[1] - 1
         # powers: (degree+1, N, n)
         powers = T[None, :, :] ** np.arange(degree + 1)[:, None, None]
@@ -258,49 +255,67 @@ class ModelSpec:
         return self.sigma_prime is not None
 
 
-def eval_f(spec: ModelSpec, s, t) -> np.ndarray:
-    """Forward model value (q_s(t_1), ..., q_s(t_n)) for one parameter point."""
+def _forward(spec: ModelSpec, S: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """f at points S (B, p) and times T (N, n) as an (N, B, n) table; every value must be finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        F = spec.f.evaluate_many(S, T)
+    if not np.all(np.isfinite(F)):
+        raise InvalidArgumentError("a parameter point lies outside the model function's numeric domain")
+    return F
+
+
+def _scale(spec: ModelSpec, F: np.ndarray) -> np.ndarray:
+    """Heteroscedastic scale g = sigma' * f from model values F; must be componentwise nonnegative."""
+    g = spec.sigma_prime * F
+    if np.any(g < 0):
+        raise ModelViolationError("heteroscedastic scale has a negative component")
+    return g
+
+
+def _point(spec: ModelSpec, s, t):
+    """One parameter point s (length p) and time vector t (length n) as 1-d arrays."""
     s = _as_1d(s, "s")
     t = _as_1d(t, "t")
     if s.shape[0] != spec.p:
         raise InvalidArgumentError(f"s has dimension {s.shape[0]}, expected p={spec.p}")
     if t.shape[0] != spec.n:
         raise InvalidArgumentError(f"t has dimension {t.shape[0]}, expected n={spec.n}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = spec.f.evaluate_many(s[None, :], t[None, :])[0, 0]
-    if not np.all(np.isfinite(out)):
-        raise InvalidArgumentError("model function produced nonfinite values at this point")
-    return out
+    return s, t
+
+
+def eval_f(spec: ModelSpec, s, t) -> np.ndarray:
+    """Forward model value (q_s(t_1), ..., q_s(t_n)) for one parameter point."""
+    s, t = _point(spec, s, t)
+    return _forward(spec, s[None, :], t[None, :])[0, 0]
 
 
 def eval_g(spec: ModelSpec, s, t) -> np.ndarray:
     """Heteroscedastic scale g = sigma' * f; must be componentwise nonnegative."""
     if spec.sigma_prime is None:
         raise InvalidArgumentError("spec has no heteroscedastic component")
-    g = spec.sigma_prime * eval_f(spec, s, t)
-    if np.any(g < 0):
-        raise ModelViolationError("heteroscedastic scale has a negative component")
-    return g
+    return _scale(spec, eval_f(spec, s, t))
 
 
-def gaussian_log_density(u, sigma: float) -> float:
-    """Log of the centred isotropic Gaussian density on R^n at u."""
+def _noise_argument(u, sigma: float) -> np.ndarray:
+    """The residual u as a finite 1-d array, for a noise scale sigma > 0."""
     if sigma <= 0 or not math.isfinite(sigma):
         raise InvalidArgumentError("sigma must be strictly positive")
     u = _as_1d(u, "u")
     if not np.all(np.isfinite(u)):
         raise InvalidArgumentError("u must be finite")
+    return u
+
+
+def gaussian_log_density(u, sigma: float) -> float:
+    """Log of the centred isotropic Gaussian density on R^n at u."""
+    u = _noise_argument(u, sigma)
     n = u.shape[0]
     return float(-0.5 * n * math.log(2.0 * math.pi * sigma * sigma) - np.dot(u, u) / (2.0 * sigma * sigma))
 
 
 def laplace_log_density(u, sigma: float) -> float:
     """Variance-matched Laplace alternative: scale b = sigma / sqrt(2)."""
-    if sigma <= 0 or not math.isfinite(sigma):
-        raise InvalidArgumentError("sigma must be strictly positive")
-    u = _as_1d(u, "u")
-    if not np.all(np.isfinite(u)):
-        raise InvalidArgumentError("u must be finite")
+    u = _noise_argument(u, sigma)
     b = sigma / math.sqrt(2.0)
     return float(-u.shape[0] * math.log(2.0 * b) - np.sum(np.abs(u)) / b)
 
@@ -332,10 +347,7 @@ def log_kernel_block(
         return np.zeros((T.shape[0], S.shape[0]))
     if spec.sigma <= 0:
         raise InvalidArgumentError("density evaluation requires sigma > 0")
-    with np.errstate(over="ignore", invalid="ignore"):
-        F = spec.f.evaluate_many(S, T)
-    if not np.all(np.isfinite(F)):
-        raise InvalidArgumentError("an atom lies outside the model function's numeric domain")
+    F = _forward(spec, S, T)
     if mask is not None and not mask.is_full:
         F = F[:, :, list(mask.indices)]
     U = Y[:, None, :] - F
@@ -350,9 +362,7 @@ def log_kernel_block(
             b = sigma / math.sqrt(2.0)
             out = -k * np.log(2.0 * b) - np.abs(U).sum(axis=2) / b
     else:
-        g = spec.sigma_prime * F
-        if np.any(g < 0):
-            raise ModelViolationError("heteroscedastic scale has a negative component")
+        g = _scale(spec, F)
         var = spec.sigma * spec.sigma + g * g
         if spec.noise == GAUSSIAN:
             comp = -0.5 * np.log(2.0 * math.pi * var) - (U * U) / (2.0 * var)
@@ -376,13 +386,8 @@ def conditional_log_density(spec: ModelSpec, s, x) -> float:
     else:
         y, t = x
         mask = None
-    s = _as_1d(s, "s")
+    s, t = _point(spec, s, t)
     y = np.asarray(y, dtype=float).reshape(-1)
-    t = _as_1d(t, "t")
-    if s.shape[0] != spec.p:
-        raise InvalidArgumentError(f"s has dimension {s.shape[0]}, expected p={spec.p}")
-    if t.shape[0] != spec.n:
-        raise InvalidArgumentError(f"t has dimension {t.shape[0]}, expected n={spec.n}")
     expected = spec.n if mask is None else mask.cardinality
     if y.shape[0] != expected:
         raise InvalidArgumentError(f"observation has {y.shape[0]} components, expected {expected}")

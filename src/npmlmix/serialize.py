@@ -1,4 +1,4 @@
-"""JSON schemas for datasets, measures, fits and experiment configs.
+"""JSON schemas for datasets, measures, fits and simulate/experiment configs.
 
 All numbers are written as decimal doubles (Python's shortest round-trip
 repr), so rewriting the same objects produces byte-identical files.
@@ -14,6 +14,7 @@ import numpy as np
 
 from .data import CensoredObservation, CensoringDesign, Dataset, Observation
 from .errors import InvalidArgumentError
+from .experiments import ExperimentConfig
 from .measures import MixingMeasure, SieveBasis, SieveDensity
 from .model import (
     GAUSSIAN,
@@ -237,6 +238,39 @@ def fit_from_dict(obj: dict) -> FitResult:
     )
 
 
+# ------------------------------ run configs --------------------------------
+
+
+def simulation_from_dict(obj: dict) -> tuple:
+    """A simulate config as (spec, truth, N, seed, censoring design or None, censor seed)."""
+    seed = int(_require(obj, "seed"))
+    design = censoring_from_dict(obj["censoring"]) if "censoring" in obj else None
+    return (
+        spec_from_dict(_require(obj, "model")),
+        measure_from_dict(_require(obj, "truth")),
+        int(_require(obj, "N")),
+        seed,
+        design,
+        int(obj.get("censor_seed", seed + 1)),
+    )
+
+
+def experiment_config_from_dict(obj: dict) -> ExperimentConfig:
+    return ExperimentConfig(
+        kind=_require(obj, "kind"),
+        spec=spec_from_dict(_require(obj, "model")),
+        truth=measure_from_dict(_require(obj, "truth")),
+        box=_require(obj, "box"),
+        initial_counts=_require(obj, "initial_counts"),
+        n_schedule=_require(obj, "N_schedule"),
+        seeds=_require(obj, "seeds"),
+        m_schedule=obj.get("m_schedule", ()),
+        options=fit_options_from_dict(obj.get("fit_options")),
+        censoring=censoring_from_dict(obj["censoring"]) if "censoring" in obj else None,
+        **{key: int(obj[key]) for key in ("quad_points", "competitors") if key in obj},
+    )
+
+
 # --------------------------------- io -------------------------------------
 
 
@@ -255,3 +289,12 @@ def read_json(path) -> dict:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise InvalidArgumentError(f"{path}: not valid JSON ({exc})") from exc
+
+
+def load(path, parse):
+    """``parse`` of the JSON document at ``path``; a document of the wrong shape is an error naming the file."""
+    obj = read_json(path)
+    try:
+        return parse(obj)
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"{path}: {exc}") from exc

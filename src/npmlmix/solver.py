@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import DegenerateMeasureError, InvalidArgumentError
 from .likelihood import (
+    DEFAULT_QUAD_POINTS,
     KernelMatrix,
     build_kernel_matrix,
     build_sieve_kernel_matrix,
@@ -64,8 +65,10 @@ class FitOptions:
     max_refinements: int = 50
 
     def __post_init__(self):
-        if self.tol_rel_loglik <= 0 or self.prune_eps <= 0 or self.refine_tol <= 0:
-            raise InvalidArgumentError("tolerances must be strictly positive")
+        for name, upper in (("tol_rel_loglik", math.inf), ("prune_eps", 1.0), ("refine_tol", math.inf)):
+            value = getattr(self, name)
+            if not 0 < value < upper:
+                raise InvalidArgumentError(f"{name} must lie in (0, {upper}), got {value!r}")
         if self.max_em_iters < 1 or self.refine_grid < 1 or self.max_refinements < 0:
             raise InvalidArgumentError("iteration and grid limits must be positive")
 
@@ -227,7 +230,7 @@ def certify(
     mu: Union[MixingMeasure, SieveDensity],
     box=None,
     grid_resolution: int = 64,
-    quad_points_per_cell: int = 8,
+    quad_points_per_cell: int = DEFAULT_QUAD_POINTS,
 ) -> Certificate:
     """Recompute the sup of a fit's directional derivative.
 
@@ -345,7 +348,7 @@ def fit_sieve(
     ds,
     basis: SieveBasis,
     opts: Optional[FitOptions] = None,
-    quad_points_per_cell: int = 8,
+    quad_points_per_cell: int = DEFAULT_QUAD_POINTS,
 ) -> FitResult:
     """Sieve maximum-likelihood fit: EM over the basis coefficients.
 
@@ -418,8 +421,9 @@ def brute_force_oracle(km: KernelMatrix, resolution: int) -> np.ndarray:
     E, shift = km.shifted
     best_value, best_w = -np.inf, None
     for W in _lattice_chunks(resolution, m):
-        # (C, N): log mixture rows for every lattice point in the chunk
-        mix = np.log(np.maximum((E[None] * (W / resolution)[:, None, :]).sum(axis=2), 1e-320))
+        # (C, N): log mixture rows for every lattice point in the chunk; summing
+        # the integer lattice before one division keeps exact ties exact
+        mix = np.log(np.maximum((E[None] * W[:, None, :]).sum(axis=2) / resolution, 1e-320))
         values = (mix + shift[None, :]).mean(axis=1)
         idx = int(np.argmax(values))
         if values[idx] > best_value:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from npmlmix import (
     InvalidArgumentError,
     MixingMeasure,
     ModelSpec,
+    ModelViolationError,
     PkExp,
     TimeDesign,
     apply_censoring,
@@ -131,6 +133,24 @@ class TestSimulateDataset:
         truth = MixingMeasure(np.array([[1.0]]), [1.0])
         with pytest.raises(InvalidArgumentError):
             simulate_dataset(pk_spec, truth, 5, seed=1)
+
+    def test_truth_outside_model_domain_rejected_without_warning(self):
+        spec = ModelSpec(p=2, n=1, sigma=0.2, f=PkExp(), time_design=TimeDesign(((2.0, 3.0),)))
+        # exp(400 t) overflows on [2, 3]
+        truth = MixingMeasure(np.array([[1.0, -400.0]]), [1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match="numeric domain"):
+                simulate_dataset(spec, truth, 5, seed=1)
+
+    def test_negative_heteroscedastic_scale_is_a_model_violation(self, location_spec):
+        # the same error class the kernel raises when a fit meets this scale
+        spec = ModelSpec(
+            p=1, n=2, sigma=0.4, f=IdentityLocation(), time_design=location_spec.time_design, sigma_prime=0.3
+        )
+        truth = MixingMeasure(np.array([[-1.0]]), [1.0])
+        with pytest.raises(ModelViolationError):
+            simulate_dataset(spec, truth, 5, seed=1)
 
 
 class TestApplyCensoring:

@@ -60,8 +60,9 @@ class TestConfigValidation:
             location_config("consistency", seeds=(1, 1))
 
     def test_sieve_needs_nested_schedule(self):
-        with pytest.raises(InvalidArgumentError):
-            location_config("sieve", m_schedule=(4, 6))
+        for bad in ((4, 6), (0, 4), (8, 4)):
+            with pytest.raises(InvalidArgumentError):
+                location_config("sieve", m_schedule=bad)
         location_config("sieve", m_schedule=(4, 8, 16))
 
     def test_unknown_kind(self):
@@ -166,6 +167,42 @@ class TestReports:
     def test_gnuplot_script_references_csv(self):
         text = gnuplot_script("out.csv", "consistency")
         assert "out.csv" in text and "plot" in text
+
+    def test_csv_bytes(self, tmp_path):
+        # floats by shortest round-trip repr, m = None as an empty cell
+        rows = [
+            ReportRow("consistency", 100, None, 3, 0.1 + 0.2, 1 / 3, 4, 1.0000001, 12.5),
+            ReportRow("sieve/npml", 400, None, 1, -1e-300, 0.0, 9, 1.0, 80.0),
+            ReportRow("sieve", 400, 8, 1, -1.5, 2.5e17, 9, 1.1, 0.25),
+        ]
+        path = tmp_path / "report.csv"
+        write_report_csv(rows, path)
+        assert path.read_bytes() == (
+            b"report_version,experiment,N,m,seed,final_loglik,distance_to_truth,atom_count,certificate_sup,wall_time_ms\r\n"
+            b"1,consistency,100,,3,0.30000000000000004,0.3333333333333333,4,1.0000001,12.5\r\n"
+            b"1,sieve/npml,400,,1,-1e-300,0.0,9,1.0,80.0\r\n"
+            b"1,sieve,400,8,1,-1.5,2.5e+17,9,1.1,0.25\r\n"
+        )
+        assert read_report_csv(path) == rows
+
+    @pytest.mark.parametrize(
+        "kind, axes",
+        [
+            ("consistency", ["set logscale x", "set xlabel 'N'", "set ylabel 'distance to truth'"]),
+            ("sieve", ["set xlabel 'sieve cells per axis'", "set ylabel 'final log-likelihood'"]),
+            ("censoring", ["set xlabel 'N'", "set ylabel 'distance to truth'"]),
+            ("contrast", ["set xlabel 'N'", "set ylabel 'distance to truth'"]),
+        ],
+        ids=["consistency", "sieve", "censoring", "contrast"],
+    )
+    def test_gnuplot_script_text(self, kind, axes):
+        plot = (
+            "plot 'out.csv' every ::1 using 4:6 with linespoints title 'sieve'"
+            if kind == "sieve"
+            else "plot 'out.csv' every ::1 using 3:7 with points pt 7 title 'fits'"
+        )
+        head = ["set datafile separator ','", "set key outside", f"set title '{kind} experiment'"]
+        assert gnuplot_script("out.csv", kind) == "\n".join(head + axes + [plot]) + "\n"
 
     def test_report_row_requires_finite_fields(self):
         with pytest.raises(InvalidArgumentError):

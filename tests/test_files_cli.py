@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -378,6 +382,93 @@ class TestCliErrors:
         capsys.readouterr()
         code = main(["fit", "--data", str(data), "--method", "npml", f"--box={box}", "--out", str(tmp_path / "f.json")])
         assert "box" in self._assert_one_line_error(capsys, code)
+
+    @pytest.mark.parametrize(
+        "command, edit",
+        [
+            ("simulate", lambda cfg: 3),
+            ("simulate", lambda cfg: {**cfg, "model": {**cfg["model"], "p": "x"}}),
+            ("simulate", lambda cfg: {**cfg, "model": {**cfg["model"], "time_design": 5}}),
+            ("fit", lambda data: {**data, "observations": [1, 2]}),
+        ],
+        ids=["top-level-number", "text-p", "number-time-design", "number-observations"],
+    )
+    def test_malformed_document_names_the_file(self, sim_config, tmp_path, capsys, command, edit):
+        doc = sim_config
+        if command == "fit":
+            doc = tmp_path / "data.json"
+            main(["simulate", "--config", str(sim_config), "--out", str(doc)])
+        bad = tmp_path / "bad.json"
+        write_json(bad, edit(read_json(doc)))
+        capsys.readouterr()
+        if command == "simulate":
+            argv = ["simulate", "--config", str(bad), "--out", str(tmp_path / "d.json")]
+        else:
+            argv = ["fit", "--data", str(bad), "--method", "npml", "--box", "0.5,2.5;0.1,1.2", "--out", str(tmp_path / "f.json")]
+        assert str(bad) in self._assert_one_line_error(capsys, main(argv))
+
+    @pytest.mark.parametrize("box", ["abc", 5])
+    def test_malformed_fit_box_names_the_file(self, sim_config, tmp_path, capsys, box):
+        data, fit = tmp_path / "data.json", tmp_path / "fit.json"
+        main(["simulate", "--config", str(sim_config), "--out", str(data)])
+        main(["fit", "--data", str(data), "--method", "npml", "--box", "0.5,2.5;0.1,1.2", "--max-refinements", "1", "--out", str(fit)])
+        write_json(fit, {**read_json(fit), "box": box})
+        capsys.readouterr()
+        code = main(["certify", "--data", str(data), "--fit", str(fit)])
+        assert str(fit) in self._assert_one_line_error(capsys, code)
+
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["--refine-tol", "nan", "--max-refinements", "2"], "refine_tol"),
+            (["--prune-eps", "nan"], "prune_eps"),
+            (["--tol", "inf"], "tol_rel_loglik"),
+        ],
+        ids=["refine-tol", "prune-eps", "tol"],
+    )
+    def test_fit_tolerance_not_finite(self, sim_config, tmp_path, capsys, flags, name):
+        data = tmp_path / "data.json"
+        main(["simulate", "--config", str(sim_config), "--out", str(data)])
+        capsys.readouterr()
+        code = main(["fit", "--data", str(data), "--method", "npml", "--box", "0.5,2.5;0.1,1.2", "--out", str(tmp_path / "f.json"), *flags])
+        assert name in self._assert_one_line_error(capsys, code)
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0"])
+    def test_certify_tolerance_must_be_positive(self, sim_config, tmp_path, capsys, tol):
+        data, fit = tmp_path / "data.json", tmp_path / "fit.json"
+        main(["simulate", "--config", str(sim_config), "--out", str(data)])
+        main(["fit", "--data", str(data), "--method", "npml", "--box", "0.5,2.5;0.1,1.2", "--max-refinements", "1", "--out", str(fit)])
+        capsys.readouterr()
+        code = main(["certify", "--data", str(data), "--fit", str(fit), f"--tol={tol}"])
+        self._assert_one_line_error(capsys, code)
+
+    @pytest.mark.parametrize(
+        "atom, extra",
+        [
+            # exp(400 t) overflows: numpy's overflow warning must not reach stderr
+            ([1.0, -400.0], {}),
+            # a negative amplitude makes g = sigma' * f negative at the truth atom
+            ([-1.0, 0.3], {"g": {"sigma_prime": 0.3}}),
+        ],
+        ids=["overflow", "negative-scale"],
+    )
+    def test_simulate_outside_model_domain_one_stderr_line(self, sim_config, tmp_path, atom, extra):
+        cfg = read_json(sim_config)
+        cfg["model"].update(extra, time_design=[[0.0, 1.0], [1.0, 2.0], [2.0, 3.0]])
+        cfg["truth"] = {"atoms": [atom], "weights": [1.0]}
+        write_json(sim_config, cfg)
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "npmlmix.cli", "simulate", "--config", str(sim_config), "--out", str(tmp_path / "d.json")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 class TestCliExitCodes:

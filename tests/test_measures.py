@@ -153,6 +153,26 @@ class TestMergeCloseAtoms:
         assert out.m == 1
         np.testing.assert_allclose(out.atoms, [[0.9]])
 
+    def test_interleaved_clusters_in_order_of_first_atom(self):
+        # clusters {1, 3}, {0, 2, 4} (a chain through 2) and {5}: listed by their first atom
+        atoms = np.array([[5.0], [0.0], [5.4], [0.2], [5.8], [9.0]])
+        mu = MixingMeasure(atoms, [0.1, 0.2, 0.1, 0.2, 0.2, 0.2])
+        out = merge_close_atoms(mu, 0.5)
+        np.testing.assert_allclose(out.atoms, [[5.5], [0.1], [9.0]])
+        np.testing.assert_allclose(out.weights, [0.4, 0.4, 0.2])
+
+    def test_zero_mass_cluster_keeps_its_first_atom(self):
+        mu = MixingMeasure(np.array([[0.0], [3.0], [0.2], [3.1]]), [0.5, 0.0, 0.5, 0.0])
+        out = merge_close_atoms(mu, 0.5)
+        np.testing.assert_array_equal(out.atoms, [[0.1], [3.0]])
+        np.testing.assert_array_equal(out.weights, [1.0, 0.0])
+
+    def test_radius_must_be_a_nonnegative_number(self):
+        mu = MixingMeasure(np.array([[0.0], [1.0]]), [0.5, 0.5])
+        for radius in (-1.0, float("nan")):
+            with pytest.raises(InvalidArgumentError):
+                merge_close_atoms(mu, radius)
+
 
 class TestWasserstein:
     def test_identity(self):

@@ -282,6 +282,24 @@ class TestScanTable:
         np.testing.assert_array_equal(seen[0], expected)
 
 
+class TestFitOptions:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("tol_rel_loglik", math.nan),
+            ("tol_rel_loglik", math.inf),
+            ("refine_tol", math.nan),
+            ("refine_tol", math.inf),
+            ("refine_tol", -1.0),
+            ("prune_eps", math.nan),
+            ("prune_eps", 1.0),
+        ],
+    )
+    def test_tolerances_must_be_finite_and_in_range(self, field, value):
+        with pytest.raises(InvalidArgumentError, match=field):
+            FitOptions(**{field: value})
+
+
 class TestFitNpml:
     def test_single_observation_single_atom(self):
         spec = location_model(0.5)
@@ -396,10 +414,11 @@ class TestBruteForceOracle:
     def test_lexicographic_tie_break(self):
         # every weight vector ties; the lexicographically first is the last vertex
         np.testing.assert_allclose(brute_force_oracle(KernelMatrix(np.zeros((2, 2))), 10), [0.0, 1.0])
-        # at a power-of-two resolution every lattice point sums to exactly 1, so all m = 4 points tie
-        np.testing.assert_array_equal(
-            brute_force_oracle(KernelMatrix(np.zeros((2, 4))), 8), [0.0, 0.0, 0.0, 1.0]
-        )
+        # all m = 4 lattice points tie at every resolution, not only at powers of two
+        for resolution in (8, 10, 20, 30):
+            np.testing.assert_array_equal(
+                brute_force_oracle(KernelMatrix(np.zeros((2, 4))), resolution), [0.0, 0.0, 0.0, 1.0]
+            )
 
     def test_lattice_blocks_are_the_lexicographic_lattice(self):
         for m in (2, 3, 4):
