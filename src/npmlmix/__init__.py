@@ -20,16 +20,13 @@ from .errors import (
     ModelViolationError,
     NpmlError,
     NumericDomainError,
-    SupportViolationError,
 )
 from .likelihood import (
     KernelMatrix,
     build_kernel_matrix,
     build_sieve_kernel_matrix,
     contrast_value,
-    kl_diagnostic,
     log_likelihood,
-    log_likelihood_full,
     row_log_mixture,
 )
 from .measures import (
@@ -37,11 +34,9 @@ from .measures import (
     SieveBasis,
     SieveDensity,
     measure_distance,
-    merge_close_atoms,
     new_uniform_grid_measure,
     prune,
     sieve_to_measure,
-    wasserstein1_1d,
 )
 from .model import (
     CensorMask,
@@ -52,7 +47,6 @@ from .model import (
     TimeDesign,
     conditional_log_density,
     eval_f,
-    eval_g,
     gaussian_log_density,
     laplace_log_density,
     project_mask,
@@ -66,7 +60,6 @@ from .solver import (
     concavity_probe,
     directional_derivatives,
     em_fit,
-    em_step,
     fit_npml,
     fit_sieve,
 )

@@ -80,12 +80,6 @@ class CensoringDesign:
     def n(self) -> int:
         return self.mask_probabilities[0][0].n
 
-    def probability_of(self, mask: CensorMask) -> float:
-        for m, p in self.mask_probabilities:
-            if m == mask:
-                return p
-        raise InvalidArgumentError("mask is not part of this design")
-
 
 @dataclass(frozen=True)
 class Dataset:

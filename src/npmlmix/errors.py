@@ -17,9 +17,5 @@ class DegenerateMeasureError(NpmlError):
     """An operation would leave a measure with no support."""
 
 
-class SupportViolationError(NpmlError):
-    """Observed data falls outside the support of the declared design."""
-
-
 class NumericDomainError(NpmlError):
     """A numeric quantity left the domain where the computation is defined."""

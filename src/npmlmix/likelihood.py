@@ -14,8 +14,9 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy.special import logsumexp
 
-from .data import Dataset, simulate_dataset
-from .errors import InvalidArgumentError, NumericDomainError, SupportViolationError
+# simulate_dataset is unused here, but bench/tracer.py patches this binding of this module.
+from .data import Dataset, simulate_dataset  # noqa: F401
+from .errors import InvalidArgumentError, NumericDomainError
 from .measures import MixingMeasure, SieveBasis, _checked_weights
 from .model import log_kernel_block
 
@@ -122,31 +123,6 @@ def log_likelihood(km: KernelMatrix, w) -> float:
     return float(np.mean(row_log_mixture(km, w)))
 
 
-def log_likelihood_full(ds: Dataset, km: KernelMatrix, w) -> float:
-    """Log-likelihood including the time-design density (and mask law, censored).
-
-    The added terms are constants in the candidate measure, so arg-maxima are
-    unchanged; they are included for absolute comparisons across designs.
-    """
-    base = log_likelihood(km, w)
-    log_psi = ds.spec.time_design.log_density_many(ds.times())
-    if np.any(~np.isfinite(log_psi)):
-        raise SupportViolationError("some observation times fall outside the design support")
-    total = base + float(np.mean(log_psi))
-    if ds.is_censored:
-        if ds.censoring is None:
-            raise InvalidArgumentError(
-                "censored dataset carries no censoring design; mask probabilities unknown"
-            )
-        log_p = np.array(
-            [np.log(ds.censoring.probability_of(o.mask)) for o in ds.observations]
-        )
-        if np.any(~np.isfinite(log_p)):
-            raise SupportViolationError("an observed mask has zero design probability")
-        total += float(np.mean(log_p))
-    return total
-
-
 def contrast_value(km: KernelMatrix, w_mu, w_hat, contrast: str = "log") -> float:
     """Empirical contrast of a competitor against a reference measure.
 
@@ -169,20 +145,3 @@ def contrast_value(km: KernelMatrix, w_mu, w_hat, contrast: str = "log") -> floa
     if not math.isfinite(value):
         raise NumericDomainError("contrast value overflowed the floating-point range")
     return value
-
-
-def kl_diagnostic(spec, mu_true: MixingMeasure, mu: MixingMeasure, M: int, seed: int) -> float:
-    """Monte Carlo estimate of the relative entropy between mixture densities.
-
-    Simulates M fresh observations from the truth and averages the log ratio
-    of the two mixture densities, estimating how far the candidate's mixture
-    sits from the truth's.
-    """
-    if M < 1:
-        raise InvalidArgumentError("M must be >= 1")
-    ds = simulate_dataset(spec, mu_true, M, seed)
-    km_true = build_kernel_matrix(ds, mu_true)
-    km_mu = build_kernel_matrix(ds, mu)
-    return float(
-        np.mean(row_log_mixture(km_true, mu_true.weights) - row_log_mixture(km_mu, mu.weights))
-    )

@@ -6,7 +6,6 @@ read-only, so values can be shared freely between threads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -119,9 +118,6 @@ class MixingMeasure:
     def p(self) -> int:
         return self.atoms.shape[1]
 
-    def mean(self) -> np.ndarray:
-        return self.weights @ self.atoms
-
 
 def new_uniform_grid_measure(box: Sequence, counts) -> MixingMeasure:
     """Equal-weight measure on a tensor grid over the box.
@@ -146,37 +142,6 @@ def prune(mu: MixingMeasure, eps: float) -> MixingMeasure:
     return MixingMeasure(mu.atoms[keep], w / w.sum())
 
 
-def merge_close_atoms(mu: MixingMeasure, radius: float) -> MixingMeasure:
-    """Merge clusters of atoms within the radius to weighted centroids.
-
-    Clusters are connected components of the "within radius" graph, so chains
-    merge together; total mass and the measure's mean are preserved.
-    """
-    if not radius >= 0:
-        raise InvalidArgumentError("radius must be nonnegative")
-    if mu.m == 1:
-        return mu
-    diff = mu.atoms[:, None, :] - mu.atoms[None, :, :]
-    reach = np.sqrt((diff * diff).sum(axis=2)) <= radius
-    # transitive closure by squaring: the diagonal is set, so each square only adds paths
-    while True:
-        wider = reach @ reach
-        if np.array_equal(wider, reach):
-            break
-        reach = wider
-    # each atom's cluster root is the cluster's first atom; clusters go in that order
-    roots = reach.argmax(axis=1)
-    new_atoms, new_weights = [], []
-    for r in np.unique(roots):
-        members = np.flatnonzero(roots == r)
-        w = mu.weights[members]
-        total = w.sum()
-        # a zero-mass cluster keeps its first atom's location
-        new_atoms.append((w[:, None] * mu.atoms[members]).sum(axis=0) / total if total > 0 else mu.atoms[r])
-        new_weights.append(total)
-    return MixingMeasure(np.asarray(new_atoms), np.asarray(new_weights))
-
-
 def _w1_discrete(u_vals, u_w, v_vals, v_w) -> float:
     """Exact W1 between two weighted discrete 1-d measures via CDF coupling."""
     u_vals = np.asarray(u_vals, dtype=float)
@@ -194,13 +159,6 @@ def _w1_discrete(u_vals, u_w, v_vals, v_w) -> float:
     u_cdf = u_cum[u_cdf_idx] / u_cum[-1]
     v_cdf = v_cum[v_cdf_idx] / v_cum[-1]
     return float(np.sum(np.abs(u_cdf - v_cdf) * deltas))
-
-
-def wasserstein1_1d(mu: MixingMeasure, nu: MixingMeasure) -> float:
-    """Exact 1-Wasserstein distance between two 1-d discrete measures."""
-    if mu.p != 1 or nu.p != 1:
-        raise InvalidArgumentError("wasserstein1_1d needs one-dimensional measures")
-    return _w1_discrete(mu.atoms[:, 0], mu.weights, nu.atoms[:, 0], nu.weights)
 
 
 def measure_distance(mu: MixingMeasure, nu: MixingMeasure) -> float:
@@ -227,8 +185,7 @@ class SieveBasis:
     integrate to 1 (boundary tents are half tents). A single-node axis
     degenerates to the uniform density on that interval. Every convex
     combination of the tensor-product elements is a probability density
-    supported in the box, and its Lipschitz constant is bounded by
-    ``gradient_bound()``.
+    supported in the box.
     """
 
     def __init__(self, box: Sequence, node_counts):
@@ -245,23 +202,6 @@ class SieveBasis:
     @property
     def m(self) -> int:
         return self.nodes.shape[0]
-
-    def gradient_bound(self) -> float:
-        """Upper bound on sup-norm gradients over the basis (hence over the hull)."""
-        peaks, slopes = [], []
-        for (lo, hi), c in zip(self.box, self.node_counts):
-            if c == 1:
-                peaks.append(1.0 / (hi - lo))
-                slopes.append(0.0)
-            else:
-                h = (hi - lo) / (c - 1)
-                peaks.append(2.0 / h)  # boundary tent peak dominates
-                slopes.append(2.0 / (h * h))
-        # one axis's slope times the other axes' peaks, multiplied in axis order
-        return max(
-            math.prod((peaks[o] for o in range(self.p) if o != axis), start=slopes[axis])
-            for axis in range(self.p)
-        )
 
     def _axis_log_values(self, axis: int, x: np.ndarray) -> np.ndarray:
         """Log of the normalized 1-d element values at points x: (len(x), c)."""

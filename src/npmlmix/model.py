@@ -149,15 +149,6 @@ class TimeDesign:
             return 0.0
         return float(np.prod(1.0 / (arr[:, 1] - arr[:, 0])))
 
-    def log_density_many(self, T: np.ndarray) -> np.ndarray:
-        """Log density for a batch of time points, -inf outside the box."""
-        arr = self.bounds()
-        inside = np.all((T >= arr[None, :, 0]) & (T <= arr[None, :, 1]), axis=1)
-        value = -np.sum(np.log(arr[:, 1] - arr[:, 0]))
-        out = np.full(T.shape[0], -np.inf)
-        out[inside] = value
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Censoring masks
@@ -287,13 +278,6 @@ def eval_f(spec: ModelSpec, s, t) -> np.ndarray:
     """Forward model value (q_s(t_1), ..., q_s(t_n)) for one parameter point."""
     s, t = _point(spec, s, t)
     return _forward(spec, s[None, :], t[None, :])[0, 0]
-
-
-def eval_g(spec: ModelSpec, s, t) -> np.ndarray:
-    """Heteroscedastic scale g = sigma' * f; must be componentwise nonnegative."""
-    if spec.sigma_prime is None:
-        raise InvalidArgumentError("spec has no heteroscedastic component")
-    return _scale(spec, eval_f(spec, s, t))
 
 
 def _noise_argument(u, sigma: float) -> np.ndarray:

@@ -38,6 +38,15 @@ def _require(obj: dict, key: str):
     return obj[key]
 
 
+def _number(obj: dict, key: str, kind: type = int, default=None):
+    """Field ``key`` as int or float, required without a default; 2.0 reads as 2, true or 2.7 is an error."""
+    value = _require(obj, key) if default is None else obj.get(key, default)
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or (kind is int and not integral):
+        raise InvalidArgumentError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    return kind(value)
+
+
 # --------------------------- model function ------------------------------
 
 
@@ -83,8 +92,8 @@ def spec_to_dict(spec: ModelSpec) -> dict:
 def spec_from_dict(obj: dict) -> ModelSpec:
     g = obj.get("g")
     return ModelSpec(
-        p=int(_require(obj, "p")),
-        n=int(_require(obj, "n")),
+        p=_number(obj, "p"),
+        n=_number(obj, "n"),
         sigma=float(_require(obj, "sigma")),
         f=model_function_from_dict(_require(obj, "f")),
         time_design=TimeDesign(tuple(tuple(iv) for iv in _require(obj, "time_design"))),
@@ -116,7 +125,7 @@ def censoring_to_dict(design: CensoringDesign) -> dict:
 
 
 def censoring_from_dict(obj: dict) -> CensoringDesign:
-    n = int(_require(obj, "n"))
+    n = _number(obj, "n")
     masks = [CensorMask(n, tuple(int(i) for i in idx)) for idx in _require(obj, "masks")]
     probs = _require(obj, "probabilities")
     if len(masks) != len(probs):
@@ -166,7 +175,7 @@ def dataset_from_dict(obj: dict) -> Dataset:
     return Dataset(
         spec=spec,
         observations=tuple(observations),
-        seed=int(obj.get("seed", 0)),
+        seed=_number(obj, "seed", default=0),
         truth=truth,
         censoring=censoring,
     )
@@ -180,7 +189,7 @@ def fit_options_from_dict(obj: Optional[dict]) -> FitOptions:
     obj = obj or {}
     defaults = FitOptions()
     given = {
-        f.name: type(getattr(defaults, f.name))(obj[f.name])
+        f.name: _number(obj, f.name, type(getattr(defaults, f.name)))
         for f in dataclasses.fields(FitOptions)
         if f.name in obj
     }
@@ -219,7 +228,7 @@ def fit_from_dict(obj: dict) -> FitResult:
     cert = Certificate(
         sup_dir_derivative=float(_require(cert_obj, "sup")),
         argmax_point=np.asarray(_require(cert_obj, "argmax"), dtype=float),
-        grid_resolution=int(_require(cert_obj, "grid_resolution")),
+        grid_resolution=_number(cert_obj, "grid_resolution"),
     )
     if "sieve" in obj:
         s = obj["sieve"]
@@ -227,12 +236,12 @@ def fit_from_dict(obj: dict) -> FitResult:
         measure = SieveDensity(basis, np.asarray(_require(s, "coefficients"), dtype=float))
     else:
         measure = measure_from_dict(_require(obj, "measure"))
-    trace = np.asarray(obj.get("loglik_trace", [obj["final_loglik"]]), dtype=float)
+    trace = np.asarray(obj.get("loglik_trace", [_require(obj, "final_loglik")]), dtype=float)
     return FitResult(
         measure=measure,
         loglik_trace=trace,
         final_loglik=float(_require(obj, "final_loglik")),
-        iterations=int(_require(obj, "iterations")),
+        iterations=_number(obj, "iterations"),
         certificate=cert,
         status=str(_require(obj, "status")),
     )
@@ -243,15 +252,15 @@ def fit_from_dict(obj: dict) -> FitResult:
 
 def simulation_from_dict(obj: dict) -> tuple:
     """A simulate config as (spec, truth, N, seed, censoring design or None, censor seed)."""
-    seed = int(_require(obj, "seed"))
+    seed = _number(obj, "seed")
     design = censoring_from_dict(obj["censoring"]) if "censoring" in obj else None
     return (
         spec_from_dict(_require(obj, "model")),
         measure_from_dict(_require(obj, "truth")),
-        int(_require(obj, "N")),
+        _number(obj, "N"),
         seed,
         design,
-        int(obj.get("censor_seed", seed + 1)),
+        _number(obj, "censor_seed", default=seed + 1),
     )
 
 
@@ -267,7 +276,7 @@ def experiment_config_from_dict(obj: dict) -> ExperimentConfig:
         m_schedule=obj.get("m_schedule", ()),
         options=fit_options_from_dict(obj.get("fit_options")),
         censoring=censoring_from_dict(obj["censoring"]) if "censoring" in obj else None,
-        **{key: int(obj[key]) for key in ("quad_points", "competitors") if key in obj},
+        **{key: _number(obj, key) for key in ("quad_points", "competitors") if key in obj},
     )
 
 

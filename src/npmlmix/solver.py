@@ -92,30 +92,15 @@ class FitResult:
     status: str
 
 
-def em_step(km: KernelMatrix, w) -> np.ndarray:
-    """One multiplicative EM update of the mixture weights.
-
-    w'_j = w_j * (1/N) sum_i k_ij / sum_l w_l k_il, computed against the
-    row-max-shifted kernel. Zero weights stay exactly zero.
-    """
-    w = _checked_weights(w, km.m)
-    E, _ = km.shifted
-    M = np.maximum(E @ w, 1e-300)
-    new_w = w * (E.T @ (1.0 / M)) / km.N
-    total = new_w.sum()
-    if total <= 0:
-        raise InvalidArgumentError("EM step lost all mass; weights were degenerate")
-    return new_w / total
-
-
 def em_fit(
     km: KernelMatrix, w0, opts: Optional[FitOptions] = None
 ) -> Tuple[np.ndarray, np.ndarray, int, str]:
-    """Iterate em_step until the relative log-likelihood gain is below tolerance.
+    """Iterate EM weight updates until the relative log-likelihood gain is below tolerance.
 
-    Returns (weights, loglik_trace, iterations, status); the trace includes
-    the starting value and is nondecreasing up to floating-point noise. The
-    shifted kernel is computed once, so each iteration is two mat-vecs.
+    An update is w'_j = w_j * (1/N) sum_i k_ij / sum_l w_l k_il, so zero weights
+    stay zero. Returns (weights, loglik_trace, iterations, status); the trace
+    includes the starting value and is nondecreasing up to floating-point noise.
+    The shifted kernel is computed once, so each iteration is two mat-vecs.
     """
     opts = opts or FitOptions()
     w = _checked_weights(w0, km.m)
@@ -125,21 +110,22 @@ def em_fit(
     current = float(np.mean(np.log(M))) + shift_mean
     trace = [current]
     status = STATUS_ITER_LIMIT
-    iterations = 0
     inv_n = 1.0 / km.N
     for _ in range(opts.max_em_iters):
         w = w * (E.T @ (1.0 / M)) * inv_n
-        w = w / w.sum()
+        total = w.sum()
+        if total <= 0:
+            raise InvalidArgumentError("EM step lost all mass; weights were degenerate")
+        w = w / total
         M = np.maximum(E @ w, 1e-300)
         value = float(np.mean(np.log(M))) + shift_mean
-        iterations += 1
         trace.append(value)
         gain = value - current
         current = value
         if gain <= opts.tol_rel_loglik * max(1.0, abs(value)):
             status = STATUS_CONVERGED
             break
-    return w, np.asarray(trace), iterations, status
+    return w, np.asarray(trace), len(trace) - 1, status
 
 
 def directional_derivatives(ds, mu: MixingMeasure, points: np.ndarray) -> np.ndarray:

@@ -3,9 +3,11 @@
 bench/tracer.py wraps bindings such as ``solver.kernel_columns`` by attribute
 name and splits kernel_columns calls by the calling function's name. A
 refactor that renames or drops one of them would break ``bench/run.py
---trace 1``; these checks make it fail here instead.
+--trace 1``; these checks make it fail here instead. The same bindings are
+the only imports the package may keep without using them.
 """
 
+import ast
 import importlib.util
 import inspect
 from pathlib import Path
@@ -50,3 +52,29 @@ def test_kernel_callers_are_package_functions(tracer):
             if inspect.isfunction(fn) and fn.__code__.co_name == caller
         ]
         assert found, f"kernel_columns caller {caller!r} is not a function in solver or likelihood"
+
+
+def _unused_imports(path: Path) -> set:
+    """Names a module imports but never reads."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used
+
+
+def test_no_unused_imports(tracer):
+    patched = {
+        (owner.__name__, attr) for owner, attr, _, _ in tracer._bindings() if inspect.ismodule(owner)
+    }
+    package = Path(solver.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        module = f"npmlmix.{path.stem}"
+        unused = sorted(name for name in _unused_imports(path) if (module, name) not in patched)
+        assert not unused, f"{path.name} imports {unused} and never uses them"

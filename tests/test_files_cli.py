@@ -13,6 +13,7 @@ from npmlmix import (
     CensoringDesign,
     FitOptions,
     IdentityLocation,
+    InvalidArgumentError,
     LinearInS,
     MixingMeasure,
     ModelSpec,
@@ -119,6 +120,18 @@ class TestSchemas:
         assert opts == FitOptions()
         opts = fit_options_from_dict({"max_em_iters": 77})
         assert opts.max_em_iters == 77 and opts.prune_eps == FitOptions().prune_eps
+        opts = fit_options_from_dict({"max_em_iters": 2.0, "refine_tol": 1})
+        assert opts.max_em_iters == 2 and type(opts.max_em_iters) is int and opts.refine_tol == 1.0
+
+    @pytest.mark.parametrize(
+        "given",
+        [{"max_em_iters": 2.7}, {"refine_grid": True}, {"max_refinements": "3"}, {"refine_tol": True}],
+        ids=["fraction", "bool", "text", "bool-float"],
+    )
+    def test_fit_options_not_truncated(self, given):
+        (name,) = given
+        with pytest.raises(InvalidArgumentError, match=name):
+            fit_options_from_dict(given)
 
 
 class TestCliSimulate:
@@ -384,28 +397,58 @@ class TestCliErrors:
         assert "box" in self._assert_one_line_error(capsys, code)
 
     @pytest.mark.parametrize(
-        "command, edit",
+        "command, edit, reason",
         [
-            ("simulate", lambda cfg: 3),
-            ("simulate", lambda cfg: {**cfg, "model": {**cfg["model"], "p": "x"}}),
-            ("simulate", lambda cfg: {**cfg, "model": {**cfg["model"], "time_design": 5}}),
-            ("fit", lambda data: {**data, "observations": [1, 2]}),
+            # reason None: the message is Python's own TypeError text
+            ("simulate", lambda cfg: 3, None),
+            ("simulate", lambda cfg: {**cfg, "model": {**cfg["model"], "p": "x"}}, "p must be an integer"),
+            ("simulate", lambda cfg: {**cfg, "model": {**cfg["model"], "time_design": 5}}, None),
+            ("fit", lambda data: {**data, "observations": [1, 2]}, None),
+            (
+                "certify",
+                lambda fit: {k: v for k, v in fit.items() if k != "final_loglik"},
+                "missing required field 'final_loglik'",
+            ),
         ],
-        ids=["top-level-number", "text-p", "number-time-design", "number-observations"],
+        ids=["top-level-number", "text-p", "number-time-design", "number-observations", "fit-without-final-loglik"],
     )
-    def test_malformed_document_names_the_file(self, sim_config, tmp_path, capsys, command, edit):
-        doc = sim_config
-        if command == "fit":
-            doc = tmp_path / "data.json"
-            main(["simulate", "--config", str(sim_config), "--out", str(doc)])
+    def test_malformed_document_names_the_file(self, sim_config, tmp_path, capsys, command, edit, reason):
+        data, fit = tmp_path / "data.json", tmp_path / "fit.json"
+        main(["simulate", "--config", str(sim_config), "--out", str(data)])
+        main(["fit", "--data", str(data), "--method", "npml", "--box", "0.5,2.5;0.1,1.2", "--max-refinements", "1", "--out", str(fit)])
+        doc = {"simulate": sim_config, "fit": data, "certify": fit}[command]
         bad = tmp_path / "bad.json"
         write_json(bad, edit(read_json(doc)))
         capsys.readouterr()
         if command == "simulate":
             argv = ["simulate", "--config", str(bad), "--out", str(tmp_path / "d.json")]
-        else:
+        elif command == "fit":
             argv = ["fit", "--data", str(bad), "--method", "npml", "--box", "0.5,2.5;0.1,1.2", "--out", str(tmp_path / "f.json")]
-        assert str(bad) in self._assert_one_line_error(capsys, main(argv))
+        else:
+            argv = ["certify", "--data", str(data), "--fit", str(bad)]
+        err = self._assert_one_line_error(capsys, main(argv))
+        assert str(bad) in err
+        if reason is not None:
+            assert reason in err
+
+    @pytest.mark.parametrize(
+        "command, field, value",
+        [
+            ("simulate", "N", 40.5),
+            ("simulate", "seed", True),
+            ("simulate", "censor_seed", 1.5),
+            ("experiment", "quad_points", 2.5),
+            ("experiment", "competitors", True),
+        ],
+    )
+    def test_config_integer_not_truncated(self, sim_config, tmp_path, capsys, command, field, value):
+        cfg = read_json(sim_config)
+        if command == "experiment":
+            cfg.update(kind="contrast", box=[[0.5, 2.5], [0.1, 1.2]], initial_counts=[3, 3], N_schedule=[40], seeds=[1])
+        cfg[field] = value
+        write_json(sim_config, cfg)
+        code = main([command, "--config", str(sim_config), "--out", str(tmp_path / "out")])
+        assert f"{field} must be an integer" in self._assert_one_line_error(capsys, code)
 
     @pytest.mark.parametrize("box", ["abc", 5])
     def test_malformed_fit_box_names_the_file(self, sim_config, tmp_path, capsys, box):

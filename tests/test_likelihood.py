@@ -17,16 +17,13 @@ from npmlmix import (
     Observation,
     PkExp,
     SieveBasis,
-    SupportViolationError,
     TimeDesign,
     apply_censoring,
     build_kernel_matrix,
     build_sieve_kernel_matrix,
     conditional_log_density,
     contrast_value,
-    kl_diagnostic,
     log_likelihood,
-    log_likelihood_full,
     simulate_dataset,
 )
 
@@ -207,81 +204,6 @@ class TestLogLikelihood:
                 ) - 1e-10
 
 
-class TestLogLikelihoodFull:
-    def test_unit_box_design_equals_plain(self, two_point_location_truth):
-        spec = ModelSpec(
-            p=1,
-            n=2,
-            sigma=0.5,
-            f=IdentityLocation(),
-            time_design=TimeDesign(((0.0, 1.0), (1.0, 2.0))),
-        )
-        ds = simulate_dataset(spec, two_point_location_truth, 15, seed=16)
-        km = build_kernel_matrix(ds, two_point_location_truth)
-        w = two_point_location_truth.weights
-        assert log_likelihood_full(ds, km, w) == pytest.approx(log_likelihood(km, w))
-
-    def test_constant_shift(self, two_point_location_truth):
-        spec = ModelSpec(
-            p=1,
-            n=2,
-            sigma=0.5,
-            f=IdentityLocation(),
-            time_design=TimeDesign(((0.0, 2.0), (2.0, 3.0))),  # psi = 0.5 on the box
-        )
-        ds = simulate_dataset(spec, two_point_location_truth, 10, seed=17)
-        km = build_kernel_matrix(ds, two_point_location_truth)
-        w = two_point_location_truth.weights
-        assert log_likelihood_full(ds, km, w) == pytest.approx(
-            log_likelihood(km, w) + math.log(0.5)
-        )
-
-    def test_same_argmax(self, two_point_location_truth):
-        spec = ModelSpec(
-            p=1,
-            n=2,
-            sigma=0.5,
-            f=IdentityLocation(),
-            time_design=TimeDesign(((0.0, 2.0), (2.0, 3.0))),
-        )
-        ds = simulate_dataset(spec, two_point_location_truth, 30, seed=18)
-        km = build_kernel_matrix(ds, two_point_location_truth)
-        w1, w2 = np.array([0.7, 0.3]), np.array([0.2, 0.8])
-        plain = [log_likelihood(km, w) for w in (w1, w2)]
-        full = [log_likelihood_full(ds, km, w) for w in (w1, w2)]
-        assert np.argmax(plain) == np.argmax(full)
-
-    def test_support_violation(self, two_point_location_truth):
-        spec = ModelSpec(
-            p=1,
-            n=1,
-            sigma=0.5,
-            f=IdentityLocation(),
-            time_design=TimeDesign(((0.0, 1.0),)),
-        )
-        obs = Observation([1.0], [2.0])  # outside the design box
-        ds = Dataset(spec=spec, observations=(obs,), seed=0)
-        km = build_kernel_matrix(ds, two_point_location_truth)
-        with pytest.raises(SupportViolationError):
-            log_likelihood_full(ds, km, two_point_location_truth.weights)
-
-    def test_censored_adds_mask_probabilities(self, pk_spec, two_point_pk_truth):
-        ds = simulate_dataset(pk_spec, two_point_pk_truth, 20, seed=19)
-        design = CensoringDesign(((CensorMask(4, (0, 1)), 0.25), (CensorMask.full(4), 0.75)))
-        censored = apply_censoring(ds, design, seed=20)
-        km = build_kernel_matrix(censored, two_point_pk_truth)
-        w = two_point_pk_truth.weights
-        log_p = np.mean(
-            [math.log(design.probability_of(o.mask)) for o in censored.observations]
-        )
-        log_psi = np.mean(
-            [math.log(pk_spec.time_design.density(o.t)) for o in censored.observations]
-        )
-        assert log_likelihood_full(censored, km, w) == pytest.approx(
-            log_likelihood(km, w) + log_psi + log_p
-        )
-
-
 class TestContrastValue:
     def test_zero_at_equal_weights(self):
         rng = np.random.default_rng(21)
@@ -319,43 +241,7 @@ class TestContrastValue:
             contrast_value(km, [1.0, 0.0], [0.0, 1.0], "t-1")
 
 
-class TestKlDiagnostic:
-    def test_zero_at_truth(self, location_spec, two_point_location_truth):
-        value = kl_diagnostic(
-            location_spec, two_point_location_truth, two_point_location_truth, 2000, seed=23
-        )
-        assert value == 0.0
-
-    def test_nonnegative_up_to_mc_error(self, location_spec, two_point_location_truth):
-        other = MixingMeasure(np.array([[0.5], [2.0]]), [0.5, 0.5])
-        M = 20000
-        value = kl_diagnostic(location_spec, two_point_location_truth, other, M, seed=24)
-        assert value >= -4 / math.sqrt(M)
-
-    def test_gaussian_closed_form(self):
-        # oracle: KL between N(d, 1) and N(0, 1) is d^2 / 2
-        spec = ModelSpec(
-            p=1, n=1, sigma=1.0, f=IdentityLocation(), time_design=TimeDesign(((0.0, 1.0),))
-        )
-        truth = MixingMeasure(np.array([[1.0]]), [1.0])
-        other = MixingMeasure(np.array([[0.0]]), [1.0])
-        value = kl_diagnostic(spec, truth, other, 100000, seed=25)
-        assert value == pytest.approx(0.5, abs=0.02)
-
-
 class TestCensoredEdgeCases:
-    def test_full_likelihood_requires_recorded_design(self, pk_spec, two_point_pk_truth):
-        from npmlmix import CensoredObservation, Dataset
-
-        ds = simulate_dataset(pk_spec, two_point_pk_truth, 5, seed=30)
-        rows = tuple(
-            CensoredObservation(o.y, o.t, CensorMask.full(4)) for o in ds.observations
-        )
-        bare = Dataset(spec=pk_spec, observations=rows, seed=0)
-        km = build_kernel_matrix(bare, two_point_pk_truth)
-        with pytest.raises(InvalidArgumentError):
-            log_likelihood_full(bare, km, two_point_pk_truth.weights)
-
     def test_conditional_density_accepts_plain_tuple(self, pk_spec):
         import math
 

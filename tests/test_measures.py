@@ -9,11 +9,9 @@ from npmlmix import (
     SieveBasis,
     SieveDensity,
     measure_distance,
-    merge_close_atoms,
     new_uniform_grid_measure,
     prune,
     sieve_to_measure,
-    wasserstein1_1d,
 )
 
 
@@ -118,76 +116,22 @@ class TestPrune:
             prune(mu, 0.9)
 
 
-class TestMergeCloseAtoms:
-    def test_zero_radius_keeps_distinct_atoms(self):
-        mu = MixingMeasure(np.array([[0.0], [1.0]]), [0.5, 0.5])
-        out = merge_close_atoms(mu, 0.0)
-        np.testing.assert_array_equal(out.atoms, mu.atoms)
-
-    def test_equal_weights_merge_to_midpoint(self):
-        mu = MixingMeasure(np.array([[0.0], [0.4]]), [0.5, 0.5])
-        out = merge_close_atoms(mu, 0.5)
-        assert out.m == 1
-        np.testing.assert_allclose(out.atoms, [[0.2]])
-        np.testing.assert_allclose(out.weights, [1.0])
-
-    def test_weighted_centroid(self):
-        mu = MixingMeasure(np.array([[0.0], [1.0]]), [0.75, 0.25])
-        out = merge_close_atoms(mu, 2.0)
-        np.testing.assert_allclose(out.atoms, [[0.25]])
-        np.testing.assert_allclose(out.weights, [1.0])
-
-    def test_mass_and_mean_preserved(self):
-        rng = np.random.default_rng(12)
-        for _ in range(25):
-            m = rng.integers(2, 9)
-            w = rng.exponential(size=m)
-            mu = MixingMeasure(rng.normal(size=(m, 2)), w / w.sum())
-            out = merge_close_atoms(mu, float(rng.uniform(0, 1.5)))
-            assert_simplex(out.weights)
-            np.testing.assert_allclose(out.mean(), mu.mean(), atol=1e-12)
-
-    def test_chain_merges_whole_component(self):
-        mu = MixingMeasure(np.array([[0.0], [0.9], [1.8]]), [1 / 3, 1 / 3, 1 / 3])
-        out = merge_close_atoms(mu, 1.0)
-        assert out.m == 1
-        np.testing.assert_allclose(out.atoms, [[0.9]])
-
-    def test_interleaved_clusters_in_order_of_first_atom(self):
-        # clusters {1, 3}, {0, 2, 4} (a chain through 2) and {5}: listed by their first atom
-        atoms = np.array([[5.0], [0.0], [5.4], [0.2], [5.8], [9.0]])
-        mu = MixingMeasure(atoms, [0.1, 0.2, 0.1, 0.2, 0.2, 0.2])
-        out = merge_close_atoms(mu, 0.5)
-        np.testing.assert_allclose(out.atoms, [[5.5], [0.1], [9.0]])
-        np.testing.assert_allclose(out.weights, [0.4, 0.4, 0.2])
-
-    def test_zero_mass_cluster_keeps_its_first_atom(self):
-        mu = MixingMeasure(np.array([[0.0], [3.0], [0.2], [3.1]]), [0.5, 0.0, 0.5, 0.0])
-        out = merge_close_atoms(mu, 0.5)
-        np.testing.assert_array_equal(out.atoms, [[0.1], [3.0]])
-        np.testing.assert_array_equal(out.weights, [1.0, 0.0])
-
-    def test_radius_must_be_a_nonnegative_number(self):
-        mu = MixingMeasure(np.array([[0.0], [1.0]]), [0.5, 0.5])
-        for radius in (-1.0, float("nan")):
-            with pytest.raises(InvalidArgumentError):
-                merge_close_atoms(mu, radius)
-
-
 class TestWasserstein:
+    """W1 between 1-d measures, which measure_distance reduces to."""
+
     def test_identity(self):
         mu = MixingMeasure(np.array([[0.3], [1.1]]), [0.4, 0.6])
-        assert wasserstein1_1d(mu, mu) == 0.0
+        assert measure_distance(mu, mu) == 0.0
 
     def test_point_masses(self):
         d0 = MixingMeasure(np.array([[0.0]]), [1.0])
         d1 = MixingMeasure(np.array([[1.0]]), [1.0])
-        assert wasserstein1_1d(d0, d1) == pytest.approx(1.0)
+        assert measure_distance(d0, d1) == pytest.approx(1.0)
 
     def test_half_split(self):
         mixed = MixingMeasure(np.array([[0.0], [1.0]]), [0.5, 0.5])
         d0 = MixingMeasure(np.array([[0.0]]), [1.0])
-        assert wasserstein1_1d(mixed, d0) == pytest.approx(0.5)
+        assert measure_distance(mixed, d0) == pytest.approx(0.5)
 
     def test_matches_quantile_oracle(self):
         rng = np.random.default_rng(6)
@@ -197,7 +141,7 @@ class TestWasserstein:
             mu = MixingMeasure(mu_vals[:, None], wu / wu.sum())
             nu = MixingMeasure(nu_vals[:, None], wv / wv.sum())
             expect = w1_by_quantile_coupling(mu_vals, wu / wu.sum(), nu_vals, wv / wv.sum())
-            assert wasserstein1_1d(mu, nu) == pytest.approx(expect, abs=1e-10)
+            assert measure_distance(mu, nu) == pytest.approx(expect, abs=1e-10)
 
     def test_symmetry_and_triangle(self):
         rng = np.random.default_rng(7)
@@ -208,8 +152,8 @@ class TestWasserstein:
                 w = rng.exponential(size=vals.shape[0])
                 measures.append(MixingMeasure(vals[:, None], w / w.sum()))
             a, b, c = measures
-            assert wasserstein1_1d(a, b) == pytest.approx(wasserstein1_1d(b, a), abs=1e-12)
-            assert wasserstein1_1d(a, c) <= wasserstein1_1d(a, b) + wasserstein1_1d(b, c) + 1e-10
+            assert measure_distance(a, b) == pytest.approx(measure_distance(b, a), abs=1e-12)
+            assert measure_distance(a, c) <= measure_distance(a, b) + measure_distance(b, c) + 1e-10
 
 
 class TestMeasureDistance:
@@ -222,7 +166,8 @@ class TestMeasureDistance:
         vals, w = rng.normal(size=3), rng.exponential(size=3)
         mu = MixingMeasure(vals[:, None], w / w.sum())
         nu = MixingMeasure(np.array([[0.0]]), [1.0])
-        assert measure_distance(mu, nu) == pytest.approx(wasserstein1_1d(mu, nu))
+        expect = w1_by_quantile_coupling(vals, w / w.sum(), [0.0], [1.0])
+        assert measure_distance(mu, nu) == pytest.approx(expect, abs=1e-10)
 
     def test_mean_of_marginals(self):
         a = MixingMeasure(np.array([[0.0, 0.0]]), [1.0])
@@ -254,14 +199,6 @@ class TestSieveBasis:
             density = values @ beta
             assert np.all(density >= 0)
             assert np.sum(density * np.exp(log_w)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_gradient_bound_dominates_sampled_slopes(self):
-        basis = SieveBasis([(0.0, 1.0)], [6])
-        bound = basis.gradient_bound()
-        xs = np.linspace(0.0, 1.0, 2001)
-        vals = np.exp(basis.log_basis_values(xs))
-        slopes = np.abs(np.diff(vals, axis=0)) / (xs[1] - xs[0])
-        assert slopes.max() <= bound + 1e-9
 
     def test_single_node_axis_is_uniform(self):
         basis = SieveBasis([(0.0, 4.0)], [1])

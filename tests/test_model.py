@@ -16,7 +16,6 @@ from npmlmix import (
     TimeDesign,
     conditional_log_density,
     eval_f,
-    eval_g,
     gaussian_log_density,
     laplace_log_density,
     project_mask,
@@ -84,37 +83,7 @@ class TestEvalF:
 
 
 class TestEvalG:
-    def test_zero_scale(self, pk_spec):
-        spec = ModelSpec(
-            p=2, n=4, sigma=0.2, f=PkExp(), time_design=pk_spec.time_design, sigma_prime=0.0
-        )
-        np.testing.assert_array_equal(eval_g(spec, [1.0, 0.5], [0.2, 0.7, 1.2, 1.7]), np.zeros(4))
-
-    def test_colinear_with_f(self, location_spec):
-        spec = ModelSpec(
-            p=1,
-            n=2,
-            sigma=1.0,
-            f=IdentityLocation(),
-            time_design=location_spec.time_design,
-            sigma_prime=1.0,
-        )
-        np.testing.assert_allclose(eval_g(spec, [2.0], [0.5, 1.5]), [2.0, 2.0])
-
-    def test_conditional_sd(self, location_spec):
-        # sigma=1, sigma'=0.5, f=2 -> sd = sqrt(1 + 1) = sqrt(2)
-        spec = ModelSpec(
-            p=1,
-            n=2,
-            sigma=1.0,
-            f=IdentityLocation(),
-            time_design=location_spec.time_design,
-            sigma_prime=0.5,
-        )
-        g = eval_g(spec, [2.0], [0.5, 1.5])
-        sd = np.sqrt(spec.sigma**2 + g**2)
-        np.testing.assert_allclose(sd, np.sqrt(2.0))
-        np.testing.assert_allclose(sd, 1.414214, atol=1e-6)
+    """The heteroscedastic scale g = sigma' * f, as the kernel evaluates it."""
 
     def test_negative_component_rejected(self):
         design = TimeDesign(((0.0, 1.0),))
@@ -122,27 +91,7 @@ class TestEvalG:
             p=1, n=1, sigma=0.5, f=IdentityLocation(), time_design=design, sigma_prime=0.5
         )
         with pytest.raises(ModelViolationError):
-            eval_g(spec, [-1.0], [0.5])
-
-    def test_no_heteroscedastic_component(self, pk_spec):
-        with pytest.raises(InvalidArgumentError):
-            eval_g(pk_spec, [1.0, 0.5], [0.2, 0.7, 1.2, 1.7])
-
-    def test_variance_bounded_below(self, location_spec):
-        spec = ModelSpec(
-            p=1,
-            n=2,
-            sigma=0.7,
-            f=IdentityLocation(),
-            time_design=location_spec.time_design,
-            sigma_prime=0.4,
-        )
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            s = rng.uniform(0.0, 3.0, size=1)
-            t = rng.uniform([0.0, 1.0], [1.0, 2.0])
-            g = eval_g(spec, s, t)
-            assert np.all(spec.sigma**2 + g**2 >= spec.sigma**2)
+            conditional_log_density(spec, [-1.0], ([0.0], [0.5]))
 
 
 class TestGaussianLogDensity:

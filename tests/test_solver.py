@@ -25,7 +25,6 @@ from npmlmix import (
     concavity_probe,
     directional_derivatives,
     em_fit,
-    em_step,
     fit_npml,
     fit_sieve,
     log_likelihood,
@@ -58,17 +57,23 @@ def two_to_one_dataset():
 
 
 class TestEmStep:
+    """One EM update: em_fit capped at a single iteration."""
+
+    @staticmethod
+    def step(km, w):
+        return em_fit(km, w, FitOptions(max_em_iters=1))[0]
+
     def test_single_column_fixed(self):
         km = KernelMatrix(np.log(np.array([[3.0], [0.5]])))
-        np.testing.assert_allclose(em_step(km, [1.0]), [1.0])
+        np.testing.assert_allclose(self.step(km, [1.0]), [1.0])
 
     def test_identical_columns_symmetric_fixed_point(self):
         km = KernelMatrix(np.log(np.array([[2.0, 2.0], [0.7, 0.7]])))
-        np.testing.assert_allclose(em_step(km, [0.5, 0.5]), [0.5, 0.5])
+        np.testing.assert_allclose(self.step(km, [0.5, 0.5]), [0.5, 0.5])
 
     def test_hand_update(self):
         km = KernelMatrix(np.log(np.array([[2.0, 1.0]])))
-        np.testing.assert_allclose(em_step(km, [0.5, 0.5]), [2 / 3, 1 / 3], atol=1e-15)
+        np.testing.assert_allclose(self.step(km, [0.5, 0.5]), [2 / 3, 1 / 3], atol=1e-15)
 
     def test_zero_weights_stay_zero(self):
         rng = np.random.default_rng(1)
@@ -77,13 +82,13 @@ class TestEmStep:
             w = rng.exponential(size=5)
             w[rng.integers(0, 5)] = 0.0
             w /= w.sum()
-            out = em_step(km, w)
+            out = self.step(km, w)
             assert np.all(out[w == 0.0] == 0.0)
 
     def test_returns_simplex(self):
         rng = np.random.default_rng(2)
         km = KernelMatrix(rng.normal(size=(7, 4)))
-        w = em_step(km, np.full(4, 0.25))
+        w = self.step(km, np.full(4, 0.25))
         assert abs(w.sum() - 1.0) <= 1e-12 and np.all(w >= 0)
 
 
@@ -120,6 +125,12 @@ class TestEmFit:
         w_plain, _, _, _ = em_fit(km, w0, TIGHT)
         w_perm, _, _, _ = em_fit(KernelMatrix(km.log_k[:, perm]), w0, TIGHT)
         np.testing.assert_allclose(w_perm, w_plain[perm], atol=1e-9)
+
+    def test_lost_mass_raises(self):
+        # the only weighted column underflows to 0 in the row-shifted kernel
+        km = KernelMatrix([[0.0, -800.0], [0.0, -790.0]])
+        with pytest.raises(InvalidArgumentError, match="lost all mass"):
+            em_fit(km, [0.0, 1.0])
 
 
 class TestDirectionalDerivative:
