@@ -15,6 +15,7 @@ from . import serialize
 from .data import apply_censoring, simulate_dataset
 from .errors import InvalidArgumentError, NpmlError
 from .experiments import (
+    atom_count,
     gnuplot_script,
     run_censoring_experiment,
     run_consistency_experiment,
@@ -82,51 +83,27 @@ def cmd_fit(args) -> int:
             raise InvalidArgumentError("sieve fits need --sieve-m")
         basis = SieveBasis(box, args.sieve_m + 1)
         fit = fit_sieve(ds, basis, opts, args.quad_points)
-    fit_obj = serialize.fit_to_dict(fit, box=box, include_trace=args.trace)
-    if args.method == "sieve":
-        fit_obj["sieve"]["quad_points"] = args.quad_points
-    serialize.write_json(args.out, fit_obj)
+    serialize.write_json(args.out, serialize.fit_to_dict(fit, box, args.trace, args.quad_points))
     print(
         f"fit method={args.method} loglik={fit.final_loglik:.9f} "
-        f"iters={fit.iterations} atoms={fit.measure.m if hasattr(fit.measure, 'm') else len(fit.measure.coefficients)} "
+        f"iters={fit.iterations} atoms={atom_count(fit.measure, opts.prune_eps)} "
         f"status={fit.status} cert_sup={fit.certificate.sup_dir_derivative:.9f}"
     )
     return 0 if fit.status == "converged" else 2
 
 
-def _fit_file(obj: dict) -> tuple:
-    """A fit file's result, its box (None if absent) and its sieve quadrature order."""
-    # a sieve block without quad_points was fitted at the default order
-    quad_points = int(obj["sieve"].get("quad_points", DEFAULT_QUAD_POINTS)) if "sieve" in obj else None
-    box = [[float(v) for v in iv] for iv in obj["box"]] if "box" in obj else None
-    return serialize.fit_from_dict(obj), box, quad_points
-
-
 def cmd_certify(args) -> int:
     ds = serialize.load(args.data, serialize.dataset_from_dict)
-    fit, box, quad_points = serialize.load(args.fit, _fit_file)
+    fit, box, quad_points = serialize.load(args.fit, serialize.fit_file_from_dict)
     # the verdict's tolerance is a refine_tol, checked like the fit's own
     tol = FitOptions().refine_tol if args.tol is None else FitOptions(refine_tol=args.tol).refine_tol
     if isinstance(fit.measure, SieveDensity):
         cert = certify(ds, fit.measure, quad_points_per_cell=quad_points)
-    elif box is None:
-        raise InvalidArgumentError("fit file has no box; cannot build a certification grid")
     else:
         resolution = fit.certificate.grid_resolution if args.resolution is None else args.resolution
         cert = certify(ds, fit.measure, box, resolution)
     optimal = cert.sup_dir_derivative <= 1.0 + tol
-    print(
-        serialize.dumps(
-            {
-                "sup": cert.sup_dir_derivative,
-                "argmax": cert.argmax_point.tolist(),
-                "grid_resolution": cert.grid_resolution,
-                "optimal": optimal,
-                "tolerance": tol,
-            }
-        ),
-        end="",
-    )
+    print(serialize.dumps(serialize.certificate_to_dict(cert, optimal=optimal, tolerance=tol)), end="")
     return 0 if optimal else 2
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .data import CensoringDesign, Dataset, apply_censoring, simulate_dataset
 from .errors import InvalidArgumentError
 from .likelihood import CONTRAST_TAGS, DEFAULT_QUAD_POINTS, build_kernel_matrix, contrast_value, log_likelihood
-from .measures import MixingMeasure, SieveBasis, measure_distance, sieve_to_measure
+from .measures import MixingMeasure, SieveBasis, SieveDensity, measure_distance, sieve_to_measure
 from .model import CensorMask, ModelSpec
 from .solver import FitOptions, FitResult, fit_npml, fit_sieve
 
@@ -45,23 +45,23 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise InvalidArgumentError(f"unknown experiment kind {self.kind!r}")
+        # normalize first, so the checks below see the values stored
+        object.__setattr__(self, "box", tuple(tuple(float(v) for v in iv) for iv in self.box))
+        for name in ("initial_counts", "n_schedule", "seeds", "m_schedule"):
+            object.__setattr__(self, name, tuple(int(v) for v in getattr(self, name)))
         for name, schedule in (("N", self.n_schedule), ("seed", self.seeds)):
             if not schedule:
                 raise InvalidArgumentError(f"{name} schedule must be nonempty")
-        ns = list(self.n_schedule)
+        ns, ms = self.n_schedule, self.m_schedule
         if not all(a < b for a, b in zip(ns, ns[1:])):
             raise InvalidArgumentError("N schedule must be strictly increasing")
         if len(set(self.seeds)) != len(self.seeds):
             raise InvalidArgumentError("seeds must be distinct")
         if self.kind == "sieve":
-            ms = list(self.m_schedule)
             if not ms or ms[0] < 1 or not all(a < b for a, b in zip(ms, ms[1:])):
                 raise InvalidArgumentError("sieve experiments need an increasing schedule of positive m")
             if any(b % a for a, b in zip(ms, ms[1:])):
                 raise InvalidArgumentError("m schedule must be nested (each m divides the next)")
-        object.__setattr__(self, "box", tuple(tuple(float(v) for v in iv) for iv in self.box))
-        for name in ("initial_counts", "n_schedule", "seeds", "m_schedule"):
-            object.__setattr__(self, name, tuple(int(v) for v in getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -89,6 +89,13 @@ _ROW_TYPES = typing.get_type_hints(ReportRow)
 CSV_HEADER = ["report_version", *_ROW_TYPES]
 
 
+def atom_count(measure: Union[MixingMeasure, SieveDensity], prune_eps: float) -> int:
+    """A fit's reported atom count: its atoms, or a sieve's coefficients above prune_eps."""
+    if isinstance(measure, SieveDensity):
+        return int(np.sum(measure.coefficients > prune_eps))
+    return measure.m
+
+
 def _fit_row(
     cfg: ExperimentConfig,
     ds: Dataset,
@@ -101,12 +108,11 @@ def _fit_row(
     start = time.perf_counter()
     if m is None:
         fit = fit_npml(ds, cfg.box, cfg.initial_counts, cfg.options)
-        mu, atom_count = fit.measure, fit.measure.m
+        mu = fit.measure
     else:
         basis = SieveBasis(cfg.box, [m + 1] * cfg.spec.p)
         fit = fit_sieve(ds, basis, cfg.options, cfg.quad_points)
         mu = sieve_to_measure(fit.measure)
-        atom_count = int(np.sum(fit.measure.coefficients > cfg.options.prune_eps))
     elapsed = (time.perf_counter() - start) * 1000.0
     row = ReportRow(
         experiment=experiment,
@@ -115,7 +121,7 @@ def _fit_row(
         seed=seed,
         final_loglik=fit.final_loglik,
         distance_to_truth=measure_distance(mu, cfg.truth),
-        atom_count=atom_count,
+        atom_count=atom_count(fit.measure, cfg.options.prune_eps),
         certificate_sup=fit.certificate.sup_dir_derivative,
         wall_time_ms=elapsed,
     )

@@ -1,13 +1,15 @@
-"""JSON schemas for datasets, measures, fits and simulate/experiment configs.
+"""JSON schemas for datasets, measures, fits and configs; no other module reads or writes one.
 
-All numbers are written as decimal doubles (Python's shortest round-trip
-repr), so rewriting the same objects produces byte-identical files.
+Every number is read by ``_number`` and written as a decimal double (Python's
+shortest round-trip repr), so rewriting the same objects produces byte-identical files.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 from typing import Optional
 
 import numpy as np
@@ -15,17 +17,10 @@ import numpy as np
 from .data import CensoredObservation, CensoringDesign, Dataset, Observation
 from .errors import InvalidArgumentError
 from .experiments import ExperimentConfig
-from .measures import MixingMeasure, SieveBasis, SieveDensity
-from .model import (
-    GAUSSIAN,
-    CensorMask,
-    IdentityLocation,
-    LinearInS,
-    ModelSpec,
-    PkExp,
-    TimeDesign,
-)
-from .solver import Certificate, FitOptions, FitResult
+from .likelihood import DEFAULT_QUAD_POINTS
+from .measures import MixingMeasure, SieveBasis, SieveDensity, _check_box
+from .model import GAUSSIAN, CensorMask, IdentityLocation, LinearInS, ModelSpec, PkExp, TimeDesign
+from .solver import STATUS_CONVERGED, STATUS_ITER_LIMIT, Certificate, FitOptions, FitResult
 
 
 def _listify(arr) -> list:
@@ -39,12 +34,25 @@ def _require(obj: dict, key: str):
 
 
 def _number(obj: dict, key: str, kind: type = int, default=None):
-    """Field ``key`` as int or float, required without a default; 2.0 reads as 2, true or 2.7 is an error."""
+    """Field ``key``, a number or nested arrays of numbers, as ``kind`` values; required without a default.
+
+    The one number rule: a boolean, text or a non-finite number is an error naming the field, and
+    so is a non-integral value of an int field, while 2.0 reads as 2.
+    """
     value = _require(obj, key) if default is None else obj.get(key, default)
-    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or (kind is int and not integral):
-        raise InvalidArgumentError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
-    return kind(value)
+    one, many = ("an integer", "integers") if kind is int else ("a finite number", "finite numbers")
+    rule = f"{key} must hold only {many}" if isinstance(value, list) else f"{key} must be {one}"
+
+    def read(v):
+        if isinstance(v, list):
+            return [read(u) for u in v]
+        integral = isinstance(v, numbers.Integral)
+        real = isinstance(v, numbers.Real) and not isinstance(v, bool)
+        if not real or not (integral or math.isfinite(v)) or (kind is int and not (integral or v.is_integer())):
+            raise InvalidArgumentError(f"{rule}, got {v!r}")
+        return kind(v)
+
+    return read(value)
 
 
 # --------------------------- model function ------------------------------
@@ -67,7 +75,7 @@ def model_function_from_dict(obj: dict):
     if kind == "identity_location":
         return IdentityLocation()
     if kind == "linear_in_s":
-        return LinearInS(tuple(tuple(row) for row in _require(obj, "coefficients")))
+        return LinearInS(_number(obj, "coefficients", float))
     raise InvalidArgumentError(f"unknown model function kind {kind!r}")
 
 
@@ -94,10 +102,10 @@ def spec_from_dict(obj: dict) -> ModelSpec:
     return ModelSpec(
         p=_number(obj, "p"),
         n=_number(obj, "n"),
-        sigma=float(_require(obj, "sigma")),
+        sigma=_number(obj, "sigma", float),
         f=model_function_from_dict(_require(obj, "f")),
-        time_design=TimeDesign(tuple(tuple(iv) for iv in _require(obj, "time_design"))),
-        sigma_prime=None if g is None else float(_require(g, "sigma_prime")),
+        time_design=TimeDesign(_number(obj, "time_design", float)),
+        sigma_prime=None if g is None else _number(g, "sigma_prime", float),
         noise=obj.get("noise", GAUSSIAN),
     )
 
@@ -110,7 +118,7 @@ def measure_to_dict(mu: MixingMeasure) -> dict:
 
 
 def measure_from_dict(obj: dict) -> MixingMeasure:
-    return MixingMeasure(np.asarray(_require(obj, "atoms"), dtype=float), _require(obj, "weights"))
+    return MixingMeasure(_number(obj, "atoms", float), _number(obj, "weights", float))
 
 
 # ------------------------------- censoring --------------------------------
@@ -126,11 +134,11 @@ def censoring_to_dict(design: CensoringDesign) -> dict:
 
 def censoring_from_dict(obj: dict) -> CensoringDesign:
     n = _number(obj, "n")
-    masks = [CensorMask(n, tuple(int(i) for i in idx)) for idx in _require(obj, "masks")]
-    probs = _require(obj, "probabilities")
+    masks = [CensorMask(n, tuple(idx)) for idx in _number(obj, "masks")]
+    probs = _number(obj, "probabilities", float)
     if len(masks) != len(probs):
         raise InvalidArgumentError("masks and probabilities must have equal length")
-    return CensoringDesign(tuple(zip(masks, [float(p) for p in probs])))
+    return CensoringDesign(tuple(zip(masks, probs)))
 
 
 # -------------------------------- dataset ---------------------------------
@@ -158,27 +166,17 @@ def dataset_from_dict(obj: dict) -> Dataset:
     rows = _require(obj, "observations")
     if not isinstance(rows, list) or not rows:
         raise InvalidArgumentError("observations must be a nonempty array")
-    censored = any("mask" in r for r in rows)
     observations = []
     for r in rows:
-        t = np.asarray(_require(r, "t"), dtype=float)
-        y = np.asarray(_require(r, "y"), dtype=float)
-        if censored:
-            if "mask" not in r:
-                raise InvalidArgumentError("mixed censored and uncensored observations")
-            mask = CensorMask(spec.n, tuple(int(i) for i in r["mask"]))
+        t, y = _number(r, "t", float), _number(r, "y", float)
+        if "mask" in r:
+            mask = CensorMask(spec.n, tuple(_number(r, "mask")))
             observations.append(CensoredObservation(y, t, mask))
         else:
             observations.append(Observation(y, t))
     truth = measure_from_dict(obj["truth"]) if "truth" in obj else None
     censoring = censoring_from_dict(obj["censoring"]) if "censoring" in obj else None
-    return Dataset(
-        spec=spec,
-        observations=tuple(observations),
-        seed=_number(obj, "seed", default=0),
-        truth=truth,
-        censoring=censoring,
-    )
+    return Dataset(spec, tuple(observations), _number(obj, "seed", default=0), truth, censoring)
 
 
 # ------------------------------ fit results --------------------------------
@@ -196,26 +194,24 @@ def fit_options_from_dict(obj: Optional[dict]) -> FitOptions:
     return dataclasses.replace(defaults, **given)
 
 
-def fit_to_dict(fit: FitResult, box=None, include_trace: bool = False) -> dict:
+def certificate_to_dict(cert: Certificate, **extra) -> dict:
+    """A fit file's certificate block; certify's verdict is the same block with ``extra`` keys."""
+    point = _listify(cert.argmax_point)
+    return {"sup": cert.sup_dir_derivative, "argmax": point, "grid_resolution": cert.grid_resolution, **extra}
+
+
+def fit_to_dict(fit: FitResult, box=None, include_trace: bool = False, quad_points: Optional[int] = None) -> dict:
+    """A fit file; a sieve fit's block records ``quad_points`` when given, a discrete fit ignores it."""
     if isinstance(fit.measure, SieveDensity):
-        measure = {
-            "sieve": {
-                "box": [list(iv) for iv in np.asarray(fit.measure.basis.box)],
-                "node_counts": list(fit.measure.basis.node_counts),
-                "coefficients": _listify(fit.measure.coefficients),
-            }
-        }
+        basis, coefficients = fit.measure.basis, _listify(fit.measure.coefficients)
+        sieve = {"box": _listify(basis.box), "node_counts": list(basis.node_counts), "coefficients": coefficients}
+        out = {"sieve": sieve if quad_points is None else {**sieve, "quad_points": quad_points}}
     else:
-        measure = {"measure": measure_to_dict(fit.measure)}
-    out = dict(measure)
+        out = {"measure": measure_to_dict(fit.measure)}
     out["final_loglik"] = fit.final_loglik
     out["iterations"] = fit.iterations
     out["status"] = fit.status
-    out["certificate"] = {
-        "sup": fit.certificate.sup_dir_derivative,
-        "argmax": _listify(fit.certificate.argmax_point),
-        "grid_resolution": fit.certificate.grid_resolution,
-    }
+    out["certificate"] = certificate_to_dict(fit.certificate)
     if box is not None:
         out["box"] = [list(iv) for iv in np.asarray(box, dtype=float)]
     if include_trace:
@@ -226,25 +222,42 @@ def fit_to_dict(fit: FitResult, box=None, include_trace: bool = False) -> dict:
 def fit_from_dict(obj: dict) -> FitResult:
     cert_obj = _require(obj, "certificate")
     cert = Certificate(
-        sup_dir_derivative=float(_require(cert_obj, "sup")),
-        argmax_point=np.asarray(_require(cert_obj, "argmax"), dtype=float),
+        sup_dir_derivative=_number(cert_obj, "sup", float),
+        argmax_point=np.asarray(_number(cert_obj, "argmax", float)),
         grid_resolution=_number(cert_obj, "grid_resolution"),
     )
     if "sieve" in obj:
         s = obj["sieve"]
-        basis = SieveBasis(np.asarray(_require(s, "box"), dtype=float), _require(s, "node_counts"))
-        measure = SieveDensity(basis, np.asarray(_require(s, "coefficients"), dtype=float))
+        basis = SieveBasis(_number(s, "box", float), _number(s, "node_counts"))
+        measure = SieveDensity(basis, _number(s, "coefficients", float))
     else:
         measure = measure_from_dict(_require(obj, "measure"))
-    trace = np.asarray(obj.get("loglik_trace", [_require(obj, "final_loglik")]), dtype=float)
+    final_loglik = _number(obj, "final_loglik", float)
+    statuses = (STATUS_CONVERGED, STATUS_ITER_LIMIT)
+    if _require(obj, "status") not in statuses:
+        raise InvalidArgumentError(f"status must be one of {statuses}, got {obj['status']!r}")
     return FitResult(
         measure=measure,
-        loglik_trace=trace,
-        final_loglik=float(_require(obj, "final_loglik")),
+        loglik_trace=np.asarray(_number(obj, "loglik_trace", float, default=[final_loglik])),
+        final_loglik=final_loglik,
         iterations=_number(obj, "iterations"),
         certificate=cert,
-        status=str(_require(obj, "status")),
+        status=obj["status"],
     )
+
+
+def fit_file_from_dict(obj: dict) -> tuple:
+    """A fit file as (result, checked box, sieve quadrature order).
+
+    A discrete fit needs the box its certificate scans, and has order None; a sieve fit's box may be
+    absent (None), and a sieve block without quad_points was fitted at the default order.
+    """
+    fit = fit_from_dict(obj)
+    sieve = isinstance(fit.measure, SieveDensity)
+    p = fit.measure.basis.p if sieve else fit.measure.p
+    box = _check_box(_number(obj, "box", float), p) if "box" in obj or not sieve else None
+    quad_points = _number(obj["sieve"], "quad_points", default=DEFAULT_QUAD_POINTS) if sieve else None
+    return fit, box, quad_points
 
 
 # ------------------------------ run configs --------------------------------
@@ -269,11 +282,11 @@ def experiment_config_from_dict(obj: dict) -> ExperimentConfig:
         kind=_require(obj, "kind"),
         spec=spec_from_dict(_require(obj, "model")),
         truth=measure_from_dict(_require(obj, "truth")),
-        box=_require(obj, "box"),
-        initial_counts=_require(obj, "initial_counts"),
-        n_schedule=_require(obj, "N_schedule"),
-        seeds=_require(obj, "seeds"),
-        m_schedule=obj.get("m_schedule", ()),
+        box=_number(obj, "box", float),
+        initial_counts=_number(obj, "initial_counts"),
+        n_schedule=_number(obj, "N_schedule"),
+        seeds=_number(obj, "seeds"),
+        m_schedule=_number(obj, "m_schedule", default=[]),
         options=fit_options_from_dict(obj.get("fit_options")),
         censoring=censoring_from_dict(obj["censoring"]) if "censoring" in obj else None,
         **{key: _number(obj, key) for key in ("quad_points", "competitors") if key in obj},

@@ -294,7 +294,9 @@ def _refine(ds, mu: MixingMeasure, box_arr: np.ndarray, opts: FitOptions) -> Fit
         trace_parts.append(trace)
         total_iters += iters
         km, w = _guarded_prune(km, w, opts.prune_eps)
-        cert, best = _scan_certificate(scan, km, w, opts.refine_grid)
+        measure = MixingMeasure(km.atoms, w)
+        # certify() scans these renormalized weights, so the last round's scan is the fit's certificate
+        cert, best = _scan_certificate(scan, km, measure.weights, opts.refine_grid)
         if cert.sup_dir_derivative <= 1.0 + opts.refine_tol:
             break
         if round_idx == opts.max_refinements:
@@ -307,9 +309,6 @@ def _refine(ds, mu: MixingMeasure, box_arr: np.ndarray, opts: FitOptions) -> Fit
             break
         # not a duplicate, so the arg-max is a grid point: best < G
         km, w = _insert_atom(km, w, scan, best)
-    measure = MixingMeasure(km.atoms, w)
-    # certify() scans these renormalized weights; scanned before joining the trace (peak memory)
-    cert = _scan_certificate(scan, km, measure.weights, opts.refine_grid)[0]
     trace = np.concatenate(trace_parts)
     return FitResult(
         measure=measure,

@@ -52,15 +52,18 @@ def location_config(kind, **kwargs):
 
 class TestConfigValidation:
     def test_schedules_must_increase(self):
-        with pytest.raises(InvalidArgumentError):
-            location_config("consistency", n_schedule=(100, 50))
+        # (100.5, 100.7) is stored as (100, 100), which does not increase
+        for bad in ((100, 50), (100.5, 100.7)):
+            with pytest.raises(InvalidArgumentError):
+                location_config("consistency", n_schedule=bad)
 
     def test_seeds_distinct(self):
         with pytest.raises(InvalidArgumentError):
             location_config("consistency", seeds=(1, 1))
 
     def test_sieve_needs_nested_schedule(self):
-        for bad in ((4, 6), (0, 4), (8, 4)):
+        # (4.5, 9) is stored as (4, 9), which is not nested
+        for bad in ((4, 6), (0, 4), (8, 4), (4.5, 9)):
             with pytest.raises(InvalidArgumentError):
                 location_config("sieve", m_schedule=bad)
         location_config("sieve", m_schedule=(4, 8, 16))

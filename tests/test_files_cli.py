@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -23,6 +24,7 @@ from npmlmix import (
     simulate_dataset,
 )
 from npmlmix.cli import main
+from npmlmix.experiments import atom_count
 from npmlmix.serialize import (
     dataset_from_dict,
     dataset_to_dict,
@@ -204,7 +206,7 @@ class TestCliFit:
         assert fit.status == "converged"
         assert fit.certificate.sup_dir_derivative <= 1.0 + 1e-6
 
-    def test_sieve_fit_file(self, tmp_path):
+    def test_sieve_fit_file(self, tmp_path, capsys):
         cfg = {
             "model": {
                 "p": 1,
@@ -238,8 +240,12 @@ class TestCliFit:
             ]
         )
         assert code in (0, 2)
-        fit = fit_from_dict(read_json(fit_path))
+        fit_obj = read_json(fit_path)
+        fit = fit_from_dict(fit_obj)
         assert len(fit.measure.coefficients) == 9
+        assert fit_obj["sieve"]["quad_points"] == 8
+        # the report's count: coefficients above prune_eps, not the basis size
+        assert f" atoms={atom_count(fit.measure, FitOptions().prune_eps)} " in capsys.readouterr().out
 
     def test_refit_idempotent_loglik(self, sim_config, tmp_path):
         data = tmp_path / "data.json"
@@ -409,8 +415,18 @@ class TestCliErrors:
                 lambda fit: {k: v for k, v in fit.items() if k != "final_loglik"},
                 "missing required field 'final_loglik'",
             ),
+            ("certify", lambda fit: {**fit, "status": "done"}, "status must be"),
+            ("certify", lambda fit: {k: v for k, v in fit.items() if k != "box"}, "missing required field 'box'"),
         ],
-        ids=["top-level-number", "text-p", "number-time-design", "number-observations", "fit-without-final-loglik"],
+        ids=[
+            "top-level-number",
+            "text-p",
+            "number-time-design",
+            "number-observations",
+            "fit-without-final-loglik",
+            "unknown-status",
+            "discrete-fit-without-box",
+        ],
     )
     def test_malformed_document_names_the_file(self, sim_config, tmp_path, capsys, command, edit, reason):
         data, fit = tmp_path / "data.json", tmp_path / "fit.json"
@@ -450,7 +466,7 @@ class TestCliErrors:
         code = main([command, "--config", str(sim_config), "--out", str(tmp_path / "out")])
         assert f"{field} must be an integer" in self._assert_one_line_error(capsys, code)
 
-    @pytest.mark.parametrize("box", ["abc", 5])
+    @pytest.mark.parametrize("box", ["abc", 5, [[2.5, 0.5], [0.1, 1.2]], [[0.5, 2.5]]])
     def test_malformed_fit_box_names_the_file(self, sim_config, tmp_path, capsys, box):
         data, fit = tmp_path / "data.json", tmp_path / "fit.json"
         main(["simulate", "--config", str(sim_config), "--out", str(data)])
@@ -512,6 +528,136 @@ class TestCliErrors:
         )
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+# fields that hold integers; every other number in a document is a float
+INT_FIELDS = {
+    "p", "n", "N", "seed", "censor_seed", "masks", "mask", "iterations", "grid_resolution", "node_counts",
+    "quad_points", "initial_counts", "N_schedule", "seeds", "m_schedule", "competitors",
+    "max_em_iters", "refine_grid", "max_refinements",
+}  # fmt: skip
+
+
+def _numeric_leaves(doc, field=None, path=()):
+    """(path, name of the enclosing field, value) of every number in a JSON document."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _numeric_leaves(value, key, path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _numeric_leaves(value, field, path + (i,))
+    elif isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        yield path, field, doc
+
+
+def _replaced(doc, path, value):
+    doc = copy.deepcopy(doc)
+    target = doc
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    return doc
+
+
+class TestEveryDocumentField:
+    """Each number of each document the CLI reads follows the one number rule.
+
+    Every numeric leaf of a valid document is replaced by a boolean, a
+    numeric string and NaN, and an integer leaf also by a non-integral
+    number; each replacement must end as one error line naming the file.
+    """
+
+    BOX = "0.5,2.5;0.1,1.2"
+
+    @pytest.fixture(scope="class")
+    def documents(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("docs")
+        model = {
+            "p": 2,
+            "n": 3,
+            "sigma": 0.2,
+            "f": {"kind": "pk_exp"},
+            "time_design": [[0.0, 0.5], [0.5, 1.0], [1.0, 1.5]],
+            "g": {"sigma_prime": 0.1},
+        }
+        truth = {"atoms": [[1.0, 0.3], [2.0, 0.8]], "weights": [0.5, 0.5]}
+        censoring = {"n": 3, "masks": [[0, 2], [0, 1, 2]], "probabilities": [0.4, 0.6]}
+        sim = {"model": model, "truth": truth, "N": 3, "seed": 7, "censoring": censoring, "censor_seed": 9}
+        docs = {"simulate config": sim}
+        paths = {name: tmp / f"{name}.json" for name in ("sim", "plain-sim", "data", "censored", "npml", "sieve")}
+        write_json(paths["sim"], sim)
+        write_json(paths["plain-sim"], {k: v for k, v in sim.items() if k not in ("censoring", "censor_seed")})
+        assert main(["simulate", "--config", str(paths["plain-sim"]), "--out", str(paths["data"])]) == 0
+        assert main(["simulate", "--config", str(paths["sim"]), "--out", str(paths["censored"])]) == 0
+        short = ["--max-iters", "3", "--max-refinements", "0", "--refine-grid", "3"]
+        npml = ["--method", "npml", "--box", self.BOX, "--grid", "2", "--trace", *short]
+        sieve = ["--method", "sieve", "--box", self.BOX, "--sieve-m", "2", "--quad-points", "2", *short]
+        for name, flags in (("npml", npml), ("sieve", sieve)):
+            assert main(["fit", "--data", str(paths["data"]), *flags, "--out", str(paths[name])]) in (0, 2)
+        docs["experiment config"] = {
+            "kind": "sieve",
+            "model": model,
+            "truth": truth,
+            "box": [[0.5, 2.5], [0.1, 1.2]],
+            "initial_counts": [2, 2],
+            "N_schedule": [20],
+            "seeds": [1],
+            "m_schedule": [1, 2],
+            "censoring": censoring,
+            "quad_points": 2,
+            "competitors": 3,
+            "fit_options": {
+                "tol_rel_loglik": 1e-6,
+                "max_em_iters": 3,
+                "prune_eps": 1e-6,
+                "refine_grid": 3,
+                "refine_tol": 1e-6,
+                "max_refinements": 0,
+            },
+        }
+        docs["dataset"] = read_json(paths["data"])
+        docs["censored dataset"] = read_json(paths["censored"])
+        docs["npml fit file"] = read_json(paths["npml"])
+        docs["sieve fit file"] = read_json(paths["sieve"])
+        return tmp, paths["data"], docs
+
+    def _argv(self, name, bad, tmp, data):
+        if name == "simulate config":
+            return ["simulate", "--config", str(bad), "--out", str(tmp / "out.json")]
+        if name == "experiment config":
+            return ["experiment", "--config", str(bad), "--out", str(tmp / "out.csv")]
+        if name.endswith("dataset"):
+            return ["fit", "--data", str(bad), "--method", "npml", "--box", self.BOX, "--max-iters", "1",
+                    "--max-refinements", "0", "--out", str(tmp / "out.json")]  # fmt: skip
+        return ["certify", "--data", str(data), "--fit", str(bad)]
+
+    @pytest.mark.parametrize(
+        "name",
+        ["simulate config", "experiment config", "dataset", "censored dataset", "npml fit file", "sieve fit file"],
+    )
+    def test_every_number_follows_the_rule(self, documents, capsys, name):
+        tmp, data, docs = documents
+        doc = docs[name]
+        bad = tmp / f"bad {name}.json"
+        argv = self._argv(name, bad, tmp, data)
+        write_json(bad, doc)
+        capsys.readouterr()
+        assert main(argv) in (0, 2), capsys.readouterr().err  # the valid document is read
+        leaves = list(_numeric_leaves(doc))
+        assert len(leaves) > 10
+        accepted = []
+        for path, field, value in leaves:
+            replacements = [True, str(value), math.nan]
+            if field in INT_FIELDS:
+                replacements.append(value + 0.5)
+            for replacement in replacements:
+                write_json(bad, _replaced(doc, path, replacement))
+                capsys.readouterr()
+                code = main(argv)
+                err = capsys.readouterr().err
+                if not (code == 1 and err.startswith("error: ") and err.count("\n") == 1 and str(bad) in err):
+                    accepted.append((path, replacement, code, err))
+        assert not accepted, accepted[:5]
 
 
 class TestCliExitCodes:

@@ -209,21 +209,22 @@ class TestConditionalLogDensity:
         )
 
     def test_heteroscedastic_uses_component_scales(self, location_spec):
-        spec = ModelSpec(
-            p=1,
-            n=2,
-            sigma=1.0,
-            f=IdentityLocation(),
-            time_design=location_spec.time_design,
-            sigma_prime=0.5,
-        )
         s, t = np.array([2.0]), np.array([0.5, 1.5])
         y = np.array([2.5, 1.0])
+        # g = sigma' * s = 1, so each component has sd sqrt(sigma^2 + g^2)
         sd = math.sqrt(1.0 + 1.0)
-        expect = sum(
-            -0.5 * math.log(2 * math.pi * sd * sd) - (yy - 2.0) ** 2 / (2 * sd * sd) for yy in y
-        )
-        assert conditional_log_density(spec, s, (y, t)) == pytest.approx(expect)
+        for noise, log_density in (("gaussian", gaussian_log_density), ("laplace", laplace_log_density)):
+            spec = ModelSpec(
+                p=1,
+                n=2,
+                sigma=1.0,
+                f=IdentityLocation(),
+                time_design=location_spec.time_design,
+                sigma_prime=0.5,
+                noise=noise,
+            )
+            expect = sum(log_density([yy - 2.0], sd) for yy in y)
+            assert conditional_log_density(spec, s, (y, t)) == pytest.approx(expect), noise
 
     def test_laplace_noise_density(self, location_spec):
         spec = ModelSpec(
