@@ -23,7 +23,7 @@ from .experiments import (
     run_sieve_experiment,
     write_report_csv,
 )
-from .measures import SieveBasis, SieveDensity
+from .measures import SieveBasis
 from .solver import FitOptions, certify, fit_npml, fit_sieve
 
 # The last two are unused here, but bench/tracer.py patches these bindings of this module.
@@ -79,8 +79,8 @@ def cmd_fit(args) -> int:
     if args.method == "npml":
         fit = fit_npml(ds, box, _parse_counts(args.grid), opts)
     else:
-        if args.sieve_m is None:
-            raise InvalidArgumentError("sieve fits need --sieve-m")
+        if args.sieve_m is None or args.sieve_m < 1:
+            raise InvalidArgumentError("sieve fits need --sieve-m of at least 1 cell per axis")
         basis = SieveBasis(box, args.sieve_m + 1)
         fit = fit_sieve(ds, basis, opts, args.quad_points)
     serialize.write_json(args.out, serialize.fit_to_dict(fit, box, args.trace, args.quad_points))
@@ -97,11 +97,8 @@ def cmd_certify(args) -> int:
     fit, box, quad_points = serialize.load(args.fit, serialize.fit_file_from_dict)
     # the verdict's tolerance is a refine_tol, checked like the fit's own
     tol = FitOptions().refine_tol if args.tol is None else FitOptions(refine_tol=args.tol).refine_tol
-    if isinstance(fit.measure, SieveDensity):
-        cert = certify(ds, fit.measure, quad_points_per_cell=quad_points)
-    else:
-        resolution = fit.certificate.grid_resolution if args.resolution is None else args.resolution
-        cert = certify(ds, fit.measure, box, resolution)
+    resolution = fit.certificate.grid_resolution if args.resolution is None else args.resolution
+    cert = certify(ds, fit.measure, box, resolution, quad_points)
     optimal = cert.sup_dir_derivative <= 1.0 + tol
     print(serialize.dumps(serialize.certificate_to_dict(cert, optimal=optimal, tolerance=tol)), end="")
     return 0 if optimal else 2

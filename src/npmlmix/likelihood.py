@@ -30,15 +30,15 @@ CONTRAST_TAGS = ("log", "t-1", "1-1/t")
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """N x m table of per-observation log kernel values.
+    """N x m table of per-observation log kernel values, and its columns' points.
 
-    Entry (i, j) is log k_{x_i}(s_j) for discrete atoms, or the log of the
-    kernel integrated against basis element j for sieve fits.
+    Entry (i, j) is log k_{x_i}(s_j), or for a sieve fit the log of the kernel
+    integrated against basis element j. Row j of ``atoms`` is column j's
+    point, whether an atom, a scan grid point or a basis node.
     """
 
     log_k: np.ndarray
     atoms: Optional[np.ndarray] = None
-    basis: Optional[SieveBasis] = None
 
     def __post_init__(self):
         lk = np.asarray(self.log_k, dtype=float)
@@ -108,7 +108,7 @@ def build_sieve_kernel_matrix(
         support = np.isfinite(log_phi[:, j])
         contrib = log_phi[support, j] + log_w[support]
         out[:, j] = logsumexp(log_kq[:, support] + contrib[None, :], axis=1)
-    return KernelMatrix(log_k=out, basis=basis)
+    return KernelMatrix(log_k=out, atoms=basis.nodes)
 
 
 def row_log_mixture(km: KernelMatrix, w) -> np.ndarray:

@@ -257,6 +257,8 @@ def fit_file_from_dict(obj: dict) -> tuple:
     p = fit.measure.basis.p if sieve else fit.measure.p
     box = _check_box(_number(obj, "box", float), p) if "box" in obj or not sieve else None
     quad_points = _number(obj["sieve"], "quad_points", default=DEFAULT_QUAD_POINTS) if sieve else None
+    if sieve and quad_points < 1:
+        raise InvalidArgumentError(f"quad_points must be at least 1, got {quad_points}")
     return fit, box, quad_points
 
 

@@ -6,16 +6,18 @@ then alternates certificate scans with atom insertion at the best candidate
 below 1 + refine_tol everywhere on the scan grid. The sieve fit is the same
 EM on the basis-integrated kernel matrix, with the feasible set fixed.
 
-Both kinds of fit are accepted through one certificate routine: the exp-mean
+Both kinds of fit are accepted through one certificate rule: the exp-mean
 d = (1/N) sum_i k_i / K(mu)(x_i) over a candidate set (the scan grid plus the
-atoms, or the sieve's basis elements), reduced to its first arg-max. The fits
-call it after each solve, and ``certify`` recomputes it for either kind.
+atoms, or the sieve's basis elements), reduced to its first arg-max.
 
-The kernel is computed once per fit. A discrete fit builds the (N, G)
-log-kernel table of its scan grid once; each round's scan is an exp-mean over
-that table and the support's own columns, and an inserted atom takes its
-column from the table. Only the mixture density K(mu)(x_i) changes between
-rounds.
+Every table the solver scans is a ``KernelMatrix`` whose ``atoms`` are its
+columns' points: the support's atoms, the scan grid's points, or the sieve's
+basis nodes. The kernel is computed once per fit. A discrete fit builds the
+(N, G) table of its scan grid once; each round's scan is an exp-mean over that
+table and the support's own columns, and an inserted atom takes its column
+from the table. Only the mixture density K(mu)(x_i) changes between rounds.
+``certify`` holds no such table: it streams the grid and the atoms through
+``directional_derivatives`` in blocks of ``_SCAN_BLOCK`` points.
 """
 
 from __future__ import annotations
@@ -174,41 +176,34 @@ def _certificate(
     return cert, best
 
 
-@dataclass(frozen=True)
-class _ScanTable:
-    """A scan grid over the box and its (N, G) log-kernel table, built once per fit."""
-
-    grid: np.ndarray
-    log_k: np.ndarray
-
-
-def _scan_table(ds, box_arr: np.ndarray, resolution: int) -> _ScanTable:
+def _scan_grid(box_arr: np.ndarray, resolution: int) -> np.ndarray:
     # plain linspace, not the start-grid node rule: resolution 1 scans lo
-    grid = _tensor_points([np.linspace(lo, hi, resolution) for lo, hi in box_arr])
-    return _ScanTable(grid, kernel_columns(ds, grid))
+    return _tensor_points([np.linspace(lo, hi, resolution) for lo, hi in box_arr])
+
+
+def _scan_table(ds, box_arr: np.ndarray, resolution: int) -> KernelMatrix:
+    """The scan grid's (N, G) log-kernel table, with the grid as its atoms; built once per fit."""
+    grid = _scan_grid(box_arr, resolution)
+    return KernelMatrix(kernel_columns(ds, grid), atoms=grid)
 
 
 def _scan_certificate(
-    scan: _ScanTable, km: KernelMatrix, w, resolution: int
+    km: KernelMatrix, w, resolution: int, scan: Optional[KernelMatrix] = None
 ) -> Tuple[Certificate, int]:
-    """Discrete certificate over the scan grid, then the support atoms.
+    """Certificate over the columns of ``scan``, if given, then those of ``km``.
 
-    Returns the certificate and its candidate index; an index below G names
-    a grid point, whose kernel column is ``scan.log_k[:, index]``. The
-    support block is made C-ordered first: pruning leaves ``km.log_k``
-    Fortran-ordered, and numpy reduces that layout in another order, which
-    would move the sup's last bits away from ``certify``'s on a fresh kernel.
+    A discrete fit passes its scan table, so an index below G names the grid
+    point ``scan.atoms[index]``; a sieve fit passes none and scans its basis
+    elements, the extreme points of the hull. The fit's block is made
+    C-ordered first: pruning leaves ``km.log_k`` Fortran-ordered, and numpy
+    reduces that layout in another order, which would move the sup's last
+    bits away from ``certify``'s on a fresh kernel.
     """
-    support = KernelMatrix(np.ascontiguousarray(km.log_k))
+    support = KernelMatrix(np.ascontiguousarray(km.log_k), atoms=km.atoms)
     log_rows = row_log_mixture(support, w)
-    values = np.concatenate([_exp_mean(scan.log_k, log_rows), _exp_mean(support.log_k, log_rows)])
-    return _certificate(values, np.concatenate([scan.grid, km.atoms]), resolution)
-
-
-def _sieve_certificate(km: KernelMatrix, w) -> Certificate:
-    """Sieve certificate over the basis elements, the extreme points of the hull."""
-    log_rows = row_log_mixture(km, w)
-    return _certificate(_exp_mean(km.log_k, log_rows), km.basis.nodes, km.basis.m)[0]
+    tables = [support] if scan is None else [scan, support]
+    values = np.concatenate([_exp_mean(t.log_k, log_rows) for t in tables])
+    return _certificate(values, np.concatenate([t.atoms for t in tables]), resolution)
 
 
 def certify(
@@ -221,20 +216,22 @@ def certify(
     """Recompute the sup of a fit's directional derivative.
 
     For a discrete measure the scan covers a uniform grid over the box plus
-    the atoms; the fit is optimal on the box (up to the scan resolution) when
-    the sup is <= 1 + refine_tol. For a SieveDensity the scan covers the basis
-    elements, with the kernel integrated at the fit's quadrature order; box
-    and grid_resolution are then unused. Ties resolve to the first candidate
+    the atoms, streamed through ``directional_derivatives`` in blocks, so its
+    memory does not grow with the resolution; the fit is optimal on the box
+    (up to the scan resolution) when the sup is <= 1 + refine_tol. For a
+    SieveDensity the scan covers the basis elements, with the kernel
+    integrated at the fit's quadrature order; box and grid_resolution are
+    then unused. Ties resolve to the first candidate
     (lexicographically first grid point), so certificates are deterministic.
     """
     if isinstance(mu, SieveDensity):
         km = build_sieve_kernel_matrix(ds, mu.basis, quad_points_per_cell)
-        return _sieve_certificate(km, mu.coefficients)
+        return _scan_certificate(km, mu.coefficients, mu.basis.m)[0]
     box_arr = _check_box(box, mu.p)
     if grid_resolution < 1:
         raise InvalidArgumentError("grid_resolution must be >= 1")
-    scan = _scan_table(ds, box_arr, grid_resolution)
-    return _scan_certificate(scan, build_kernel_matrix(ds, mu), mu.weights, grid_resolution)[0]
+    candidates = np.concatenate([_scan_grid(box_arr, grid_resolution), mu.atoms])
+    return _certificate(directional_derivatives(ds, mu, candidates), candidates, grid_resolution)[0]
 
 
 def _guarded_prune(km: KernelMatrix, w, eps: float):
@@ -258,7 +255,7 @@ def _guarded_prune(km: KernelMatrix, w, eps: float):
     return km_new, w_new
 
 
-def _insert_atom(km: KernelMatrix, w, scan: _ScanTable, index: int):
+def _insert_atom(km: KernelMatrix, w, scan: KernelMatrix, index: int):
     """Append scan grid point ``index`` to the support, with its table column.
 
     Existing weights shrink uniformly: the new weight starts at 1/(m+1) and
@@ -266,7 +263,7 @@ def _insert_atom(km: KernelMatrix, w, scan: _ScanTable, index: int):
     because the candidate's directional derivative exceeds one.
     """
     log_k = np.concatenate([km.log_k, scan.log_k[:, index : index + 1]], axis=1)
-    atoms = np.concatenate([km.atoms, scan.grid[index : index + 1]])
+    atoms = np.concatenate([km.atoms, scan.atoms[index : index + 1]])
     km_new = KernelMatrix(log_k, atoms=atoms)
     before = log_likelihood(km, w)
     eps = 1.0 / (w.shape[0] + 1)
@@ -296,7 +293,7 @@ def _refine(ds, mu: MixingMeasure, box_arr: np.ndarray, opts: FitOptions) -> Fit
         km, w = _guarded_prune(km, w, opts.prune_eps)
         measure = MixingMeasure(km.atoms, w)
         # certify() scans these renormalized weights, so the last round's scan is the fit's certificate
-        cert, best = _scan_certificate(scan, km, measure.weights, opts.refine_grid)
+        cert, best = _scan_certificate(km, measure.weights, opts.refine_grid, scan)
         if cert.sup_dir_derivative <= 1.0 + opts.refine_tol:
             break
         if round_idx == opts.max_refinements:
@@ -347,7 +344,7 @@ def fit_sieve(
     w0 = np.full(basis.m, 1.0 / basis.m)
     w, trace, iterations, status = em_fit(km, w0, opts)
     measure = SieveDensity(basis, w)
-    cert = _sieve_certificate(km, measure.coefficients)
+    cert = _scan_certificate(km, measure.coefficients, basis.m)[0]
     if cert.sup_dir_derivative > 1.0 + opts.refine_tol:
         status = STATUS_ITER_LIMIT
     return FitResult(

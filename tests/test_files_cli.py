@@ -417,6 +417,14 @@ class TestCliErrors:
             ),
             ("certify", lambda fit: {**fit, "status": "done"}, "status must be"),
             ("certify", lambda fit: {k: v for k, v in fit.items() if k != "box"}, "missing required field 'box'"),
+            (
+                "certify",
+                lambda fit: {
+                    **{k: v for k, v in fit.items() if k != "measure"},
+                    "sieve": {"box": fit["box"], "node_counts": [2, 2], "coefficients": [0.25] * 4, "quad_points": 0},
+                },
+                "quad_points must be at least 1",
+            ),
         ],
         ids=[
             "top-level-number",
@@ -426,6 +434,7 @@ class TestCliErrors:
             "fit-without-final-loglik",
             "unknown-status",
             "discrete-fit-without-box",
+            "sieve-fit-with-zero-quad-points",
         ],
     )
     def test_malformed_document_names_the_file(self, sim_config, tmp_path, capsys, command, edit, reason):
@@ -446,6 +455,15 @@ class TestCliErrors:
         assert str(bad) in err
         if reason is not None:
             assert reason in err
+
+    @pytest.mark.parametrize("cells", ["0", "-1"])
+    def test_sieve_m_below_one(self, sim_config, tmp_path, capsys, cells):
+        data = tmp_path / "data.json"
+        main(["simulate", "--config", str(sim_config), "--out", str(data)])
+        capsys.readouterr()
+        argv = ["fit", "--data", str(data), "--method", "sieve", "--box", "0.5,2.5;0.1,1.2", f"--sieve-m={cells}"]
+        code = main([*argv, "--out", str(tmp_path / "f.json")])
+        assert "--sieve-m" in self._assert_one_line_error(capsys, code)
 
     @pytest.mark.parametrize(
         "command, field, value",

@@ -190,6 +190,23 @@ class TestCertify:
         cert = certify(ds, mu, [(0.0, 2.0)], grid_resolution=21)
         assert cert.argmax_point[0] == pytest.approx(0.0)
 
+    def test_streams_the_grid_in_scan_blocks(self, pk_spec, two_point_pk_truth, monkeypatch):
+        ds = simulate_dataset(pk_spec, two_point_pk_truth, 40, seed=5)
+        box = [(0.5, 2.5), (0.1, 1.2)]
+        mu = new_uniform_grid_measure(box, [3, 3])
+        original, widths = likelihood.kernel_columns, []
+
+        def counting_columns(ds_, points):
+            widths.append(len(points))
+            return original(ds_, points)
+
+        monkeypatch.setattr(likelihood, "kernel_columns", counting_columns)
+        monkeypatch.setattr(solver, "kernel_columns", counting_columns)
+        certify(ds, mu, box, 64)  # 4096 grid points
+        assert max(widths) <= solver._SCAN_BLOCK
+        # the atoms' own columns, then the grid and the atoms in blocks
+        assert sum(widths) == 9 + 64 * 64 + 9
+
 
 class TestRefineSupport:
     def test_certified_measure_unchanged(self):
@@ -260,7 +277,7 @@ class TestScanTable:
             assert len(ds.mask_groups()) == 2
         # 24 x 24 = 576 points: the table spans two of kernel_columns' atom blocks
         scan = _scan_table(ds, self.PK_BOX, 24)
-        for j, point in enumerate(scan.grid):
+        for j, point in enumerate(scan.atoms):
             np.testing.assert_array_equal(scan.log_k[:, j : j + 1], kernel_columns(ds, point[None, :]))
 
     def test_blocked_exp_mean_equals_full_width(self, pk_spec, two_point_pk_truth):
@@ -278,7 +295,8 @@ class TestScanTable:
         w0 = np.array([0.3, 0.3, 0.2, 0.2 - 1e-9, 1e-9])
         km, w = _guarded_prune(build_kernel_matrix(ds, MixingMeasure(atoms, w0)), w0, 1e-8)
         assert km.m == 4 and not km.log_k.flags.c_contiguous
-        scan = _scan_table(ds, self.PK_BOX, 9)
+        # the renormalized weights, as _refine scans them
+        mu = MixingMeasure(km.atoms, w)
         seen = []
         original = solver._certificate
 
@@ -287,10 +305,18 @@ class TestScanTable:
             return original(values, candidates, resolution)
 
         monkeypatch.setattr(solver, "_certificate", spy)
-        _scan_certificate(scan, km, w, 9)
-        candidates = np.concatenate([scan.grid, km.atoms])
-        expected = _exp_mean(kernel_columns(ds, candidates), row_log_mixture(km, w))
-        np.testing.assert_array_equal(seen[0], expected)
+        # at resolution 64 the grid and the atoms span three of certify's streaming blocks
+        for resolution in (9, 64):
+            seen.clear()
+            scan = _scan_table(ds, self.PK_BOX, resolution)
+            cert, _ = _scan_certificate(km, mu.weights, resolution, scan)
+            streamed = certify(ds, mu, self.PK_BOX, resolution)
+            candidates = np.concatenate([scan.atoms, km.atoms])
+            expected = _exp_mean(kernel_columns(ds, candidates), row_log_mixture(km, mu.weights))
+            np.testing.assert_array_equal(seen[0], expected)
+            np.testing.assert_array_equal(seen[1], expected)
+            assert streamed.sup_dir_derivative == cert.sup_dir_derivative
+            np.testing.assert_array_equal(streamed.argmax_point, cert.argmax_point)
 
 
 class TestFitOptions:
