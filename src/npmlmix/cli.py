@@ -8,6 +8,7 @@ as separate processes, since each seed's rows are the same either way.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -51,14 +52,8 @@ def _parse_counts(text: str):
 
 
 def _options_from_args(args) -> FitOptions:
-    given = {
-        "tol_rel_loglik": args.tol,
-        "max_em_iters": args.max_iters,
-        "prune_eps": args.prune_eps,
-        "refine_grid": args.refine_grid,
-        "refine_tol": args.refine_tol,
-        "max_refinements": args.max_refinements,
-    }
+    # each fit option flag stores under its FitOptions field name
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(FitOptions)}
     return serialize.fit_options_from_dict({k: v for k, v in given.items() if v is not None})
 
 
@@ -79,8 +74,9 @@ def cmd_fit(args) -> int:
     if args.method == "npml":
         fit = fit_npml(ds, box, _parse_counts(args.grid), opts)
     else:
-        if args.sieve_m is None or args.sieve_m < 1:
-            raise InvalidArgumentError("sieve fits need --sieve-m of at least 1 cell per axis")
+        for flag, value in (("--sieve-m", args.sieve_m), ("--quad-points", args.quad_points)):
+            if value is None or value < 1:
+                raise InvalidArgumentError(f"sieve fits need {flag} of at least 1, got {value}")
         basis = SieveBasis(box, args.sieve_m + 1)
         fit = fit_sieve(ds, basis, opts, args.quad_points)
     serialize.write_json(args.out, serialize.fit_to_dict(fit, box, args.trace, args.quad_points))
@@ -97,6 +93,8 @@ def cmd_certify(args) -> int:
     fit, box, quad_points = serialize.load(args.fit, serialize.fit_file_from_dict)
     # the verdict's tolerance is a refine_tol, checked like the fit's own
     tol = FitOptions().refine_tol if args.tol is None else FitOptions(refine_tol=args.tol).refine_tol
+    if args.resolution is not None and args.resolution < 1:
+        raise InvalidArgumentError(f"--resolution must be at least 1, got {args.resolution}")
     resolution = fit.certificate.grid_resolution if args.resolution is None else args.resolution
     cert = certify(ds, fit.measure, box, resolution, quad_points)
     optimal = cert.sup_dir_derivative <= 1.0 + tol
@@ -150,8 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--sieve-m", type=int, default=None, help="sieve cells per axis")
     p_fit.add_argument("--quad-points", type=int, default=DEFAULT_QUAD_POINTS)
     p_fit.add_argument("--out", required=True)
-    p_fit.add_argument("--tol", type=float, default=None)
-    p_fit.add_argument("--max-iters", type=int, default=None)
+    p_fit.add_argument("--tol", dest="tol_rel_loglik", type=float)
+    p_fit.add_argument("--max-iters", dest="max_em_iters", type=int)
     p_fit.add_argument("--prune-eps", type=float, default=None)
     p_fit.add_argument("--refine-grid", type=int, default=None)
     p_fit.add_argument("--refine-tol", type=float, default=None)

@@ -139,6 +139,8 @@ class Dataset:
 
 
 def _substream(seed: int, index: int) -> np.random.Generator:
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be non-negative, got {seed}")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(index,))))
 
 

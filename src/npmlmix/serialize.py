@@ -33,11 +33,11 @@ def _require(obj: dict, key: str):
     return obj[key]
 
 
-def _number(obj: dict, key: str, kind: type = int, default=None):
+def _number(obj: dict, key: str, kind: type = int, default=None, least=None):
     """Field ``key``, a number or nested arrays of numbers, as ``kind`` values; required without a default.
 
     The one number rule: a boolean, text or a non-finite number is an error naming the field, and
-    so is a non-integral value of an int field, while 2.0 reads as 2.
+    so is a non-integral value of an int field (2.0 reads as 2) or a value below ``least``.
     """
     value = _require(obj, key) if default is None else obj.get(key, default)
     one, many = ("an integer", "integers") if kind is int else ("a finite number", "finite numbers")
@@ -50,6 +50,8 @@ def _number(obj: dict, key: str, kind: type = int, default=None):
         real = isinstance(v, numbers.Real) and not isinstance(v, bool)
         if not real or not (integral or math.isfinite(v)) or (kind is int and not (integral or v.is_integer())):
             raise InvalidArgumentError(f"{rule}, got {v!r}")
+        if least is not None and v < least:
+            raise InvalidArgumentError(f"{key} must be at least {least}, got {v!r}")
         return kind(v)
 
     return read(value)
@@ -224,7 +226,7 @@ def fit_from_dict(obj: dict) -> FitResult:
     cert = Certificate(
         sup_dir_derivative=_number(cert_obj, "sup", float),
         argmax_point=np.asarray(_number(cert_obj, "argmax", float)),
-        grid_resolution=_number(cert_obj, "grid_resolution"),
+        grid_resolution=_number(cert_obj, "grid_resolution", least=1),
     )
     if "sieve" in obj:
         s = obj["sieve"]
@@ -256,9 +258,7 @@ def fit_file_from_dict(obj: dict) -> tuple:
     sieve = isinstance(fit.measure, SieveDensity)
     p = fit.measure.basis.p if sieve else fit.measure.p
     box = _check_box(_number(obj, "box", float), p) if "box" in obj or not sieve else None
-    quad_points = _number(obj["sieve"], "quad_points", default=DEFAULT_QUAD_POINTS) if sieve else None
-    if sieve and quad_points < 1:
-        raise InvalidArgumentError(f"quad_points must be at least 1, got {quad_points}")
+    quad_points = _number(obj["sieve"], "quad_points", default=DEFAULT_QUAD_POINTS, least=1) if sieve else None
     return fit, box, quad_points
 
 
@@ -291,7 +291,7 @@ def experiment_config_from_dict(obj: dict) -> ExperimentConfig:
         m_schedule=_number(obj, "m_schedule", default=[]),
         options=fit_options_from_dict(obj.get("fit_options")),
         censoring=censoring_from_dict(obj["censoring"]) if "censoring" in obj else None,
-        **{key: _number(obj, key) for key in ("quad_points", "competitors") if key in obj},
+        **{key: _number(obj, key, least=1) for key in ("quad_points", "competitors") if key in obj},
     )
 
 

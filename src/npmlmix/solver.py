@@ -71,8 +71,10 @@ class FitOptions:
             value = getattr(self, name)
             if not 0 < value < upper:
                 raise InvalidArgumentError(f"{name} must lie in (0, {upper}), got {value!r}")
-        if self.max_em_iters < 1 or self.refine_grid < 1 or self.max_refinements < 0:
-            raise InvalidArgumentError("iteration and grid limits must be positive")
+        for name, least in (("max_em_iters", 1), ("refine_grid", 1), ("max_refinements", 0)):
+            value = getattr(self, name)
+            if value < least:
+                raise InvalidArgumentError(f"{name} must be at least {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -194,14 +196,10 @@ def _scan_certificate(
 
     A discrete fit passes its scan table, so an index below G names the grid
     point ``scan.atoms[index]``; a sieve fit passes none and scans its basis
-    elements, the extreme points of the hull. The fit's block is made
-    C-ordered first: pruning leaves ``km.log_k`` Fortran-ordered, and numpy
-    reduces that layout in another order, which would move the sup's last
-    bits away from ``certify``'s on a fresh kernel.
+    elements, the extreme points of the hull.
     """
-    support = KernelMatrix(np.ascontiguousarray(km.log_k), atoms=km.atoms)
-    log_rows = row_log_mixture(support, w)
-    tables = [support] if scan is None else [scan, support]
+    log_rows = row_log_mixture(km, w)
+    tables = [km] if scan is None else [scan, km]
     values = np.concatenate([_exp_mean(t.log_k, log_rows) for t in tables])
     return _certificate(values, np.concatenate([t.atoms for t in tables]), resolution)
 

@@ -129,6 +129,14 @@ class TestSimulateDataset:
         with pytest.raises(InvalidArgumentError):
             simulate_dataset(pk_spec, two_point_pk_truth, 0, seed=1)
 
+    def test_rejects_negative_seed(self, pk_spec, two_point_pk_truth):
+        with pytest.raises(InvalidArgumentError, match="seed must be non-negative, got -1"):
+            simulate_dataset(pk_spec, two_point_pk_truth, 5, seed=-1)
+        ds = simulate_dataset(pk_spec, two_point_pk_truth, 5, seed=1)
+        design = CensoringDesign(((CensorMask.full(4), 1.0),))
+        with pytest.raises(InvalidArgumentError, match="seed must be non-negative, got -2"):
+            apply_censoring(ds, design, seed=-2)
+
     def test_rejects_dimension_mismatch(self, pk_spec):
         truth = MixingMeasure(np.array([[1.0]]), [1.0])
         with pytest.raises(InvalidArgumentError):

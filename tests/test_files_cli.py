@@ -425,6 +425,11 @@ class TestCliErrors:
                 },
                 "quad_points must be at least 1",
             ),
+            (
+                "certify",
+                lambda fit: {**fit, "certificate": {**fit["certificate"], "grid_resolution": 0}},
+                "grid_resolution must be at least 1, got 0",
+            ),
         ],
         ids=[
             "top-level-number",
@@ -435,6 +440,7 @@ class TestCliErrors:
             "unknown-status",
             "discrete-fit-without-box",
             "sieve-fit-with-zero-quad-points",
+            "fit-with-zero-grid-resolution",
         ],
     )
     def test_malformed_document_names_the_file(self, sim_config, tmp_path, capsys, command, edit, reason):
@@ -500,8 +506,13 @@ class TestCliErrors:
             (["--refine-tol", "nan", "--max-refinements", "2"], "refine_tol"),
             (["--prune-eps", "nan"], "prune_eps"),
             (["--tol", "inf"], "tol_rel_loglik"),
+            (["--max-iters", "0"], "max_em_iters must be at least 1, got 0"),
+            (["--refine-grid", "0"], "refine_grid must be at least 1, got 0"),
+            (["--max-refinements", "-1"], "max_refinements must be at least 0, got -1"),
+            # the last --method wins, so this is a sieve fit
+            (["--method", "sieve", "--sieve-m", "2", "--quad-points", "0"], "--quad-points of at least 1, got 0"),
         ],
-        ids=["refine-tol", "prune-eps", "tol"],
+        ids=["refine-tol", "prune-eps", "tol", "max-iters", "refine-grid", "max-refinements", "quad-points"],
     )
     def test_fit_tolerance_not_finite(self, sim_config, tmp_path, capsys, flags, name):
         data = tmp_path / "data.json"
@@ -518,6 +529,36 @@ class TestCliErrors:
         capsys.readouterr()
         code = main(["certify", "--data", str(data), "--fit", str(fit), f"--tol={tol}"])
         self._assert_one_line_error(capsys, code)
+
+    @pytest.mark.parametrize("resolution", ["0", "-1"])
+    def test_certify_resolution_below_one(self, sim_config, tmp_path, capsys, resolution):
+        data, fit = tmp_path / "data.json", tmp_path / "fit.json"
+        main(["simulate", "--config", str(sim_config), "--out", str(data)])
+        main(["fit", "--data", str(data), "--method", "npml", "--box", "0.5,2.5;0.1,1.2", "--max-refinements", "1", "--out", str(fit)])
+        capsys.readouterr()
+        code = main(["certify", "--data", str(data), "--fit", str(fit), f"--resolution={resolution}"])
+        assert f"--resolution must be at least 1, got {resolution}" in self._assert_one_line_error(capsys, code)
+
+    @pytest.mark.parametrize(
+        "command, field, value, reason",
+        [
+            ("simulate", "seed", -1, "seed must be non-negative, got -1"),
+            ("simulate", "censor_seed", -2, "seed must be non-negative, got -2"),
+            ("experiment", "seeds", [-1], "seed must be non-negative, got -1"),
+            ("experiment", "quad_points", 0, "quad_points must be at least 1, got 0"),
+            ("experiment", "competitors", 0, "competitors must be at least 1, got 0"),
+        ],
+    )
+    def test_config_value_out_of_range(self, sim_config, tmp_path, capsys, command, field, value, reason):
+        cfg = read_json(sim_config)
+        if command == "simulate":
+            cfg["censoring"] = {"n": 3, "masks": [[0, 2], [0, 1, 2]], "probabilities": [0.4, 0.6]}
+        else:
+            cfg.update(kind="consistency", box=[[0.5, 2.5], [0.1, 1.2]], initial_counts=[3, 3], N_schedule=[40], seeds=[1])
+        cfg[field] = value
+        write_json(sim_config, cfg)
+        code = main([command, "--config", str(sim_config), "--out", str(tmp_path / "out")])
+        assert reason in self._assert_one_line_error(capsys, code)
 
     @pytest.mark.parametrize(
         "atom, extra",

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -26,6 +28,7 @@ from npmlmix import (
     log_likelihood,
     simulate_dataset,
 )
+from npmlmix import likelihood
 
 
 def single_obs_dataset(spec, y, t):
@@ -99,6 +102,26 @@ class TestBuildKernelMatrix:
     def test_finite_entries_invariant(self):
         with pytest.raises(InvalidArgumentError):
             KernelMatrix(np.array([[0.0, -np.inf]]))
+
+
+def _memory_order_lines(path: Path) -> list:
+    """Lines of a module that call ascontiguousarray or asfortranarray, or pass ``order=``."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            if name in ("ascontiguousarray", "asfortranarray") or any(k.arg == "order" for k in node.keywords):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_kernel_matrix_names_a_memory_order():
+    # KernelMatrix decides the kernel's layout; code that re-lays a table out elsewhere
+    # makes a copy and lets a fit's bits depend on which code built the table
+    for path in sorted(Path(likelihood.__file__).parent.glob("*.py")):
+        if path.name != "likelihood.py":
+            lines = _memory_order_lines(path)
+            assert not lines, f"{path.name} names a memory order on lines {lines}"
 
 
 class TestSieveKernelMatrix:

@@ -294,7 +294,7 @@ class TestScanTable:
         atoms = np.array([[1.0, 0.3], [2.0, 0.8], [1.4, 0.5], [0.9, 0.9], [2.5, 0.1]])
         w0 = np.array([0.3, 0.3, 0.2, 0.2 - 1e-9, 1e-9])
         km, w = _guarded_prune(build_kernel_matrix(ds, MixingMeasure(atoms, w0)), w0, 1e-8)
-        assert km.m == 4 and not km.log_k.flags.c_contiguous
+        assert km.m == 4 and km.log_k.flags.c_contiguous and km.shifted[0].flags.f_contiguous
         # the renormalized weights, as _refine scans them
         mu = MixingMeasure(km.atoms, w)
         seen = []
@@ -317,6 +317,25 @@ class TestScanTable:
             np.testing.assert_array_equal(seen[1], expected)
             assert streamed.sup_dir_derivative == cert.sup_dir_derivative
             np.testing.assert_array_equal(streamed.argmax_point, cert.argmax_point)
+
+    def test_em_after_prune_equals_em_on_fresh_kernel(self, pk_spec, two_point_pk_truth):
+        # a fit's bits must not depend on whether its kernel came out of a prune
+        ds = simulate_dataset(pk_spec, two_point_pk_truth, 300, seed=6)
+        atoms = np.array([[1.0, 0.3], [2.0, 0.8], [1.4, 0.5], [0.9, 0.9], [2.5, 0.1]])
+        w0 = np.array([0.3, 0.3, 0.2, 0.2 - 1e-9, 1e-9])
+        pruned, w = _guarded_prune(build_kernel_matrix(ds, MixingMeasure(atoms, w0)), w0, 1e-8)
+        fresh = build_kernel_matrix(ds, MixingMeasure(pruned.atoms, w))
+        np.testing.assert_array_equal(pruned.log_k, fresh.log_k)
+        w_p, trace_p, iters_p, status_p = em_fit(pruned, w, TIGHT)
+        w_f, trace_f, iters_f, status_f = em_fit(fresh, w, TIGHT)
+        np.testing.assert_array_equal(w_p, w_f)
+        np.testing.assert_array_equal(trace_p, trace_f)
+        assert (iters_p, status_p) == (iters_f, status_f)
+        scan = _scan_table(ds, self.PK_BOX, 9)
+        cert_p, best_p = _scan_certificate(pruned, w_p, 9, scan)
+        cert_f, best_f = _scan_certificate(fresh, w_f, 9, scan)
+        assert (cert_p.sup_dir_derivative, best_p) == (cert_f.sup_dir_derivative, best_f)
+        np.testing.assert_array_equal(cert_p.argmax_point, cert_f.argmax_point)
 
 
 class TestFitOptions:
