@@ -1,6 +1,7 @@
 """Command-line front end: simulate, fit, certify, experiment.
 
-Exit codes: 0 success, 1 input error, 2 fit did not converge / certify.
+Exit codes: 0 success, 1 input error, 2 the fit's certificate does not hold
+(or a contrast maximum exceeds the tolerance).
 Experiments run their cells in one process; disjoint seed lists can be run
 as separate processes, since each seed's rows are the same either way.
 """
@@ -97,7 +98,7 @@ def cmd_certify(args) -> int:
         raise InvalidArgumentError(f"--resolution must be at least 1, got {args.resolution}")
     resolution = fit.certificate.grid_resolution if args.resolution is None else args.resolution
     cert = certify(ds, fit.measure, box, resolution, quad_points)
-    optimal = cert.sup_dir_derivative <= 1.0 + tol
+    optimal = cert.holds(tol)
     print(serialize.dumps(serialize.certificate_to_dict(cert, optimal=optimal, tolerance=tol)), end="")
     return 0 if optimal else 2
 

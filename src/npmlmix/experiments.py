@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .data import CensoringDesign, Dataset, apply_censoring, simulate_dataset
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NumericDomainError
 from .likelihood import CONTRAST_TAGS, DEFAULT_QUAD_POINTS, build_kernel_matrix, contrast_value, log_likelihood
 from .measures import MixingMeasure, SieveBasis, SieveDensity, measure_distance, sieve_to_measure
 from .model import CensorMask, ModelSpec
@@ -49,9 +49,15 @@ class ExperimentConfig:
         object.__setattr__(self, "box", tuple(tuple(float(v) for v in iv) for iv in self.box))
         for name in ("initial_counts", "n_schedule", "seeds", "m_schedule"):
             object.__setattr__(self, name, tuple(int(v) for v in getattr(self, name)))
+        # sieve and contrast experiments read one dataset and censoring one N per seed; a longer schedule is refused
+        single = {"N": ("sieve", "contrast", "censoring"), "seed": ("sieve", "contrast")}
         for name, schedule in (("N", self.n_schedule), ("seed", self.seeds)):
             if not schedule:
                 raise InvalidArgumentError(f"{name} schedule must be nonempty")
+            if len(schedule) > 1 and self.kind in single[name]:
+                raise InvalidArgumentError(
+                    f"{self.kind} experiments use one {name}: {name} schedule {list(schedule)} must hold one value"
+                )
         ns, ms = self.n_schedule, self.m_schedule
         if not all(a < b for a, b in zip(ns, ns[1:])):
             raise InvalidArgumentError("N schedule must be strictly increasing")
@@ -175,7 +181,7 @@ def run_censoring_experiment(cfg: ExperimentConfig) -> List[ReportRow]:
         km_full = build_kernel_matrix(ds_full, fit.measure)
         gap = abs(log_likelihood(km_plain, fit.measure.weights) - log_likelihood(km_full, fit.measure.weights))
         if gap > 1e-12:
-            raise RuntimeError(f"full-mask likelihood differs from uncensored by {gap}")
+            raise NumericDomainError(f"full-mask likelihood differs from uncensored by {gap}")
         rows.append(_fit_row(cfg, ds_full, "censoring/full-mask", N, None, seed)[0])
 
         ds_rand = apply_censoring(ds, cfg.censoring, seed + 2)

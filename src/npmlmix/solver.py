@@ -9,6 +9,9 @@ EM on the basis-integrated kernel matrix, with the feasible set fixed.
 Both kinds of fit are accepted through one certificate rule: the exp-mean
 d = (1/N) sum_i k_i / K(mu)(x_i) over a candidate set (the scan grid plus the
 atoms, or the sieve's basis elements), reduced to its first arg-max.
+``_fit_result`` makes every fit ``converged`` exactly when its certificate
+holds (``Certificate.holds``, Lindsay's sup d <= 1 + refine_tol), whatever
+state EM stopped in.
 
 Every table the solver scans is a ``KernelMatrix`` whose ``atoms`` are its
 columns' points: the support's atoms, the scan grid's points, or the sieve's
@@ -85,6 +88,10 @@ class Certificate:
     argmax_point: np.ndarray
     grid_resolution: int
 
+    def holds(self, tol: float) -> bool:
+        """Lindsay's optimality condition on the scanned candidates: sup d <= 1 + tol."""
+        return self.sup_dir_derivative <= 1.0 + tol
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -94,6 +101,12 @@ class FitResult:
     iterations: int
     certificate: Certificate
     status: str
+
+
+def _fit_result(measure, trace: np.ndarray, iterations: int, cert: Certificate, opts: FitOptions) -> FitResult:
+    """Every fit's result: ``converged`` exactly when its certificate holds at ``refine_tol``."""
+    status = STATUS_CONVERGED if cert.holds(opts.refine_tol) else STATUS_ITER_LIMIT
+    return FitResult(measure, trace, float(trace[-1]), iterations, cert, status)
 
 
 def em_fit(
@@ -216,7 +229,7 @@ def certify(
     For a discrete measure the scan covers a uniform grid over the box plus
     the atoms, streamed through ``directional_derivatives`` in blocks, so its
     memory does not grow with the resolution; the fit is optimal on the box
-    (up to the scan resolution) when the sup is <= 1 + refine_tol. For a
+    (up to the scan resolution) when the certificate holds at refine_tol. For a
     SieveDensity the scan covers the basis elements, with the kernel
     integrated at the fit's quadrature order; box and grid_resolution are
     then unused. Ties resolve to the first candidate
@@ -282,37 +295,22 @@ def _refine(ds, mu: MixingMeasure, box_arr: np.ndarray, opts: FitOptions) -> Fit
     w = np.array(mu.weights)
     trace_parts: List[np.ndarray] = []
     total_iters = 0
-    status = STATUS_CONVERGED
     scan = _scan_table(ds, box_arr, opts.refine_grid)
     for round_idx in range(opts.max_refinements + 1):
-        w, trace, iters, status = em_fit(km, w, opts)
+        w, trace, iters, _ = em_fit(km, w, opts)
         trace_parts.append(trace)
         total_iters += iters
         km, w = _guarded_prune(km, w, opts.prune_eps)
         measure = MixingMeasure(km.atoms, w)
         # certify() scans these renormalized weights, so the last round's scan is the fit's certificate
         cert, best = _scan_certificate(km, measure.weights, opts.refine_grid, scan)
-        if cert.sup_dir_derivative <= 1.0 + opts.refine_tol:
+        # stop when certified, out of rounds, or when the arg-max is an atom (the scan cannot improve on it)
+        on_atom = np.any(np.all(km.atoms == cert.argmax_point[None, :], axis=1))
+        if cert.holds(opts.refine_tol) or round_idx == opts.max_refinements or on_atom:
             break
-        if round_idx == opts.max_refinements:
-            status = STATUS_ITER_LIMIT
-            break
-        duplicate = np.any(np.all(km.atoms == cert.argmax_point[None, :], axis=1))
-        if duplicate:
-            # the scan cannot improve on an existing atom; stop honestly
-            status = STATUS_ITER_LIMIT
-            break
-        # not a duplicate, so the arg-max is a grid point: best < G
+        # not an atom, so the arg-max is a grid point: best < G
         km, w = _insert_atom(km, w, scan, best)
-    trace = np.concatenate(trace_parts)
-    return FitResult(
-        measure=measure,
-        loglik_trace=trace,
-        final_loglik=float(trace[-1]),
-        iterations=total_iters,
-        certificate=cert,
-        status=status,
-    )
+    return _fit_result(measure, np.concatenate(trace_parts), total_iters, cert, opts)
 
 
 def fit_npml(
@@ -335,24 +333,14 @@ def fit_sieve(
     The feasible set is fixed, so there is no support refinement; the
     certificate scans the directional derivative over the basis elements
     themselves (the extreme points of the hull). The fit is ``converged``
-    only when EM converged and the certificate holds (sup <= 1 + refine_tol).
+    exactly when the certificate holds, as for a discrete fit.
     """
     opts = opts or FitOptions()
     km = build_sieve_kernel_matrix(ds, basis, quad_points_per_cell)
-    w0 = np.full(basis.m, 1.0 / basis.m)
-    w, trace, iterations, status = em_fit(km, w0, opts)
+    w, trace, iterations, _ = em_fit(km, np.full(basis.m, 1.0 / basis.m), opts)
     measure = SieveDensity(basis, w)
     cert = _scan_certificate(km, measure.coefficients, basis.m)[0]
-    if cert.sup_dir_derivative > 1.0 + opts.refine_tol:
-        status = STATUS_ITER_LIMIT
-    return FitResult(
-        measure=measure,
-        loglik_trace=trace,
-        final_loglik=float(trace[-1]),
-        iterations=iterations,
-        certificate=cert,
-        status=status,
-    )
+    return _fit_result(measure, trace, iterations, cert, opts)
 
 
 def _lattice_blocks(total: int, m: int, prefix: tuple = ()):

@@ -65,8 +65,27 @@ class TestConfigValidation:
         # (4.5, 9) is stored as (4, 9), which is not nested
         for bad in ((4, 6), (0, 4), (8, 4), (4.5, 9)):
             with pytest.raises(InvalidArgumentError):
-                location_config("sieve", m_schedule=bad)
-        location_config("sieve", m_schedule=(4, 8, 16))
+                location_config("sieve", m_schedule=bad, seeds=(1,))
+        location_config("sieve", m_schedule=(4, 8, 16), seeds=(1,))
+
+    @pytest.mark.parametrize(
+        "kind, schedules, named",
+        [
+            ("sieve", dict(n_schedule=(30, 60), seeds=(1,)), r"N schedule \[30, 60\]"),
+            ("contrast", dict(n_schedule=(30, 60), seeds=(1,)), r"N schedule \[30, 60\]"),
+            ("censoring", dict(n_schedule=(30, 60)), r"N schedule \[30, 60\]"),
+            ("sieve", dict(seeds=(1, 2)), r"seed schedule \[1, 2\]"),
+            ("contrast", dict(seeds=(1, 2)), r"seed schedule \[1, 2\]"),
+        ],
+        ids=["sieve-N", "contrast-N", "censoring-N", "sieve-seed", "contrast-seed"],
+    )
+    def test_single_dataset_kinds_refuse_longer_schedules(self, kind, schedules, named):
+        # these kinds read one dataset (censoring one N per seed), so a longer schedule is an error, not cut short
+        with pytest.raises(InvalidArgumentError, match=named):
+            location_config(kind, m_schedule=(4,), **schedules)
+
+    def test_censoring_takes_many_seeds_at_one_n(self):
+        assert location_config("censoring", n_schedule=(40,), seeds=(1, 2)).seeds == (1, 2)
 
     def test_unknown_kind(self):
         with pytest.raises(InvalidArgumentError):

@@ -23,6 +23,7 @@ from npmlmix import (
     apply_censoring,
     simulate_dataset,
 )
+from npmlmix import experiments
 from npmlmix.cli import main
 from npmlmix.experiments import atom_count
 from npmlmix.serialize import (
@@ -744,6 +745,29 @@ class TestCliExitCodes:
         )
         assert code == 2
 
+    def test_fit_exit_is_certify_verdict(self, tmp_path, capsys):
+        # EM stops at its 50-iteration cap with the certificate holding: fit and certify agree it is optimal
+        cfg = {
+            "model": {
+                "p": 1,
+                "n": 2,
+                "sigma": 0.3,
+                "f": {"kind": "identity_location"},
+                "time_design": [[0.0, 1.0], [1.0, 2.0]],
+            },
+            "truth": {"atoms": [[0.7], [1.8]], "weights": [0.5, 0.5]},
+            "N": 60,
+            "seed": 1,
+        }
+        cfg_path, data, fit = tmp_path / "cfg.json", tmp_path / "data.json", tmp_path / "sieve.json"
+        write_json(cfg_path, cfg)
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(data)]) == 0
+        argv = ["fit", "--data", str(data), "--method", "sieve", "--box", "0.0,2.5", "--sieve-m", "4"]
+        fit_code = main([*argv, "--tol", "1e-15", "--max-iters", "50", "--out", str(fit)])
+        assert read_json(fit)["iterations"] == 50
+        certify_code = main(["certify", "--data", str(data), "--fit", str(fit)])
+        assert fit_code == certify_code == 0
+
 
 class TestCliExperiment:
     def _write_config(self, tmp_path, kind, **extra):
@@ -843,6 +867,27 @@ class TestCliExperiment:
         assert "contrast log" in captured.out
         assert "optimality tolerance" in captured.err
         assert out.exists()
+
+    def test_longer_schedule_than_the_kind_reads_exit_one(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path, "sieve", m_schedule=[4], N_schedule=[30, 60], seeds=[1, 2])
+        code = main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "N schedule [30, 60]" in err
+
+    def test_full_mask_mismatch_exit_one(self, tmp_path, capsys, monkeypatch):
+        # the uncensored and full-mask likelihoods of the same fit are made to disagree
+        offsets = iter(range(10))
+        real = experiments.log_likelihood
+        monkeypatch.setattr(experiments, "log_likelihood", lambda km, w: real(km, w) + next(offsets))
+        cfg = self._write_config(
+            tmp_path, "censoring", seeds=[4], censoring={"n": 2, "masks": [[0], [0, 1]], "probabilities": [0.5, 0.5]}
+        )
+        code = main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "cens.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: full-mask likelihood differs") and err.count("\n") == 1
 
     def test_unknown_kind_exit_one(self, tmp_path):
         cfg = self._write_config(tmp_path, "consistency")

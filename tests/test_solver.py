@@ -1,9 +1,13 @@
+import ast
 import itertools
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from npmlmix import (
     CensorMask,
@@ -403,6 +407,14 @@ class TestFitNpml:
             log_likelihood(km, fit.measure.weights), abs=1e-9
         )
 
+    def test_certified_fit_converges_whatever_em_stopped_on(self, two_point_location_truth):
+        # the last EM stage stops at its iteration cap, yet the certificate holds: the verdict is the certificate's
+        ds = simulate_dataset(location_model(0.3, n=2), two_point_location_truth, 40, seed=0)
+        opts = FitOptions(tol_rel_loglik=1e-15, max_em_iters=1000, refine_grid=17)
+        fit = fit_npml(ds, [(0.0, 2.5)], [5], opts)
+        assert fit.certificate.holds(opts.refine_tol)
+        assert fit.status == "converged"
+
 
 class TestFitSieve:
     def test_single_element_basis(self, location_spec, two_point_location_truth):
@@ -442,6 +454,14 @@ class TestFitSieve:
         assert fit.certificate.sup_dir_derivative > 1.0 + opts.refine_tol
         assert fit.status == "iter-limit"
 
+    def test_certified_fit_converges_whatever_em_stopped_on(self, two_point_location_truth):
+        ds = simulate_dataset(location_model(0.3, n=2), two_point_location_truth, 60, seed=1)
+        opts = FitOptions(tol_rel_loglik=1e-15, max_em_iters=50)
+        fit = fit_sieve(ds, SieveBasis([(0.0, 2.5)], [5]), opts)
+        assert fit.iterations == opts.max_em_iters
+        assert fit.certificate.holds(opts.refine_tol)
+        assert fit.status == "converged"
+
     def test_sieve_approaches_npml_from_below(self, location_spec, two_point_location_truth):
         ds = simulate_dataset(location_spec, two_point_location_truth, 80, seed=13)
         opts = FitOptions(tol_rel_loglik=1e-12, max_em_iters=30000)
@@ -452,6 +472,77 @@ class TestFitSieve:
             gaps.append(npml.final_loglik - fit.final_loglik)
         assert all(g >= -1e-9 for g in gaps)
         assert gaps[0] >= gaps[1] >= gaps[2] - 1e-12
+
+
+class TestStatusIsTheCertificate:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        sieve=st.booleans(),
+        N=st.integers(1, 25),
+        seed=st.integers(0, 10**6),
+        sigma=st.sampled_from([0.2, 0.3, 0.5]),
+        max_em_iters=st.integers(1, 400),
+        refine_tol=st.sampled_from([1e-6, 1e-3]),
+        counts=st.integers(1, 6),
+        resolution=st.integers(1, 17),
+    )
+    def test_converged_iff_certify_holds(self, sieve, N, seed, sigma, max_em_iters, refine_tol, counts, resolution):
+        truth = MixingMeasure(np.array([[0.7], [1.8]]), [0.5, 0.5])
+        ds = simulate_dataset(location_model(sigma, n=2), truth, N, seed)
+        box = [(0.0, 2.5)]
+        opts = FitOptions(
+            tol_rel_loglik=1e-12, max_em_iters=max_em_iters, refine_grid=resolution, max_refinements=3, refine_tol=refine_tol
+        )
+        if sieve:
+            fit = fit_sieve(ds, SieveBasis(box, [counts]), opts, quad_points_per_cell=3)
+            cert = certify(ds, fit.measure, quad_points_per_cell=3)
+        else:
+            fit = fit_npml(ds, box, [counts], opts)
+            cert = certify(ds, fit.measure, box, fit.certificate.grid_resolution)
+        assert (fit.status == "converged") == cert.holds(refine_tol)
+
+
+def _scoped_nodes(path: Path):
+    """(name of the enclosing class or function, node) for every node of a module."""
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            inner = f"{scope}.{child.name}".lstrip(".") if named else scope
+            yield inner, child
+            yield from walk(child, inner)
+
+    return walk(ast.parse(path.read_text()), "")
+
+
+def _offending_sites(allowed, is_site) -> list:
+    """Sites ``module:line (scope)`` in the package where ``is_site`` holds outside the ``allowed`` scopes."""
+    return [
+        f"{path.name}:{node.lineno} ({scope})"
+        for path in sorted(Path(solver.__file__).parent.glob("*.py"))
+        for scope, node in _scoped_nodes(path)
+        if is_site(node) and (path.name, scope) not in allowed
+    ]
+
+
+def test_only_certificate_holds_compares_a_sup():
+    # one verdict rule: a fit's status and certify's verdict both come from Certificate.holds
+    def compares_sup(node):
+        names_sup = (isinstance(n, ast.Attribute) and n.attr == "sup_dir_derivative" for n in ast.walk(node))
+        return isinstance(node, ast.Compare) and any(names_sup)
+
+    sites = _offending_sites({("solver.py", "Certificate.holds")}, compares_sup)
+    assert not sites, f"sup_dir_derivative compared outside Certificate.holds: {sites}"
+
+
+def test_only_the_fit_epilogue_and_the_file_reader_build_a_fit_result():
+    # a fit's status is derived in _fit_result alone; the file reader only restores a written one
+    def builds_fit_result(node):
+        func = getattr(node, "func", None)
+        return isinstance(node, ast.Call) and "FitResult" in (getattr(func, "id", None), getattr(func, "attr", None))
+
+    sites = _offending_sites({("solver.py", "_fit_result"), ("serialize.py", "fit_from_dict")}, builds_fit_result)
+    assert not sites, f"FitResult built outside _fit_result and fit_from_dict: {sites}"
 
 
 class TestBruteForceOracle:
