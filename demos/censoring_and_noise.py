@@ -28,7 +28,7 @@ from npmlmix import (
 design4 = TimeDesign(((0.0, 0.75), (0.75, 1.5), (1.5, 2.25), (2.25, 3.0)))
 truth = MixingMeasure(np.array([[1.0, 0.3], [2.0, 0.8]]), [0.5, 0.5])
 box = [(0.5, 2.5), (0.05, 1.2)]
-opts = FitOptions(tol_rel_loglik=1e-14, max_em_iters=500_000, prune_eps=1e-4, refine_grid=33)
+opts = FitOptions(refine_grid=33)
 
 spec = ModelSpec(p=2, n=4, sigma=0.2, f=PkExp(), time_design=design4)
 ds = simulate_dataset(spec, truth, N=200, seed=5)

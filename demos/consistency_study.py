@@ -30,9 +30,7 @@ cfg = ExperimentConfig(
     initial_counts=(7, 7),
     n_schedule=(100, 400, 1600),
     seeds=tuple(range(8)),
-    options=FitOptions(
-        tol_rel_loglik=1e-11, max_em_iters=4000, prune_eps=1e-6, refine_grid=33, max_refinements=12
-    ),
+    options=FitOptions(refine_grid=33, max_refinements=12),
 )
 
 print(f"running {len(cfg.n_schedule) * len(cfg.seeds)} fits ...")

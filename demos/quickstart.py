@@ -34,11 +34,10 @@ print("simulating 300 individuals with 4 measurements each ...")
 ds = simulate_dataset(spec, truth, N=300, seed=11)
 
 box = [(0.5, 2.5), (0.05, 1.2)]
-opts = FitOptions(tol_rel_loglik=1e-15, max_em_iters=1_000_000, prune_eps=1e-4, refine_grid=33)
-print("fitting: grid init -> EM -> prune -> support refinement -> certificate")
-fit = fit_npml(ds, box, (5, 5), opts)
+print("fitting: grid init -> Newton rounds (scan, insert, weigh, drop) -> certificate")
+fit = fit_npml(ds, box, (5, 5), FitOptions(refine_grid=33))
 
-print(f"\nstatus: {fit.status} after {fit.iterations} EM iterations")
+print(f"\nstatus: {fit.status} after {fit.iterations} Newton steps")
 print(f"final log-likelihood: {fit.final_loglik:.6f}")
 print(f"certificate: sup directional derivative - 1 = {fit.certificate.sup_dir_derivative - 1:.2e}")
 print(f"distance to the true mixing law (mean marginal W1): {measure_distance(fit.measure, truth):.4f}")

@@ -32,16 +32,13 @@ ds = simulate_dataset(spec, truth, N=400, seed=42)
 box = [(0.0, 2.5)]
 
 print("discrete reference fit ...")
-npml = fit_npml(
-    ds, box, (9,), FitOptions(tol_rel_loglik=1e-15, max_em_iters=1_000_000, prune_eps=1e-4, refine_grid=33)
-)
+npml = fit_npml(ds, box, (9,), FitOptions(refine_grid=33))
 print(f"  log-likelihood {npml.final_loglik:.8f} ({npml.status}, {npml.measure.m} atoms)\n")
 
-opts = FitOptions(tol_rel_loglik=1e-14, max_em_iters=400_000)
 print(" cells   basis dim   log-likelihood     gap to discrete")
 for cells in (4, 8, 16, 32):
     basis = SieveBasis(box, [cells + 1])
-    fit = fit_sieve(ds, basis, opts)
+    fit = fit_sieve(ds, basis)
     gap = npml.final_loglik - fit.final_loglik
     print(f"  {cells:4d}   {basis.m:9d}   {fit.final_loglik:.8f}   {gap:12.3e}")
 

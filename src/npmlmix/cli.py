@@ -149,8 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--sieve-m", type=int, default=None, help="sieve cells per axis")
     p_fit.add_argument("--quad-points", type=int, default=DEFAULT_QUAD_POINTS)
     p_fit.add_argument("--out", required=True)
-    p_fit.add_argument("--tol", dest="tol_rel_loglik", type=float)
-    p_fit.add_argument("--max-iters", dest="max_em_iters", type=int)
+    em_only = "tunes em_fit only; no longer changes an npml or sieve fit"
+    p_fit.add_argument("--tol", dest="tol_rel_loglik", type=float, help=f"EM log-likelihood tolerance ({em_only})")
+    p_fit.add_argument("--max-iters", dest="max_em_iters", type=int, help=f"EM iteration cap ({em_only})")
     p_fit.add_argument("--prune-eps", type=float, default=None)
     p_fit.add_argument("--refine-grid", type=int, default=None)
     p_fit.add_argument("--refine-tol", type=float, default=None)

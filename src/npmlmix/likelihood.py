@@ -37,8 +37,8 @@ class KernelMatrix:
     point, whether an atom, a scan grid point or a basis node.
 
     The layout is set here, whatever code built the table: ``log_k`` is C-ordered, so
-    scans, guards and row mixtures reduce rows alike and an in-fit sup equals ``certify``'s;
-    ``shifted`` is Fortran-ordered, where EM's two mat-vecs run faster.
+    scans and row mixtures reduce rows alike and an in-fit sup equals ``certify``'s;
+    ``shifted`` is Fortran-ordered, where the weight solvers' mat-vecs run faster.
     """
 
     log_k: np.ndarray

@@ -1,37 +1,33 @@
 """Maximization of the mixture log-likelihood over weights and supports.
 
-The discrete fit runs EM on a fixed atom grid, prunes negligible weights,
-then alternates certificate scans with atom insertion at the best candidate
-(a vertex-direction style refinement) until the directional derivative is
-below 1 + refine_tol everywhere on the scan grid. The sieve fit is the same
-EM on the basis-integrated kernel matrix, with the feasible set fixed.
-
-Both kinds of fit are accepted through one certificate rule: the exp-mean
-d = (1/N) sum_i k_i / K(mu)(x_i) over a candidate set (the scan grid plus the
-atoms, or the sieve's basis elements), reduced to its first arg-max.
-``_fit_result`` makes every fit ``converged`` exactly when its certificate
-holds (``Certificate.holds``, Lindsay's sup d <= 1 + refine_tol), whatever
-state EM stopped in.
+Both fits run the constrained-Newton support method (CNM) of Wang, "On fast
+computation of the NPMLE of a mixing distribution", JRSS-B 69 (2007) 185-198.
+Each round scans the directional derivative d = (1/N) sum_i k_i / K(mu)(x_i)
+over a candidate set (the scan grid plus the atoms, or the sieve's basis
+elements) and stops once Lindsay's condition sup d <= 1 + refine_tol holds
+(``Certificate.holds``); ``_fit_result`` makes a fit ``converged`` exactly
+then. Otherwise a discrete fit appends the scan grid's local maxima of d as
+zero-weight atoms, Newton steps solve the weights, and the atoms left at
+weight zero are dropped; the sieve fit keeps its basis. ``em_fit`` remains
+as the reference EM weight solver.
 
 Every table the solver scans is a ``KernelMatrix`` whose ``atoms`` are its
-columns' points: the support's atoms, the scan grid's points, or the sieve's
-basis nodes. The kernel is computed once per fit. A discrete fit builds the
-(N, G) table of its scan grid once; each round's scan is an exp-mean over that
-table and the support's own columns, and an inserted atom takes its column
-from the table. Only the mixture density K(mu)(x_i) changes between rounds.
-``certify`` holds no such table: it streams the grid and the atoms through
-``directional_derivatives`` in blocks of ``_SCAN_BLOCK`` points.
+columns' points. A discrete fit builds the (N, G) table of its scan grid
+once; an inserted atom takes its column from it, so the kernel is computed
+once per fit. ``certify`` holds no such table: it streams the grid and the
+atoms through ``directional_derivatives`` in blocks of ``_SCAN_BLOCK`` points.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DegenerateMeasureError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .likelihood import (
     DEFAULT_QUAD_POINTS,
     KernelMatrix,
@@ -47,6 +43,7 @@ from .measures import (
     SieveDensity,
     _check_box,
     _checked_weights,
+    _clean_weights,
     _tensor_points,
     new_uniform_grid_measure,
 )
@@ -54,13 +51,18 @@ from .measures import (
 STATUS_CONVERGED = "converged"
 STATUS_ITER_LIMIT = "iter-limit"
 
-# largest loglik drop tolerated from a bookkeeping step (insert/prune)
-_TRACE_SLACK = 1e-13
+# Newton steps per round on one support, and the weight move that ends a round early
+_STEPS_PER_ROUND = 8
+_STEP_MOVE_TOL = 1e-10
+# weight of the NNLS sum-to-one row, Armijo's sufficient-increase fraction, line-search halvings
+_SUM_ROW = 1e3
+_ARMIJO = 0.25
+_HALVINGS = 40
 
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Knobs for the EM loop, pruning, and support refinement."""
+    """Fit knobs; the first two tune ``em_fit`` only, ``prune_eps`` only a sieve's reported atom count."""
 
     tol_rel_loglik: float = 1e-10
     max_em_iters: int = 10000
@@ -109,9 +111,12 @@ def _fit_result(measure, trace: np.ndarray, iterations: int, cert: Certificate, 
     return FitResult(measure, trace, float(trace[-1]), iterations, cert, status)
 
 
-def em_fit(
-    km: KernelMatrix, w0, opts: Optional[FitOptions] = None
-) -> Tuple[np.ndarray, np.ndarray, int, str]:
+def _mean_log(M: np.ndarray) -> float:
+    """Mean log of a mixture column: the bits of ``np.mean(np.log(M))``, without its overhead."""
+    return float(np.log(M).sum() / M.shape[0])
+
+
+def em_fit(km: KernelMatrix, w0, opts: Optional[FitOptions] = None) -> Tuple[np.ndarray, np.ndarray, int, str]:
     """Iterate EM weight updates until the relative log-likelihood gain is below tolerance.
 
     An update is w'_j = w_j * (1/N) sum_i k_ij / sum_l w_l k_il, so zero weights
@@ -124,7 +129,7 @@ def em_fit(
     E, shift = km.shifted
     shift_mean = float(shift.mean())
     M = np.maximum(E @ w, 1e-300)
-    current = float(np.mean(np.log(M))) + shift_mean
+    current = _mean_log(M) + shift_mean
     trace = [current]
     status = STATUS_ITER_LIMIT
     inv_n = 1.0 / km.N
@@ -135,7 +140,7 @@ def em_fit(
             raise InvalidArgumentError("EM step lost all mass; weights were degenerate")
         w = w / total
         M = np.maximum(E @ w, 1e-300)
-        value = float(np.mean(np.log(M))) + shift_mean
+        value = _mean_log(M) + shift_mean
         trace.append(value)
         gain = value - current
         current = value
@@ -178,17 +183,10 @@ def _dir_derivs_from_rows(ds, log_rows: np.ndarray, points: np.ndarray) -> np.nd
     return out
 
 
-def _certificate(
-    values: np.ndarray, candidates: np.ndarray, grid_resolution: int
-) -> Tuple[Certificate, int]:
-    """Sup of the directional derivative, its candidate and its index; ties go to the first."""
+def _certificate(values: np.ndarray, candidates: np.ndarray, grid_resolution: int) -> Certificate:
+    """Sup of the directional derivative and its candidate; ties go to the first."""
     best = int(np.argmax(values))
-    cert = Certificate(
-        sup_dir_derivative=float(values[best]),
-        argmax_point=candidates[best].copy(),
-        grid_resolution=grid_resolution,
-    )
-    return cert, best
+    return Certificate(float(values[best]), candidates[best].copy(), grid_resolution)
 
 
 def _scan_grid(box_arr: np.ndarray, resolution: int) -> np.ndarray:
@@ -204,24 +202,21 @@ def _scan_table(ds, box_arr: np.ndarray, resolution: int) -> KernelMatrix:
 
 def _scan_certificate(
     km: KernelMatrix, w, resolution: int, scan: Optional[KernelMatrix] = None
-) -> Tuple[Certificate, int]:
-    """Certificate over the columns of ``scan``, if given, then those of ``km``.
+) -> Tuple[Certificate, np.ndarray]:
+    """Certificate over the columns of ``scan``, if given, then those of ``km``, and every d it scanned.
 
-    A discrete fit passes its scan table, so an index below G names the grid
-    point ``scan.atoms[index]``; a sieve fit passes none and scans its basis
-    elements, the extreme points of the hull.
+    A discrete fit passes its scan table, so value j < G is d at the grid point
+    ``scan.atoms[j]``; a sieve fit passes none and scans its basis elements,
+    the extreme points of the hull.
     """
     log_rows = row_log_mixture(km, w)
     tables = [km] if scan is None else [scan, km]
     values = np.concatenate([_exp_mean(t.log_k, log_rows) for t in tables])
-    return _certificate(values, np.concatenate([t.atoms for t in tables]), resolution)
+    return _certificate(values, np.concatenate([t.atoms for t in tables]), resolution), values
 
 
 def certify(
-    ds,
-    mu: Union[MixingMeasure, SieveDensity],
-    box=None,
-    grid_resolution: int = 64,
+    ds, mu: Union[MixingMeasure, SieveDensity], box=None, grid_resolution: int = 64,
     quad_points_per_cell: int = DEFAULT_QUAD_POINTS,
 ) -> Certificate:
     """Recompute the sup of a fit's directional derivative.
@@ -242,93 +237,142 @@ def certify(
     if grid_resolution < 1:
         raise InvalidArgumentError("grid_resolution must be >= 1")
     candidates = np.concatenate([_scan_grid(box_arr, grid_resolution), mu.atoms])
-    return _certificate(directional_derivatives(ds, mu, candidates), candidates, grid_resolution)[0]
+    return _certificate(directional_derivatives(ds, mu, candidates), candidates, grid_resolution)
 
 
-def _guarded_prune(km: KernelMatrix, w, eps: float):
-    """Prune small weights unless doing so would drop the log-likelihood.
+def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Lawson-Hanson active-set solution of min ||A x - b|| subject to x >= 0."""
+    m = A.shape[1]
+    x = np.zeros(m)
+    passive = np.zeros(m, dtype=bool)
+    tol = 10.0 * np.finfo(float).eps * max(A.shape) * np.abs(A).sum(axis=0).max()
+    for _ in range(3 * m):
+        grad = A.T @ (b - A @ x)
+        if not np.any(~passive & (grad > tol)):
+            break
+        passive[np.argmax(np.where(passive, -np.inf, grad))] = True
+        while True:
+            z = np.zeros(m)
+            z[passive] = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
+            if np.all(z[passive] > 0):
+                x = z
+                break
+            # move from x towards z until a passive entry reaches zero, and free it
+            hit = np.flatnonzero(passive & (z <= 0))
+            ratios = x[hit] / np.maximum(x[hit] - z[hit], np.finfo(float).tiny)
+            x = x + ratios.min() * (z - x)
+            passive[hit[np.argmin(ratios)]] = False
+            passive &= x > tol
+            x[~passive] = 0.0
+    return x
 
-    Pruning a decaying atom raises the objective; the guard only skips the
-    rare case of pruning an atom the EM had not finished growing, keeping
-    fit traces nondecreasing.
+
+def _newton_step(E: np.ndarray, w: np.ndarray, current: float) -> Tuple[np.ndarray, float]:
+    """One constrained-Newton step on a fixed support: the new weights and ``_mean_log(E @ w)``.
+
+    With S = E / (E w), the quadratic model of the log-likelihood is maximized
+    over the simplex by min ||S v - 2|| (rows scaled by 1/sqrt(N)), v >= 0, with
+    a heavy sum-to-one row. The step towards v backtracks until the
+    log-likelihood rises by an Armijo fraction of the slope; when no step size
+    raises it, the weights come back unchanged.
     """
-    keep = w >= eps
-    if np.all(keep):
-        return km, w
-    if not np.any(keep):
-        raise DegenerateMeasureError("all weights fall below the pruning threshold")
-    before = log_likelihood(km, w)
-    w_new = w[keep] / w[keep].sum()
-    km_new = KernelMatrix(km.log_k[:, keep], atoms=km.atoms[keep])
-    after = log_likelihood(km_new, w_new)
-    if after < before - _TRACE_SLACK:
-        return km, w
-    return km_new, w_new
+    N = E.shape[0]
+    S = E / np.maximum(E @ w, 1e-300)[:, None]
+    A = np.vstack([S / math.sqrt(N), np.full((1, w.size), _SUM_ROW)])
+    b = np.concatenate([np.full(N, 2.0 / math.sqrt(N)), [_SUM_ROW]])
+    target = _nnls(A, b)
+    target /= target.sum()
+    slope = float(S.mean(axis=0) @ (target - w))
+    alpha = 1.0
+    for _ in range(_HALVINGS):
+        trial = (1.0 - alpha) * w + alpha * target
+        value = _mean_log(np.maximum(E @ trial, 1e-300))
+        if value > current and value >= current + _ARMIJO * alpha * slope:
+            return trial, value
+        alpha *= 0.5
+    return w, current
 
 
-def _insert_atom(km: KernelMatrix, w, scan: KernelMatrix, index: int):
-    """Append scan grid point ``index`` to the support, with its table column.
+def _grid_local_maxima(values: np.ndarray, resolution: int, p: int) -> np.ndarray:
+    """Flat indices of the grid points where d is at least every 3^p-stencil neighbour's."""
+    d = values.reshape((resolution,) * p)
+    padded = np.pad(d, 1, constant_values=-np.inf)
+    peak = np.ones(d.shape, dtype=bool)
+    for offset in itertools.product(range(3), repeat=p):
+        peak &= d >= padded[tuple(slice(o, o + resolution) for o in offset)]
+    return np.flatnonzero(peak)
 
-    Existing weights shrink uniformly: the new weight starts at 1/(m+1) and
-    halves until the objective does not decrease, which always terminates
-    because the candidate's directional derivative exceeds one.
+
+def _insert_atom(km: KernelMatrix, w, scan: KernelMatrix, values: np.ndarray, resolution: int):
+    """Append the grid's local maxima of d above one that are not atoms yet: (km, w, how many).
+
+    Each new atom has zero weight and takes its column from the scan table.
     """
-    log_k = np.concatenate([km.log_k, scan.log_k[:, index : index + 1]], axis=1)
-    atoms = np.concatenate([km.atoms, scan.atoms[index : index + 1]])
-    km_new = KernelMatrix(log_k, atoms=atoms)
-    before = log_likelihood(km, w)
-    eps = 1.0 / (w.shape[0] + 1)
-    for _ in range(200):
-        w_new = np.concatenate([w * (1.0 - eps), [eps]])
-        if log_likelihood(km_new, w_new) >= before - _TRACE_SLACK:
-            return km_new, w_new
-        eps *= 0.5
-    return km_new, np.concatenate([w * (1.0 - eps), [eps]])
+    new = _grid_local_maxima(values[: scan.m], resolution, scan.atoms.shape[1])
+    new = new[values[new] > 1.0]
+    new = new[~np.all(scan.atoms[new][:, None, :] == km.atoms[None, :, :], axis=2).any(axis=1)]
+    if not new.size:
+        return km, w, 0
+    log_k = np.concatenate([km.log_k, scan.log_k[:, new]], axis=1)
+    atoms = np.concatenate([km.atoms, scan.atoms[new]])
+    return KernelMatrix(log_k, atoms=atoms), np.concatenate([w, np.zeros(new.size)]), new.size
+
+
+def _cnm(km: KernelMatrix, w, opts: FitOptions, resolution: int, scan: Optional[KernelMatrix] = None):
+    """CNM rounds from weights ``w``: (km, weights, loglik trace, Newton steps, certificate).
+
+    A discrete fit passes its scan table and gains and loses atoms; a sieve
+    fit passes none and keeps its basis. The trace holds the start value and
+    one value per Newton step.
+    """
+    E, shift = km.shifted
+    trace = [_mean_log(np.maximum(E @ w, 1e-300)) + float(shift.mean())]
+    for round_idx in range(opts.max_refinements + 1):
+        # the weights the returned measure will hold, so the last scan is the fit's certificate
+        w = _clean_weights(w, km.m)
+        cert, values = _scan_certificate(km, w, resolution, scan)
+        if cert.holds(opts.refine_tol) or round_idx == opts.max_refinements:
+            break
+        inserted = 0
+        if scan is not None:
+            km, w, inserted = _insert_atom(km, w, scan, values, resolution)
+        E, shift = km.shifted
+        start, current = w, _mean_log(np.maximum(E @ w, 1e-300))
+        for _ in range(_STEPS_PER_ROUND):
+            w_new, current = _newton_step(E, w, current)
+            trace.append(current + float(shift.mean()))
+            w, step = w_new, float(np.max(np.abs(w_new - w)))
+            if step <= _STEP_MOVE_TOL:
+                break
+        if not inserted and np.array_equal(w, start):
+            break  # nothing changed, so every later round would scan the same measure
+        keep = w > 0
+        if scan is not None and not keep.all():
+            km, w = KernelMatrix(km.log_k[:, keep], atoms=km.atoms[keep]), w[keep]
+    return km, w, np.asarray(trace), len(trace) - 1, cert
 
 
 def _refine(ds, mu: MixingMeasure, box_arr: np.ndarray, opts: FitOptions) -> FitResult:
-    """Certificate-driven atom insertion from a starting measure.
+    """CNM support refinement from a starting measure.
 
     ``box_arr`` is a box already checked against the measure's dimension.
     """
-    km = build_kernel_matrix(ds, mu)
-    w = np.array(mu.weights)
-    trace_parts: List[np.ndarray] = []
-    total_iters = 0
     scan = _scan_table(ds, box_arr, opts.refine_grid)
-    for round_idx in range(opts.max_refinements + 1):
-        w, trace, iters, _ = em_fit(km, w, opts)
-        trace_parts.append(trace)
-        total_iters += iters
-        km, w = _guarded_prune(km, w, opts.prune_eps)
-        measure = MixingMeasure(km.atoms, w)
-        # certify() scans these renormalized weights, so the last round's scan is the fit's certificate
-        cert, best = _scan_certificate(km, measure.weights, opts.refine_grid, scan)
-        # stop when certified, out of rounds, or when the arg-max is an atom (the scan cannot improve on it)
-        on_atom = np.any(np.all(km.atoms == cert.argmax_point[None, :], axis=1))
-        if cert.holds(opts.refine_tol) or round_idx == opts.max_refinements or on_atom:
-            break
-        # not an atom, so the arg-max is a grid point: best < G
-        km, w = _insert_atom(km, w, scan, best)
-    return _fit_result(measure, np.concatenate(trace_parts), total_iters, cert, opts)
+    km, w, trace, steps, cert = _cnm(build_kernel_matrix(ds, mu), mu.weights, opts, opts.refine_grid, scan)
+    return _fit_result(MixingMeasure(km.atoms, w), trace, steps, cert, opts)
 
 
-def fit_npml(
-    ds, box, initial_counts, opts: Optional[FitOptions] = None
-) -> FitResult:
-    """Discrete maximum-likelihood fit: grid init, EM, prune, refine, certify."""
+def fit_npml(ds, box, initial_counts, opts: Optional[FitOptions] = None) -> FitResult:
+    """Discrete maximum-likelihood fit: grid init, CNM support refinement, certify."""
     opts = opts or FitOptions()
     box_arr = _check_box(box, ds.spec.p)
     return _refine(ds, new_uniform_grid_measure(box_arr, initial_counts), box_arr, opts)
 
 
 def fit_sieve(
-    ds,
-    basis: SieveBasis,
-    opts: Optional[FitOptions] = None,
-    quad_points_per_cell: int = DEFAULT_QUAD_POINTS,
+    ds, basis: SieveBasis, opts: Optional[FitOptions] = None, quad_points_per_cell: int = DEFAULT_QUAD_POINTS
 ) -> FitResult:
-    """Sieve maximum-likelihood fit: EM over the basis coefficients.
+    """Sieve maximum-likelihood fit: CNM rounds over the basis coefficients.
 
     The feasible set is fixed, so there is no support refinement; the
     certificate scans the directional derivative over the basis elements
@@ -337,10 +381,8 @@ def fit_sieve(
     """
     opts = opts or FitOptions()
     km = build_sieve_kernel_matrix(ds, basis, quad_points_per_cell)
-    w, trace, iterations, _ = em_fit(km, np.full(basis.m, 1.0 / basis.m), opts)
-    measure = SieveDensity(basis, w)
-    cert = _scan_certificate(km, measure.coefficients, basis.m)[0]
-    return _fit_result(measure, trace, iterations, cert, opts)
+    _, w, trace, steps, cert = _cnm(km, np.full(basis.m, 1.0 / basis.m), opts, basis.m)
+    return _fit_result(SieveDensity(basis, w), trace, steps, cert, opts)
 
 
 def _lattice_blocks(total: int, m: int, prefix: tuple = ()):

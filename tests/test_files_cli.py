@@ -746,7 +746,7 @@ class TestCliExitCodes:
         assert code == 2
 
     def test_fit_exit_is_certify_verdict(self, tmp_path, capsys):
-        # EM stops at its 50-iteration cap with the certificate holding: fit and certify agree it is optimal
+        # --tol and --max-iters tune em_fit only, so they leave the fit as it is: fit and certify agree it is optimal
         cfg = {
             "model": {
                 "p": 1,
@@ -764,7 +764,8 @@ class TestCliExitCodes:
         assert main(["simulate", "--config", str(cfg_path), "--out", str(data)]) == 0
         argv = ["fit", "--data", str(data), "--method", "sieve", "--box", "0.0,2.5", "--sieve-m", "4"]
         fit_code = main([*argv, "--tol", "1e-15", "--max-iters", "50", "--out", str(fit)])
-        assert read_json(fit)["iterations"] == 50
+        assert main([*argv, "--out", str(tmp_path / "default.json")]) == fit_code
+        assert read_json(fit) == read_json(tmp_path / "default.json")
         certify_code = main(["certify", "--data", str(data), "--fit", str(fit)])
         assert fit_code == certify_code == 0
 

@@ -1,6 +1,9 @@
 import ast
 import itertools
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -38,7 +41,7 @@ from npmlmix import (
 )
 from npmlmix import likelihood, solver
 from npmlmix.likelihood import kernel_columns, row_log_mixture
-from npmlmix.solver import _exp_mean, _guarded_prune, _refine, _scan_certificate, _scan_table
+from npmlmix.solver import _cnm, _exp_mean, _mean_log, _newton_step, _nnls, _refine, _scan_certificate, _scan_table
 
 TIGHT = FitOptions(tol_rel_loglik=1e-14, max_em_iters=200000)
 
@@ -212,6 +215,72 @@ class TestCertify:
         assert sum(widths) == 9 + 64 * 64 + 9
 
 
+class TestNewtonStep:
+    """The constrained-Newton weight step: its NNLS core, its line search, its optimum."""
+
+    def test_mean_log_has_the_bits_of_np_mean(self):
+        rng = np.random.default_rng(21)
+        for N in (1, 2, 7, 300, 1600):
+            for _ in range(100):
+                M = rng.exponential(size=N) * 10.0 ** rng.uniform(-300, 0)
+                assert _mean_log(M) == float(np.mean(np.log(M)))
+
+    def test_nnls_satisfies_kkt(self):
+        rng = np.random.default_rng(22)
+        for _ in range(300):
+            rows, m = int(rng.integers(1, 30)), int(rng.integers(1, 12))
+            A = rng.normal(size=(rows, m)) * rng.uniform(0.1, 10.0, size=m)
+            b = rng.normal(size=rows)
+            x = _nnls(A, b)
+            # minus the gradient of ||A x - b||^2 / 2: no entry may grow, and the support is stationary
+            grad = A.T @ (b - A @ x)
+            tol = 1e-9 * (1.0 + np.abs(A).sum() * (np.abs(b).sum() + np.abs(A @ x).sum()))
+            assert np.all(x >= 0)
+            assert np.all(grad <= tol)
+            assert np.all(np.abs(grad[x > 0]) <= tol)
+
+    def test_weights_match_brute_force_oracle(self):
+        rng = np.random.default_rng(10)
+        resolution = 2000
+        for _ in range(10):
+            N, m = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+            km = KernelMatrix(0.7 * rng.normal(size=(N, m)), atoms=np.eye(m))
+            _, w, trace, _, _ = _cnm(km, np.full(m, 1.0 / m), FitOptions(refine_tol=1e-12), m)
+            w_oracle = brute_force_oracle(km, resolution)
+            assert trace[-1] >= log_likelihood(km, w_oracle) - 1e-12
+            assert np.max(np.abs(w - w_oracle)) <= 1.0 / resolution
+
+    def test_step_never_lowers_the_loglik(self):
+        rng = np.random.default_rng(23)
+        for _ in range(100):
+            N, m = int(rng.integers(1, 40)), int(rng.integers(1, 10))
+            E = KernelMatrix(2.0 * rng.normal(size=(N, m))).shifted[0]
+            w = rng.exponential(size=m)
+            w /= w.sum()
+            current = _mean_log(E @ w)
+            w_new, value = _newton_step(E, w, current)
+            assert value >= current and value == _mean_log(E @ w_new)
+            assert np.all(w_new >= 0) and abs(w_new.sum() - 1.0) <= 1e-12
+
+
+def test_fits_never_import_scipy_optimize():
+    script = """
+import sys
+import numpy as np
+from npmlmix import IdentityLocation, MixingMeasure, ModelSpec, SieveBasis, TimeDesign, fit_npml, fit_sieve, simulate_dataset
+spec = ModelSpec(p=1, n=2, sigma=0.3, f=IdentityLocation(), time_design=TimeDesign(((0.0, 1.0), (1.0, 2.0))))
+ds = simulate_dataset(spec, MixingMeasure(np.array([[0.7], [1.8]]), [0.5, 0.5]), 60, 0)
+assert fit_npml(ds, [(0.0, 2.5)], [5]).status == "converged"
+assert fit_sieve(ds, SieveBasis([(0.0, 2.5)], [9])).status == "converged"
+assert "scipy.optimize" not in sys.modules, "a fit imported scipy.optimize"
+"""
+    src = Path(solver.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestRefineSupport:
     def test_certified_measure_unchanged(self):
         spec = location_model(0.5)
@@ -293,13 +362,19 @@ class TestScanTable:
         full = np.exp(scan.log_k - log_rows[:, None]).mean(axis=0)
         np.testing.assert_array_equal(_exp_mean(scan.log_k, log_rows), full)
 
+    @staticmethod
+    def dropped(ds, atoms, w0):
+        """The drop step's column slice: the atoms of nonzero weight and their kernel columns."""
+        km, keep = build_kernel_matrix(ds, MixingMeasure(atoms, w0)), w0 > 0
+        return KernelMatrix(km.log_k[:, keep], atoms=km.atoms[keep]), w0[keep]
+
     def test_scan_of_pruned_support_equals_streaming_path(self, pk_spec, two_point_pk_truth, monkeypatch):
         ds = simulate_dataset(pk_spec, two_point_pk_truth, 300, seed=6)
         atoms = np.array([[1.0, 0.3], [2.0, 0.8], [1.4, 0.5], [0.9, 0.9], [2.5, 0.1]])
-        w0 = np.array([0.3, 0.3, 0.2, 0.2 - 1e-9, 1e-9])
-        km, w = _guarded_prune(build_kernel_matrix(ds, MixingMeasure(atoms, w0)), w0, 1e-8)
+        w0 = np.array([0.3, 0.3, 0.2, 0.2, 0.0])
+        km, w = self.dropped(ds, atoms, w0)
         assert km.m == 4 and km.log_k.flags.c_contiguous and km.shifted[0].flags.f_contiguous
-        # the renormalized weights, as _refine scans them
+        # the measure's weights, as the fit scans them
         mu = MixingMeasure(km.atoms, w)
         seen = []
         original = solver._certificate
@@ -323,11 +398,11 @@ class TestScanTable:
             np.testing.assert_array_equal(streamed.argmax_point, cert.argmax_point)
 
     def test_em_after_prune_equals_em_on_fresh_kernel(self, pk_spec, two_point_pk_truth):
-        # a fit's bits must not depend on whether its kernel came out of a prune
+        # a fit's bits must not depend on whether its kernel came out of a drop
         ds = simulate_dataset(pk_spec, two_point_pk_truth, 300, seed=6)
         atoms = np.array([[1.0, 0.3], [2.0, 0.8], [1.4, 0.5], [0.9, 0.9], [2.5, 0.1]])
-        w0 = np.array([0.3, 0.3, 0.2, 0.2 - 1e-9, 1e-9])
-        pruned, w = _guarded_prune(build_kernel_matrix(ds, MixingMeasure(atoms, w0)), w0, 1e-8)
+        w0 = np.array([0.3, 0.3, 0.2, 0.2, 0.0])
+        pruned, w = self.dropped(ds, atoms, w0)
         fresh = build_kernel_matrix(ds, MixingMeasure(pruned.atoms, w))
         np.testing.assert_array_equal(pruned.log_k, fresh.log_k)
         w_p, trace_p, iters_p, status_p = em_fit(pruned, w, TIGHT)
@@ -335,10 +410,16 @@ class TestScanTable:
         np.testing.assert_array_equal(w_p, w_f)
         np.testing.assert_array_equal(trace_p, trace_f)
         assert (iters_p, status_p) == (iters_f, status_f)
+        E_p, E_f = pruned.shifted[0], fresh.shifted[0]
+        step_p = _newton_step(E_p, w, _mean_log(E_p @ w))
+        step_f = _newton_step(E_f, w, _mean_log(E_f @ w))
+        np.testing.assert_array_equal(step_p[0], step_f[0])
+        assert step_p[1] == step_f[1]
         scan = _scan_table(ds, self.PK_BOX, 9)
-        cert_p, best_p = _scan_certificate(pruned, w_p, 9, scan)
-        cert_f, best_f = _scan_certificate(fresh, w_f, 9, scan)
-        assert (cert_p.sup_dir_derivative, best_p) == (cert_f.sup_dir_derivative, best_f)
+        cert_p, values_p = _scan_certificate(pruned, w_p, 9, scan)
+        cert_f, values_f = _scan_certificate(fresh, w_f, 9, scan)
+        np.testing.assert_array_equal(values_p, values_f)
+        assert cert_p.sup_dir_derivative == cert_f.sup_dir_derivative
         np.testing.assert_array_equal(cert_p.argmax_point, cert_f.argmax_point)
 
 
@@ -407,8 +488,22 @@ class TestFitNpml:
             log_likelihood(km, fit.measure.weights), abs=1e-9
         )
 
+    def test_final_loglik_is_the_returned_measures(self, two_point_pk_truth):
+        # consistency cell N = 1600, seed 3, at the acceptance options
+        design = TimeDesign(((0.0, 0.75), (0.75, 1.5), (1.5, 2.25), (2.25, 3.0)))
+        spec = ModelSpec(p=2, n=4, sigma=0.2, f=PkExp(), time_design=design)
+        opts = FitOptions(
+            tol_rel_loglik=1e-11, max_em_iters=4000, prune_eps=1e-6, refine_grid=33, max_refinements=12
+        )
+        ds = simulate_dataset(spec, two_point_pk_truth, 1600, seed=3)
+        fit = fit_npml(ds, [(0.5, 2.5), (0.05, 1.2)], (7, 7), opts)
+        km = build_kernel_matrix(ds, fit.measure)
+        assert abs(fit.final_loglik - log_likelihood(km, fit.measure.weights)) <= 1e-12
+        assert np.min(np.diff(fit.loglik_trace)) >= -1e-13
+        assert fit.loglik_trace.shape == (fit.iterations + 1,)
+
     def test_certified_fit_converges_whatever_em_stopped_on(self, two_point_location_truth):
-        # the last EM stage stops at its iteration cap, yet the certificate holds: the verdict is the certificate's
+        # a 1000-iteration EM cap does not reach the Newton solver; the verdict is the certificate's
         ds = simulate_dataset(location_model(0.3, n=2), two_point_location_truth, 40, seed=0)
         opts = FitOptions(tol_rel_loglik=1e-15, max_em_iters=1000, refine_grid=17)
         fit = fit_npml(ds, [(0.0, 2.5)], [5], opts)
@@ -447,18 +542,23 @@ class TestFitSieve:
             assert cert.grid_resolution == fit.certificate.grid_resolution == cells + 1
 
     def test_converged_means_certified(self, two_point_location_truth):
-        # a loose EM tolerance converges before the certificate holds
+        # no round budget: the uniform start is returned, uncertified
         ds = simulate_dataset(location_model(0.3, n=2), two_point_location_truth, 200, seed=3)
-        opts = FitOptions(tol_rel_loglik=1e-6)
+        opts = FitOptions(max_refinements=0)
         fit = fit_sieve(ds, SieveBasis([(0.0, 2.5)], [9]), opts)
+        assert fit.iterations == 0 and fit.loglik_trace.shape == (1,)
         assert fit.certificate.sup_dir_derivative > 1.0 + opts.refine_tol
         assert fit.status == "iter-limit"
 
     def test_certified_fit_converges_whatever_em_stopped_on(self, two_point_location_truth):
+        # the EM knobs do not reach a sieve fit: the verdict is the certificate's
         ds = simulate_dataset(location_model(0.3, n=2), two_point_location_truth, 60, seed=1)
         opts = FitOptions(tol_rel_loglik=1e-15, max_em_iters=50)
-        fit = fit_sieve(ds, SieveBasis([(0.0, 2.5)], [5]), opts)
-        assert fit.iterations == opts.max_em_iters
+        basis = SieveBasis([(0.0, 2.5)], [5])
+        fit = fit_sieve(ds, basis, opts)
+        default = fit_sieve(ds, basis)
+        np.testing.assert_array_equal(fit.measure.coefficients, default.measure.coefficients)
+        assert fit.iterations == default.iterations
         assert fit.certificate.holds(opts.refine_tol)
         assert fit.status == "converged"
 
