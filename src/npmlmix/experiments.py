@@ -58,6 +58,8 @@ class ExperimentConfig:
                 raise InvalidArgumentError(
                     f"{self.kind} experiments use one {name}: {name} schedule {list(schedule)} must hold one value"
                 )
+        if self.censoring is not None and self.kind in ("sieve", "contrast"):
+            raise InvalidArgumentError(f"{self.kind} experiments fit uncensored data and take no censoring design")
         ns, ms = self.n_schedule, self.m_schedule
         if not all(a < b for a, b in zip(ns, ns[1:])):
             raise InvalidArgumentError("N schedule must be strictly increasing")
@@ -134,14 +136,24 @@ def _fit_row(
     return row, fit
 
 
+def _censored(ds: Dataset, design: CensoringDesign, seed: int) -> Dataset:
+    """A sample censored by the config's design, its masks drawn from a seed-derived stream."""
+    return apply_censoring(ds, design, seed + 2)
+
+
 def run_consistency_experiment(cfg: ExperimentConfig) -> List[ReportRow]:
-    """Simulate and fit over the (N, seed) grid; distances quantify consistency."""
+    """Simulate, censor when the config has a design, and fit over the (N, seed) grid.
+
+    Distances to the truth quantify consistency.
+    """
     if cfg.truth is None:
         raise InvalidArgumentError("consistency experiments need the true measure")
     rows = []
     for N in cfg.n_schedule:
         for seed in cfg.seeds:
             ds = simulate_dataset(cfg.spec, cfg.truth, N, seed)
+            if cfg.censoring is not None:
+                ds = _censored(ds, cfg.censoring, seed)
             rows.append(_fit_row(cfg, ds, "consistency", N, None, seed)[0])
     return sorted(rows, key=_row_key)
 
@@ -184,7 +196,7 @@ def run_censoring_experiment(cfg: ExperimentConfig) -> List[ReportRow]:
             raise NumericDomainError(f"full-mask likelihood differs from uncensored by {gap}")
         rows.append(_fit_row(cfg, ds_full, "censoring/full-mask", N, None, seed)[0])
 
-        ds_rand = apply_censoring(ds, cfg.censoring, seed + 2)
+        ds_rand = _censored(ds, cfg.censoring, seed)
         rows.append(_fit_row(cfg, ds_rand, "censoring/random", N, None, seed)[0])
     return sorted(rows, key=_row_key)
 

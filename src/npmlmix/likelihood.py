@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Optional, Tuple
 
 import numpy as np
@@ -21,6 +21,12 @@ from .measures import MixingMeasure, SieveBasis, _checked_weights
 from .model import log_kernel_block
 
 _ATOM_BLOCK = 512
+
+# Rows per block of the sieve contraction; bounds its (rows, Q) temporary
+_SIEVE_ROW_BLOCK = 32
+# A contracted sieve sum below this is recomputed by log-sum-exp. Each term lost to
+# underflow is below 2.3e-308, so a sum kept above it carries a relative error below 1e-20.
+_SIEVE_UNDERFLOW = 1e-280
 
 # Gauss-Legendre points per sieve cell and axis, unless a fit says otherwise
 DEFAULT_QUAD_POINTS = 8
@@ -96,20 +102,41 @@ def build_sieve_kernel_matrix(
 ) -> KernelMatrix:
     """Kernel table against the sieve basis via per-cell Gauss-Legendre rules.
 
-    Entry (i, j) approximates log of the kernel integrated against basis
-    density j. The rule is fixed-order, so entries are bit-stable across runs.
+    Entry (i, j) approximates log sum_q w_q phi_j(x_q) k_i(x_q), the log of
+    the kernel integrated against basis density j. Both the rule and the hat
+    basis are tensor products, so the table w_q phi_j(x_q) factors into one
+    (Q_a, c_a) matrix per axis and is never built. Each block of rows is
+    shifted by its row maxima, exponentiated, reshaped to (rows, Q_1, ...,
+    Q_p) and contracted with those factors one axis at a time, last axis
+    first; the log of the sum plus the shift is the entry. A sum below
+    ``_SIEVE_UNDERFLOW`` may have lost its terms to underflow, so that entry
+    alone is recomputed by log-sum-exp over its column's support. The rule is
+    fixed-order, so entries are bit-stable across runs.
     """
     if ds.is_censored:
         raise InvalidArgumentError("sieve fitting expects an uncensored dataset")
-    points, log_w = basis.quadrature(quad_points_per_cell)
-    log_phi = basis.log_basis_values(points)  # (Q, m)
+    points, _ = basis.quadrature(quad_points_per_cell)
+    log_factors = basis.log_axis_factors(quad_points_per_cell)
+    factors = [np.exp(f) for f in log_factors]
+    q_shape = tuple(f.shape[0] for f in factors)
     log_kq = kernel_columns(ds, points)  # (N, Q)
-    N, m = ds.N, basis.m
-    out = np.empty((N, m))
-    for j in range(m):
-        support = np.isfinite(log_phi[:, j])
-        contrib = log_phi[support, j] + log_w[support]
-        out[:, j] = logsumexp(log_kq[:, support] + contrib[None, :], axis=1)
+    shift = log_kq.max(axis=1)
+    sums = np.empty((ds.N, basis.m))
+    for start in range(0, ds.N, _SIEVE_ROW_BLOCK):
+        rows = slice(start, start + _SIEVE_ROW_BLOCK)
+        part = np.exp(log_kq[rows] - shift[rows, None]).reshape((-1,) + q_shape)
+        for f in reversed(factors):
+            part = np.moveaxis(part @ f, -1, 1)  # contracts the last Q_a, puts c_a next to the rows
+        sums[rows] = part.reshape(part.shape[0], -1)
+    low_rows, low_cols = np.nonzero(sums < _SIEVE_UNDERFLOW)
+    with np.errstate(divide="ignore"):
+        out = np.log(sums) + shift[:, None]
+    for j in np.unique(low_cols):
+        rows_j = low_rows[low_cols == j]
+        per_axis = (f[:, c] for f, c in zip(log_factors, np.unravel_index(j, basis.node_counts)))
+        log_b = reduce(np.add.outer, per_axis).reshape(-1)  # log w_q phi_j(x_q), all q
+        support = np.isfinite(log_b)
+        out[rows_j, j] = logsumexp(log_kq[np.ix_(rows_j, support)] + log_b[support], axis=1)
     return KernelMatrix(log_k=out, atoms=basis.nodes)
 
 

@@ -233,20 +233,36 @@ class SieveBasis:
             out = out.reshape(points.shape[0], -1)
         return out
 
-    def quadrature(self, points_per_cell: int):
-        """Tensor Gauss-Legendre rule exact per grid cell: (points, log_weights)."""
+    def _axis_rules(self, points_per_cell: int) -> list:
+        """Per-axis Gauss-Legendre rules exact per grid cell: one (points, weights) pair per axis."""
         if points_per_cell < 1:
             raise InvalidArgumentError("points_per_cell must be >= 1")
         gl_x, gl_w = np.polynomial.legendre.leggauss(points_per_cell)
-        axis_pts, axis_w = [], []
+        rules = []
         for (lo, hi), nodes in zip(self.box, self._axis_nodes):
             edges = np.array([lo, hi]) if nodes.shape[0] == 1 else nodes
             a, b = edges[:-1, None], edges[1:, None]
             half = (b - a) / 2.0
             # (cells, points) read row by row: each cell's rule in turn
-            axis_pts.append(((a + b) / 2.0 + half * gl_x).reshape(-1))
-            axis_w.append((half * gl_w).reshape(-1))
+            rules.append((((a + b) / 2.0 + half * gl_x).reshape(-1), (half * gl_w).reshape(-1)))
+        return rules
+
+    def quadrature(self, points_per_cell: int):
+        """Tensor Gauss-Legendre rule exact per grid cell: (points, log_weights)."""
+        axis_pts, axis_w = zip(*self._axis_rules(points_per_cell))
         return _tensor_points(axis_pts), np.log(np.prod(_tensor_points(axis_w), axis=1))
+
+    def log_axis_factors(self, points_per_cell: int) -> list:
+        """Per axis, log(w_q phi_c(x_q)) over that axis's rule and elements: (Q_a, c_a), -inf off support.
+
+        The quadrature-weighted basis table, entry (q, j) = w_q phi_j(x_q) in the
+        order of ``quadrature`` and ``nodes``, is the Kronecker product of their
+        exponentials.
+        """
+        return [
+            np.log(w)[:, None] + self._axis_log_values(a, x)
+            for a, (x, w) in enumerate(self._axis_rules(points_per_cell))
+        ]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """The demos and the README's command-line example run end to end against the package as it stands."""
 
+import json
 import os
 import re
 import shlex
@@ -30,19 +31,62 @@ def test_demo_exits_zero(demo, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def _readme_command(readme: str, *parts: str) -> list:
+README = (ROOT / "README.md").read_text()
+
+
+def _readme_command(*parts: str) -> list:
     """The one README ``npmlmix`` command line holding every part, as argv without the program name."""
-    (line,) = [line for line in readme.splitlines() if line.startswith("npmlmix ") and all(p in line for p in parts)]
+    (line,) = [line for line in README.splitlines() if line.startswith("npmlmix ") and all(p in line for p in parts)]
     return shlex.split(line)[1:]
 
 
-def test_readme_npml_line_certifies_with_default_options(tmp_path, monkeypatch):
-    readme = (ROOT / "README.md").read_text()
-    sim = re.search(r"`simulate` config:\s*```json\n(.*?)```", readme, re.S).group(1)
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "sim.json").write_text(sim)
-    assert main(_readme_command(readme, "simulate")) == 0
-    fit_argv = _readme_command(readme, "fit", "--method npml")
+@pytest.fixture(scope="module")
+def readme_dir(tmp_path_factory):
+    """A directory where the README's simulate and fit lines ran as written on its ``sim.json``.
+
+    Returns the directory and each line's exit code.
+    """
+    workdir = tmp_path_factory.mktemp("readme")
+    sim = re.search(r"`simulate` config:\s*```json\n(.*?)```", README, re.S).group(1)
+    (workdir / "sim.json").write_text(sim)
+    lines = {"simulate": ("simulate",), "npml": ("fit", "--method npml"), "sieve": ("fit", "--method sieve")}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(workdir)
+        return workdir, {name: main(_readme_command(*parts)) for name, parts in lines.items()}
+
+
+def test_readme_npml_line_certifies_with_default_options(readme_dir):
+    workdir, exits = readme_dir
+    fit_argv = _readme_command("fit", "--method npml")
     assert fit_argv[fit_argv.index("--grid") + 1] == "5"
-    assert main(fit_argv) == 0
-    assert read_json(tmp_path / "fit.json")["status"] == "converged"
+    assert exits["simulate"] == 0 and exits["npml"] == 0
+    assert read_json(workdir / "fit.json")["status"] == "converged"
+
+
+def test_readme_sieve_line_certifies_with_default_options(readme_dir):
+    workdir, exits = readme_dir
+    assert exits["sieve"] == 0
+    assert read_json(workdir / "sieve.json")["status"] == "converged"
+
+
+def _run_readme_certify(workdir, monkeypatch, capsys):
+    monkeypatch.chdir(workdir)
+    capsys.readouterr()
+    code = main(_readme_command("certify", "--resolution 65"))
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_readme_certify_line_gives_a_verdict(readme_dir, monkeypatch, capsys):
+    code, report = _run_readme_certify(readme_dir[0], monkeypatch, capsys)
+    assert code == (0 if report["optimal"] else 2)
+    assert report["grid_resolution"] == 65
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the npml fit is certified on its 64-point scan grid only; at resolution 65 its sup is "
+    "about 1 + 3.1e-4, until fits polish their scan grid's maxima",
+)
+def test_readme_certify_line_certifies_the_npml_fit(readme_dir, monkeypatch, capsys):
+    code, report = _run_readme_certify(readme_dir[0], monkeypatch, capsys)
+    assert code == 0 and report["optimal"]

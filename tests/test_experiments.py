@@ -84,6 +84,12 @@ class TestConfigValidation:
         with pytest.raises(InvalidArgumentError, match=named):
             location_config(kind, m_schedule=(4,), **schedules)
 
+    @pytest.mark.parametrize("kind", ["sieve", "contrast"])
+    def test_uncensored_kinds_refuse_a_censoring_design(self, kind):
+        design = CensoringDesign(((CensorMask(2, (0,)), 0.5), (CensorMask.full(2), 0.5)))
+        with pytest.raises(InvalidArgumentError, match=f"^{kind} experiments"):
+            location_config(kind, m_schedule=(4,), seeds=(1,), censoring=design)
+
     def test_censoring_takes_many_seeds_at_one_n(self):
         assert location_config("censoring", n_schedule=(40,), seeds=(1, 2)).seeds == (1, 2)
 
@@ -108,6 +114,17 @@ class TestConsistency:
         b = run_consistency_experiment(cfg)
         assert a[0].final_loglik == b[0].final_loglik
         assert a[0].distance_to_truth == b[0].distance_to_truth
+
+    def test_censoring_design_is_applied(self):
+        # a consistency cell censors its sample as the censoring experiment's random copy does
+        design = CensoringDesign(((CensorMask(2, (0,)), 0.5), (CensorMask.full(2), 0.5)))
+        plain = run_consistency_experiment(location_config("consistency", seeds=(6,)))
+        censored = run_consistency_experiment(location_config("consistency", seeds=(6,), censoring=design))
+        assert censored[0].final_loglik != plain[0].final_loglik
+        rows = run_censoring_experiment(location_config("censoring", seeds=(6,), censoring=design))
+        random_row = next(r for r in rows if r.experiment == "censoring/random")
+        assert censored[0].final_loglik == random_row.final_loglik
+        assert censored[0].distance_to_truth == random_row.distance_to_truth
 
 
 class TestSieve:

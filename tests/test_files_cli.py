@@ -654,8 +654,9 @@ class TestEveryDocumentField:
         sieve = ["--method", "sieve", "--box", self.BOX, "--sieve-m", "2", "--quad-points", "2", *short]
         for name, flags in (("npml", npml), ("sieve", sieve)):
             assert main(["fit", "--data", str(paths["data"]), *flags, "--out", str(paths[name])]) in (0, 2)
+        # consistency is the kind that reads a censoring block; every field is parsed whatever the kind
         docs["experiment config"] = {
-            "kind": "sieve",
+            "kind": "consistency",
             "model": model,
             "truth": truth,
             "box": [[0.5, 2.5], [0.1, 1.2]],
@@ -876,6 +877,15 @@ class TestCliExperiment:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "N schedule [30, 60]" in err
+
+    def test_censoring_block_on_a_sieve_experiment_exit_one(self, tmp_path, capsys):
+        censoring = {"n": 2, "masks": [[0], [0, 1]], "probabilities": [0.5, 0.5]}
+        cfg = self._write_config(tmp_path, "sieve", m_schedule=[4], seeds=[1], censoring=censoring)
+        code = main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "sieve experiments fit uncensored data" in err
 
     def test_full_mask_mismatch_exit_one(self, tmp_path, capsys, monkeypatch):
         # the uncensored and full-mask likelihoods of the same fit are made to disagree

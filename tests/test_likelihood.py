@@ -5,6 +5,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from npmlmix import (
     CensorMask,
@@ -13,6 +14,7 @@ from npmlmix import (
     IdentityLocation,
     InvalidArgumentError,
     KernelMatrix,
+    LinearInS,
     MixingMeasure,
     ModelSpec,
     NumericDomainError,
@@ -33,6 +35,37 @@ from npmlmix import likelihood
 
 def single_obs_dataset(spec, y, t):
     return Dataset(spec=spec, observations=(Observation(y, t),), seed=0)
+
+
+def per_column_sieve_kernel(ds, basis, quad_points_per_cell):
+    """Oracle: one masked log-sum-exp per basis column over the dense (Q, m) log basis table."""
+    points, log_w = basis.quadrature(quad_points_per_cell)
+    log_phi = basis.log_basis_values(points)
+    log_kq = likelihood.kernel_columns(ds, points)
+    out = np.empty((ds.N, basis.m))
+    for j in range(basis.m):
+        support = np.isfinite(log_phi[:, j])
+        out[:, j] = logsumexp(log_kq[:, support] + (log_phi[support, j] + log_w[support])[None, :], axis=1)
+    return out, log_kq.max(axis=1)
+
+
+TD2 = TimeDesign(((0.0, 1.0), (1.0, 2.0)))
+TD4 = TimeDesign(((0.0, 0.75), (0.75, 1.5), (1.5, 2.25), (2.25, 3.0)))
+LOC_TRUTH = MixingMeasure(np.array([[0.7], [1.8]]), [0.5, 0.5])
+PK_TRUTH = MixingMeasure(np.array([[1.0, 0.3], [2.0, 0.8]]), [0.5, 0.5])
+LOC_BOX = [(0.0, 2.5)]
+PK_BOX = [(0.5, 2.5), (0.05, 1.2)]
+NOISE_VARIANTS = {"homoscedastic": {}, "heteroscedastic": {"sigma_prime": 0.3}, "laplace": {"noise": "laplace"}}
+
+
+def sieve_case_dataset(p, variant, sigma, N, seed):
+    """Location (p = 1) or PK (p = 2) data under one of the noise variants."""
+    extra = NOISE_VARIANTS[variant]
+    if p == 1:
+        spec = ModelSpec(p=1, n=2, sigma=sigma, f=IdentityLocation(), time_design=TD2, **extra)
+        return simulate_dataset(spec, LOC_TRUTH, N, seed)
+    spec = ModelSpec(p=2, n=4, sigma=sigma, f=PkExp(), time_design=TD4, **extra)
+    return simulate_dataset(spec, PK_TRUTH, N, seed)
 
 
 class TestBuildKernelMatrix:
@@ -160,6 +193,52 @@ class TestSieveKernelMatrix:
         ds = simulate_dataset(location_spec, two_point_location_truth, 3, seed=10)
         with pytest.raises(InvalidArgumentError):
             build_sieve_kernel_matrix(ds, SieveBasis([(0.0, 2.5)], [3]), 0)
+
+    @pytest.mark.parametrize("variant", list(NOISE_VARIANTS))
+    @pytest.mark.parametrize(
+        "p, counts, quad_points, sigma",
+        [(1, [1], 8, 0.3), (1, [9], 8, 0.3), (2, [5, 4], 6, 0.2)],
+        ids=["1d-single-node", "1d-multi-node", "2d"],
+    )
+    def test_contraction_matches_per_column_oracle(self, variant, p, counts, quad_points, sigma):
+        ds = sieve_case_dataset(p, variant, sigma, 60, seed=13)
+        basis = SieveBasis(LOC_BOX if p == 1 else PK_BOX, counts)
+        expect, _ = per_column_sieve_kernel(ds, basis, quad_points)
+        km = build_sieve_kernel_matrix(ds, basis, quad_points)
+        np.testing.assert_allclose(km.log_k, expect, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "p, sigma, counts", [(1, 0.005, [33]), (2, 0.03, [9, 9])], ids=["location", "pk"]
+    )
+    def test_underflowing_entries_match_oracle(self, p, sigma, counts):
+        # at these noise scales some basis columns lie so far from a row's kernel peak
+        # that their shifted sum underflows; those entries take the log-sum-exp path
+        ds = sieve_case_dataset(p, "homoscedastic", sigma, 40, seed=14)
+        basis = SieveBasis(LOC_BOX if p == 1 else PK_BOX, counts)
+        expect, shift = per_column_sieve_kernel(ds, basis, 8)
+        assert np.any(expect - shift[:, None] < math.log(likelihood._SIEVE_UNDERFLOW))
+        assert np.any(expect - shift[:, None] < math.log(np.finfo(float).tiny))
+        km = build_sieve_kernel_matrix(ds, basis, 8)
+        np.testing.assert_allclose(km.log_k, expect, rtol=1e-12, atol=0)
+
+    def test_three_axis_contraction_matches_per_column_oracle(self):
+        f = LinearInS(((1.0, 0.0), (0.0, 1.0), (1.0, -0.5)))
+        spec = ModelSpec(p=3, n=3, sigma=0.3, f=f, time_design=TimeDesign(((0.0, 1.0), (1.0, 2.0), (2.0, 3.0))))
+        truth = MixingMeasure(np.array([[0.5, 1.0, 0.2], [1.5, 0.3, 0.8]]), [0.5, 0.5])
+        ds = simulate_dataset(spec, truth, 50, seed=15)
+        basis = SieveBasis([(0.0, 2.0), (0.0, 1.5), (0.0, 1.0)], [3, 2, 4])
+        expect, _ = per_column_sieve_kernel(ds, basis, 3)
+        np.testing.assert_allclose(build_sieve_kernel_matrix(ds, basis, 3).log_k, expect, rtol=0, atol=1e-13)
+
+    def test_log_sum_exp_runs_only_for_underflowing_entries(self, monkeypatch):
+        calls = []
+        real = likelihood.logsumexp
+        monkeypatch.setattr(likelihood, "logsumexp", lambda a, axis: calls.append(a.shape) or real(a, axis=axis))
+        build_sieve_kernel_matrix(sieve_case_dataset(2, "homoscedastic", 0.2, 60, seed=13), SieveBasis(PK_BOX, [9, 9]))
+        assert calls == []
+        tight = sieve_case_dataset(1, "homoscedastic", 0.005, 40, seed=14)
+        build_sieve_kernel_matrix(tight, SieveBasis(LOC_BOX, [33]))
+        assert 0 < sum(rows for rows, _ in calls) < tight.N * 33
 
     def test_rejects_censored_dataset(self, pk_spec, two_point_pk_truth):
         ds = simulate_dataset(pk_spec, two_point_pk_truth, 5, seed=11)

@@ -200,6 +200,16 @@ class TestSieveBasis:
             assert np.all(density >= 0)
             assert np.sum(density * np.exp(log_w)) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("box, counts", [([(0.0, 4.0)], [1]), ([(0.0, 2.0), (1.0, 2.0), (-1.0, 0.5)], [4, 1, 3])])
+    def test_axis_factors_multiply_to_the_weighted_basis_table(self, box, counts):
+        basis = SieveBasis(box, counts)
+        pts, log_w = basis.quadrature(5)
+        table = np.exp(basis.log_basis_values(pts) + log_w[:, None])
+        kron = np.ones((1, 1))
+        for log_f in basis.log_axis_factors(5):
+            kron = np.kron(kron, np.exp(log_f))
+        np.testing.assert_allclose(kron, table, rtol=1e-14, atol=0)
+
     def test_single_node_axis_is_uniform(self):
         basis = SieveBasis([(0.0, 4.0)], [1])
         vals = np.exp(basis.log_basis_values(np.array([0.5, 2.0, 3.9])))

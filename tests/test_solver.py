@@ -573,6 +573,32 @@ class TestFitSieve:
         assert all(g >= -1e-9 for g in gaps)
         assert gaps[0] >= gaps[1] >= gaps[2] - 1e-12
 
+    # final log-likelihoods of the nested 1-D and 2-D sieve fits (N = 400, seed 42), recorded on
+    # a kernel built by per-column log-sum-exp (the oracle of tests/test_likelihood.py)
+    PINNED_SIEVE_LOGLIKS = {
+        (1, 4): -1.4013827174608156,
+        (1, 8): -1.274110017111839,
+        (1, 16): -1.21986506459486,
+        (1, 32): -1.2103286875247679,
+        (2, 4): -0.03501961988888347,
+        (2, 8): 0.18110668556998188,
+        (2, 16): 0.24373973497174317,
+    }
+
+    @pytest.mark.parametrize("p, cells", list(PINNED_SIEVE_LOGLIKS), ids=lambda v: str(v))
+    def test_nested_fits_keep_their_pinned_loglik(self, p, cells):
+        if p == 1:
+            spec, box = location_model(0.3, n=2), [(0.0, 2.5)]
+            truth = MixingMeasure(np.array([[0.7], [1.8]]), [0.5, 0.5])
+        else:
+            design = TimeDesign(((0.0, 0.75), (0.75, 1.5), (1.5, 2.25), (2.25, 3.0)))
+            spec, box = ModelSpec(p=2, n=4, sigma=0.2, f=PkExp(), time_design=design), [(0.5, 2.5), (0.05, 1.2)]
+            truth = MixingMeasure(np.array([[1.0, 0.3], [2.0, 0.8]]), [0.5, 0.5])
+        ds = simulate_dataset(spec, truth, 400, seed=42)
+        fit = fit_sieve(ds, SieveBasis(box, [cells + 1] * p))
+        assert fit.status == "converged"
+        assert abs(fit.final_loglik - self.PINNED_SIEVE_LOGLIKS[p, cells]) <= 1e-12
+
 
 class TestStatusIsTheCertificate:
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
