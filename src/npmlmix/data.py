@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from functools import cached_property
+from typing import Dict, Optional
 
 import numpy as np
 from scipy.special import ndtri
@@ -111,31 +112,27 @@ class Dataset:
     def is_censored(self) -> bool:
         return isinstance(self.observations[0], CensoredObservation)
 
-    def times(self) -> np.ndarray:
-        return np.stack([o.t for o in self.observations])
+    @cached_property
+    def mask_groups(self) -> tuple:
+        """Rows grouped by censor mask and stacked once: a tuple of read-only (mask, rows, Z, T).
 
-    def values(self) -> np.ndarray:
-        if self.is_censored:
-            raise InvalidArgumentError("censored datasets have ragged values; group by mask")
-        return np.stack([o.y for o in self.observations])
-
-    def mask_groups(self) -> List[tuple]:
-        """Group rows by censor mask: list of (mask, row_indices, Z, T).
-
-        An uncensored dataset is one group, (None, all rows, Y, T).
+        An uncensored dataset is one group, (None, all rows, Y, T). Censored
+        groups follow the masks' order by cardinality, then indices.
         """
-        if not self.is_censored:
-            return [(None, np.arange(self.N), self.values(), self.times())]
-        groups: Dict[CensorMask, list] = {}
+        censored = self.is_censored
+        rows_of: Dict[Optional[CensorMask], list] = {}
         for i, o in enumerate(self.observations):
-            groups.setdefault(o.mask, []).append(i)
-        out = []
-        for mask in sorted(groups, key=lambda m: (m.cardinality, m.indices)):
-            rows = groups[mask]
-            Z = np.stack([self.observations[i].z for i in rows]) if mask.cardinality else np.empty((len(rows), 0))
-            T = np.stack([self.observations[i].t for i in rows])
-            out.append((mask, np.asarray(rows), Z, T))
-        return out
+            rows_of.setdefault(o.mask if censored else None, []).append(i)
+        masks = sorted(rows_of, key=lambda m: (m.cardinality, m.indices)) if censored else [None]
+        groups = []
+        for mask in masks:
+            obs = [self.observations[i] for i in rows_of[mask]]
+            Z = np.stack([o.z if censored else o.y for o in obs])
+            arrays = (np.asarray(rows_of[mask]), Z, np.stack([o.t for o in obs]))
+            for a in arrays:
+                a.setflags(write=False)
+            groups.append((mask, *arrays))
+        return tuple(groups)
 
 
 def _substream(seed: int, index: int) -> np.random.Generator:

@@ -11,7 +11,7 @@ import csv
 import math
 import time
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -25,6 +25,8 @@ from .solver import FitOptions, FitResult, fit_npml, fit_sieve
 
 REPORT_VERSION = 1
 EXPERIMENT_KINDS = ("consistency", "sieve", "censoring", "contrast")
+# config fields that one kind alone reads; other kinds refuse them unless left at their defaults
+_FIELD_READERS = {"m_schedule": "sieve", "quad_points": "sieve", "competitors": "contrast"}
 
 
 @dataclass(frozen=True)
@@ -60,6 +62,10 @@ class ExperimentConfig:
                 )
         if self.censoring is not None and self.kind in ("sieve", "contrast"):
             raise InvalidArgumentError(f"{self.kind} experiments fit uncensored data and take no censoring design")
+        defaults = {f.name: f.default for f in fields(self)}
+        for name, reader in _FIELD_READERS.items():
+            if self.kind != reader and getattr(self, name) != defaults[name]:
+                raise InvalidArgumentError(f"{self.kind} experiments take no {name}; only {reader} experiments read it")
         ns, ms = self.n_schedule, self.m_schedule
         if not all(a < b for a, b in zip(ns, ns[1:])):
             raise InvalidArgumentError("N schedule must be strictly increasing")

@@ -81,7 +81,7 @@ def kernel_columns(ds: Dataset, points: np.ndarray) -> np.ndarray:
     if points.shape[1] != ds.spec.p:
         raise InvalidArgumentError("candidate points have the wrong dimension")
     B = points.shape[0]
-    groups = ds.mask_groups()
+    groups = ds.mask_groups
     out = np.empty((ds.N, B))
     for start in range(0, B, _ATOM_BLOCK):
         block = points[start : start + _ATOM_BLOCK]

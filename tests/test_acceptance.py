@@ -317,7 +317,8 @@ def test_criterion_10_heteroscedastic_model(suite_fits):
         truth = MixingMeasure(np.array([[2.0]]), [1.0])
         N = 100_000
         ds = simulate_dataset(spec, truth, N, seed=81)
-        resid = ds.values() - 2.0
+        [(_, _, Y, _)] = ds.mask_groups
+        resid = Y - 2.0
         target = spec.sigma**2 + (spec.sigma_prime * 2.0) ** 2
         for j in range(spec.n):
             column = resid[:, j]

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from npmlmix import (
     CensorMask,
@@ -15,10 +17,12 @@ from npmlmix import (
     PkExp,
     TimeDesign,
     apply_censoring,
+    build_kernel_matrix,
     eval_f,
     project_mask,
     simulate_dataset,
 )
+from npmlmix.likelihood import kernel_columns, log_likelihood
 from npmlmix.serialize import dataset_to_dict, dumps
 
 
@@ -53,14 +57,14 @@ class TestSimulateDataset:
         )
         truth = MixingMeasure(np.array([[1.0, 0.0]]), [1.0])
         ds = simulate_dataset(spec, truth, 10000, seed=2)
-        values = ds.values()
+        [(_, _, values, _)] = ds.mask_groups
         band = 3 * spec.sigma / math.sqrt(values.size)
         assert abs(values.mean() - 1.0) <= band
 
     def test_times_inside_design_box(self, pk_spec, two_point_pk_truth):
         ds = simulate_dataset(pk_spec, two_point_pk_truth, 200, seed=3)
         bounds = pk_spec.time_design.bounds()
-        T = ds.times()
+        [(_, _, _, T)] = ds.mask_groups
         assert np.all(T >= bounds[None, :, 0]) and np.all(T <= bounds[None, :, 1])
         assert all(pk_spec.time_design.density(t) > 0 for t in T)
 
@@ -102,7 +106,8 @@ class TestSimulateDataset:
         )
         truth = MixingMeasure(np.array([[2.0]]), [1.0])
         ds = simulate_dataset(spec, truth, 60000, seed=7)
-        resid = ds.values()[:, 0] - 2.0
+        [(_, _, Y, _)] = ds.mask_groups
+        resid = Y[:, 0] - 2.0
         # Laplace kurtosis is 6, so the variance estimator band widens accordingly
         se = spec.sigma**2 * math.sqrt(8.0 / resid.size)
         assert abs(resid.var() - spec.sigma**2) <= 3 * se
@@ -118,7 +123,8 @@ class TestSimulateDataset:
         )
         truth = MixingMeasure(np.array([[2.0]]), [1.0])
         ds = simulate_dataset(spec, truth, 30000, seed=8)
-        resid = ds.values() - 2.0
+        [(_, _, Y, _)] = ds.mask_groups
+        resid = Y - 2.0
         target = spec.sigma**2 + (0.5 * 2.0) ** 2
         for j in range(2):
             column = resid[:, j]
@@ -216,3 +222,82 @@ class TestApplyCensoring:
         for bad in (float("nan"), -0.25):
             with pytest.raises(InvalidArgumentError):
                 CensoringDesign(((CensorMask.full(4), 1.0), (CensorMask.empty(4), bad)))
+
+
+# model, search box and truth of the random datasets below
+MODELS = {
+    "pk": (
+        ModelSpec(p=2, n=4, sigma=0.2, f=PkExp(), time_design=TimeDesign(((0, 0.75), (0.75, 1.5), (1.5, 2.25), (2.25, 3)))),
+        ((0.5, 2.5), (0.05, 1.2)),
+        MixingMeasure(np.array([[1.0, 0.3], [2.0, 0.8]]), [0.5, 0.5]),
+    ),
+    "location": (
+        ModelSpec(p=1, n=2, sigma=0.4, f=IdentityLocation(), time_design=TimeDesign(((0.0, 1.0), (1.0, 2.0)))),
+        ((0.0, 2.5),),
+        MixingMeasure(np.array([[0.7], [1.8]]), [0.5, 0.5]),
+    ),
+}
+
+
+class TestMaskGroups:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        model=st.sampled_from(sorted(MODELS)),
+        N=st.integers(1, 60),
+        seed=st.integers(0, 10**6),
+        unit=st.lists(st.tuples(*[st.floats(0.0, 1.0)] * 2, st.floats(0.01, 1.0)), min_size=1, max_size=8),
+    )
+    def test_full_mask_copy_gives_the_same_kernel(self, model, N, seed, unit):
+        spec, box, truth = MODELS[model]
+        ds = simulate_dataset(spec, truth, N, seed)
+        full = apply_censoring(ds, CensoringDesign(((CensorMask.full(spec.n), 1.0),)), seed + 1)
+        lo, hi = np.array(box).T
+        unit = np.array(unit)
+        points = lo + (hi - lo) * unit[:, : spec.p]
+        np.testing.assert_array_equal(kernel_columns(full, points), kernel_columns(ds, points))
+        mu = MixingMeasure(points, unit[:, -1] / unit[:, -1].sum())
+        a = log_likelihood(build_kernel_matrix(full, mu), mu.weights)
+        assert a == log_likelihood(build_kernel_matrix(ds, mu), mu.weights)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        model=st.sampled_from(sorted(MODELS)),
+        N=st.integers(1, 60),
+        seed=st.integers(0, 10**6),
+        masks=st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True),
+    )
+    def test_groups_partition_the_rows(self, model, N, seed, masks):
+        spec, _, truth = MODELS[model]
+        ds = simulate_dataset(spec, truth, N, seed)
+        # masks 0..3 keep the first 0..3 components, capped at n
+        kept = sorted({tuple(range(min(k, spec.n))) for k in masks})
+        design = CensoringDesign(tuple((CensorMask(spec.n, idx), 1.0 / len(kept)) for idx in kept))
+        censored = apply_censoring(ds, design, seed + 1)
+        for d in (ds, censored):
+            rows = np.concatenate([g[1] for g in d.mask_groups])
+            assert sorted(rows.tolist()) == list(range(N))
+            for mask, rows, Z, T in d.mask_groups:
+                for i, z, t in zip(rows, Z, T):
+                    obs = d.observations[i]
+                    assert mask == getattr(obs, "mask", None)
+                    np.testing.assert_array_equal(z, obs.y if mask is None else obs.z)
+                    np.testing.assert_array_equal(t, obs.t)
+
+    def test_groups_are_stacked_once(self, pk_spec, two_point_pk_truth, monkeypatch):
+        ds = simulate_dataset(pk_spec, two_point_pk_truth, 20, seed=3)
+        kernel_columns(ds, two_point_pk_truth.atoms)
+        stacked = []
+        real = np.stack
+        monkeypatch.setattr(np, "stack", lambda *a, **k: stacked.append(1) or real(*a, **k))
+        kernel_columns(ds, two_point_pk_truth.atoms)
+        assert not stacked
+        assert ds.mask_groups is ds.mask_groups
+
+    def test_group_arrays_are_read_only(self, pk_spec, two_point_pk_truth):
+        ds = simulate_dataset(pk_spec, two_point_pk_truth, 20, seed=3)
+        design = CensoringDesign(((CensorMask(4, (0, 2)), 0.5), (CensorMask.full(4), 0.5)))
+        for d in (ds, apply_censoring(ds, design, seed=4)):
+            for _, rows, Z, T in d.mask_groups:
+                for array in (rows, Z, T):
+                    with pytest.raises(ValueError):
+                        array[0] = 0

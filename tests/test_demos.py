@@ -16,22 +16,27 @@ from npmlmix.serialize import read_json
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["quickstart.py", "sieve_vs_discrete.py"])
-def test_demo_exits_zero(demo, tmp_path):
+def _run_python(args, cwd) -> subprocess.CompletedProcess:
+    """Run the interpreter on ``args`` in ``cwd``, with the package's source tree importable."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)],
-        cwd=tmp_path,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("demo", ["quickstart.py", "sieve_vs_discrete.py"])
+def test_demo_exits_zero(demo, tmp_path):
+    proc = _run_python([str(ROOT / "demos" / demo)], tmp_path)
     assert proc.returncode == 0, proc.stderr
 
 
 README = (ROOT / "README.md").read_text()
+
+
+def test_readme_quickstart_runs_as_written(tmp_path):
+    (block,) = re.findall(r"## Library quickstart\s*```python\n(.*?)```", README, re.S)
+    proc = _run_python(["-c", block], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[0] == "converged", proc.stdout
 
 
 def _readme_command(*parts: str) -> list:

@@ -13,6 +13,7 @@ from npmlmix import (
 )
 from npmlmix.experiments import (
     CSV_HEADER,
+    EXPERIMENT_KINDS,
     ExperimentConfig,
     ReportRow,
     gnuplot_script,
@@ -89,6 +90,22 @@ class TestConfigValidation:
         design = CensoringDesign(((CensorMask(2, (0,)), 0.5), (CensorMask.full(2), 0.5)))
         with pytest.raises(InvalidArgumentError, match=f"^{kind} experiments"):
             location_config(kind, m_schedule=(4,), seeds=(1,), censoring=design)
+
+    @pytest.mark.parametrize(
+        "name, value, default, reader",
+        [("m_schedule", (4,), (), "sieve"), ("quad_points", 4, 8, "sieve"), ("competitors", 10, 50, "contrast")],
+        ids=["m_schedule", "quad_points", "competitors"],
+    )
+    def test_kinds_refuse_fields_they_do_not_read(self, name, value, default, reader):
+        for kind in EXPERIMENT_KINDS:
+            valid = dict(seeds=(1,), m_schedule=(4,) if kind == "sieve" else ())
+            if kind == reader:
+                assert getattr(location_config(kind, **{**valid, name: value}), name) == value
+                continue
+            with pytest.raises(InvalidArgumentError, match=f"^{kind} experiments take no {name}; only {reader} "):
+                location_config(kind, **{**valid, name: value})
+            # the default value is what an unset field holds, so it is accepted
+            assert getattr(location_config(kind, **{**valid, name: default}), name) == default
 
     def test_censoring_takes_many_seeds_at_one_n(self):
         assert location_config("censoring", n_schedule=(40,), seeds=(1, 2)).seeds == (1, 2)

@@ -88,8 +88,9 @@ class TestSchemas:
         again = dataset_from_dict(json.loads(dumps(dataset_to_dict(ds))))
         assert again.spec == ds.spec
         assert again.seed == ds.seed
-        np.testing.assert_array_equal(again.values(), ds.values())
-        np.testing.assert_array_equal(again.times(), ds.times())
+        for a, b in zip(again.mask_groups, ds.mask_groups, strict=True):
+            for x, y in zip(a[1:], b[1:]):
+                np.testing.assert_array_equal(x, y)
         np.testing.assert_array_equal(again.truth.atoms, ds.truth.atoms)
 
     def test_dataset_roundtrip_censored(self, pk_spec, two_point_pk_truth):
@@ -654,19 +655,14 @@ class TestEveryDocumentField:
         sieve = ["--method", "sieve", "--box", self.BOX, "--sieve-m", "2", "--quad-points", "2", *short]
         for name, flags in (("npml", npml), ("sieve", sieve)):
             assert main(["fit", "--data", str(paths["data"]), *flags, "--out", str(paths[name])]) in (0, 2)
-        # consistency is the kind that reads a censoring block; every field is parsed whatever the kind
-        docs["experiment config"] = {
-            "kind": "consistency",
+        # each kind refuses the fields another kind reads, so each field sits in a document of a kind that reads it
+        experiment = {
             "model": model,
             "truth": truth,
             "box": [[0.5, 2.5], [0.1, 1.2]],
             "initial_counts": [2, 2],
             "N_schedule": [20],
             "seeds": [1],
-            "m_schedule": [1, 2],
-            "censoring": censoring,
-            "quad_points": 2,
-            "competitors": 3,
             "fit_options": {
                 "tol_rel_loglik": 1e-6,
                 "max_em_iters": 3,
@@ -676,6 +672,9 @@ class TestEveryDocumentField:
                 "max_refinements": 0,
             },
         }
+        docs["experiment config"] = {"kind": "consistency", **experiment, "censoring": censoring}
+        docs["sieve experiment config"] = {"kind": "sieve", **experiment, "m_schedule": [1, 2], "quad_points": 2}
+        docs["contrast experiment config"] = {"kind": "contrast", **experiment, "competitors": 3}
         docs["dataset"] = read_json(paths["data"])
         docs["censored dataset"] = read_json(paths["censored"])
         docs["npml fit file"] = read_json(paths["npml"])
@@ -685,7 +684,7 @@ class TestEveryDocumentField:
     def _argv(self, name, bad, tmp, data):
         if name == "simulate config":
             return ["simulate", "--config", str(bad), "--out", str(tmp / "out.json")]
-        if name == "experiment config":
+        if name.endswith("experiment config"):
             return ["experiment", "--config", str(bad), "--out", str(tmp / "out.csv")]
         if name.endswith("dataset"):
             return ["fit", "--data", str(bad), "--method", "npml", "--box", self.BOX, "--max-iters", "1",
@@ -694,7 +693,16 @@ class TestEveryDocumentField:
 
     @pytest.mark.parametrize(
         "name",
-        ["simulate config", "experiment config", "dataset", "censored dataset", "npml fit file", "sieve fit file"],
+        [
+            "simulate config",
+            "experiment config",
+            "sieve experiment config",
+            "contrast experiment config",
+            "dataset",
+            "censored dataset",
+            "npml fit file",
+            "sieve fit file",
+        ],
     )
     def test_every_number_follows_the_rule(self, documents, capsys, name):
         tmp, data, docs = documents
@@ -886,6 +894,14 @@ class TestCliExperiment:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "sieve experiments fit uncensored data" in err
+
+    def test_field_of_another_kind_exit_one(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path, "consistency", competitors=20)
+        code = main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "consistency experiments take no competitors" in err
 
     def test_full_mask_mismatch_exit_one(self, tmp_path, capsys, monkeypatch):
         # the uncensored and full-mask likelihoods of the same fit are made to disagree

@@ -347,7 +347,7 @@ class TestScanTable:
         if variant == "censored":
             design = CensoringDesign(((CensorMask(4, (0, 2)), 0.4), (CensorMask.full(4), 0.6)))
             ds = apply_censoring(ds, design, seed=5)
-            assert len(ds.mask_groups()) == 2
+            assert len(ds.mask_groups) == 2
         # 24 x 24 = 576 points: the table spans two of kernel_columns' atom blocks
         scan = _scan_table(ds, self.PK_BOX, 24)
         for j, point in enumerate(scan.atoms):
@@ -669,6 +669,15 @@ def test_only_the_fit_epilogue_and_the_file_reader_build_a_fit_result():
 
     sites = _offending_sites({("solver.py", "_fit_result"), ("serialize.py", "fit_from_dict")}, builds_fit_result)
     assert not sites, f"FitResult built outside _fit_result and fit_from_dict: {sites}"
+
+
+def test_only_data_and_serialize_read_a_datasets_observations():
+    # a Dataset stacks its rows once, in mask_groups; serialize writes the per-row file format
+    def reads_observations(node):
+        return isinstance(node, ast.Attribute) and node.attr == "observations"
+
+    sites = [s for s in _offending_sites(set(), reads_observations) if s.split(":")[0] not in ("data.py", "serialize.py")]
+    assert not sites, f"observations read outside data and serialize: {sites}"
 
 
 class TestBruteForceOracle:
