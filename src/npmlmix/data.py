@@ -15,7 +15,6 @@ from functools import cached_property
 from typing import Dict, Optional
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import InvalidArgumentError
 from .measures import MixingMeasure, _checked_weights
@@ -149,6 +148,8 @@ def _open_unit(u: np.ndarray) -> np.ndarray:
 def _standard_noise(rng: np.random.Generator, n: int, noise: str) -> np.ndarray:
     u = _open_unit(rng.random(n))
     if noise == GAUSSIAN:
+        from scipy.special import ndtri  # here, so that only Gaussian simulation loads scipy
+
         return ndtri(u)
     # standard Laplace via inverse CDF, scaled to unit variance
     centered = u - 0.5

@@ -12,12 +12,11 @@ from functools import cached_property, reduce
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 # simulate_dataset is unused here, but bench/tracer.py patches this binding of this module.
 from .data import Dataset, simulate_dataset  # noqa: F401
 from .errors import InvalidArgumentError, NumericDomainError
-from .measures import MixingMeasure, SieveBasis, _checked_weights
+from .measures import MixingMeasure, SieveBasis, TensorGrid, _checked_weights, _point_blocks
 from .model import log_kernel_block
 
 _ATOM_BLOCK = 512
@@ -73,21 +72,36 @@ class KernelMatrix:
         return np.exp(self.log_k - shift[:, None], order="F"), shift
 
 
-def kernel_columns(ds: Dataset, points: np.ndarray) -> np.ndarray:
-    """Log kernel values of every observation at candidate points: (N, B)."""
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points[:, None]
-    if points.shape[1] != ds.spec.p:
+def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """scipy 1.17's real ``logsumexp`` along ``axis``, bit for bit, for rows with a finite maximum.
+
+    The maximum's ties stay out of the sum: log1p(rest / ties) + log(ties) + maximum.
+    """
+    a_max = a.max(axis=axis, keepdims=True)
+    ties = a == a_max
+    count = ties.sum(axis=axis, keepdims=True, dtype=float)
+    rest = np.exp(np.where(ties, -np.inf, a) - a_max).sum(axis=axis, keepdims=True)
+    return (np.log1p(rest / count) + np.log(count) + a_max).squeeze(axis)
+
+
+def kernel_columns(ds: Dataset, points) -> np.ndarray:
+    """Log kernel values of every observation at candidate points: (N, B).
+
+    ``points`` is a (B, p) array or a ``TensorGrid``. A model function with a
+    ``grid_blocks`` method cuts a grid into blocks itself, so it can take once
+    per mask group what depends on one axis only; other grids become points.
+    """
+    grid_blocks = getattr(ds.spec.f, "grid_blocks", None) if isinstance(points, TensorGrid) else None
+    if grid_blocks is None:
+        points = np.asarray(points, dtype=float)
+        points = points[:, None] if points.ndim == 1 else points
+    if (len(points.axes) if grid_blocks else points.shape[1]) != ds.spec.p:
         raise InvalidArgumentError("candidate points have the wrong dimension")
-    B = points.shape[0]
-    groups = ds.mask_groups
-    out = np.empty((ds.N, B))
-    for start in range(0, B, _ATOM_BLOCK):
-        block = points[start : start + _ATOM_BLOCK]
-        stop = start + block.shape[0]
-        for mask, rows, Z, T in groups:
-            out[rows, start:stop] = log_kernel_block(ds.spec, block, Z, T, mask)
+    out = np.empty((ds.N, len(points)))
+    for mask, rows, Z, T in ds.mask_groups:
+        blocks = grid_blocks(points, T, _ATOM_BLOCK) if grid_blocks else _point_blocks(points, _ATOM_BLOCK)
+        for start, S in blocks:
+            out[rows, start : start + len(S)] = log_kernel_block(ds.spec, S, Z, T, mask)
     return out
 
 
@@ -115,11 +129,11 @@ def build_sieve_kernel_matrix(
     """
     if ds.is_censored:
         raise InvalidArgumentError("sieve fitting expects an uncensored dataset")
-    points, _ = basis.quadrature(quad_points_per_cell)
+    grid, _ = basis.quadrature(quad_points_per_cell)
     log_factors = basis.log_axis_factors(quad_points_per_cell)
     factors = [np.exp(f) for f in log_factors]
     q_shape = tuple(f.shape[0] for f in factors)
-    log_kq = kernel_columns(ds, points)  # (N, Q)
+    log_kq = kernel_columns(ds, grid)  # (N, Q)
     shift = log_kq.max(axis=1)
     sums = np.empty((ds.N, basis.m))
     for start in range(0, ds.N, _SIEVE_ROW_BLOCK):

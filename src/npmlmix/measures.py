@@ -6,6 +6,7 @@ read-only, so values can be shared freely between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -83,6 +84,40 @@ def _tensor_points(axes) -> np.ndarray:
     """Tensor product of per-axis values as (P, p) rows, the last axis fastest."""
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.reshape(-1) for g in grids], axis=1)
+
+
+class TensorGrid:
+    """Tensor product of per-axis values; ``len`` and ``np.asarray`` see its points, ``_tensor_points(axes)``."""
+
+    def __init__(self, axes):
+        self.axes = tuple(np.asarray(a, dtype=float) for a in axes)
+
+    def __len__(self) -> int:
+        return math.prod(a.shape[0] for a in self.axes)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return _tensor_points(self.axes).astype(dtype or float, copy=False)
+
+    def slabs(self, size: int):
+        """Sub-grids of at most ``size`` points that tile the grid in point order: (start, sub-grid).
+
+        Each is a run of leading-axis values or, where one value's sub-grid is larger, a slab of that.
+        """
+        lead, rest = self.axes[0], TensorGrid(self.axes[1:])
+        per = len(rest)
+        for i in range(0, lead.shape[0], max(1, size // per)):
+            if per <= size:
+                yield i * per, TensorGrid((lead[i : i + size // per],) + rest.axes)
+            else:
+                for start, part in rest.slabs(size):
+                    yield i * per + start, TensorGrid((lead[i : i + 1],) + part.axes)
+
+
+def _point_blocks(points, size: int):
+    """(start, block) of at most ``size`` candidates: row blocks of a point array, slabs of a ``TensorGrid``."""
+    if isinstance(points, TensorGrid):
+        return points.slabs(size)
+    return ((start, points[start : start + size]) for start in range(0, len(points), size))
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -248,9 +283,9 @@ class SieveBasis:
         return rules
 
     def quadrature(self, points_per_cell: int):
-        """Tensor Gauss-Legendre rule exact per grid cell: (points, log_weights)."""
+        """Tensor Gauss-Legendre rule exact per grid cell: (points as a ``TensorGrid``, log_weights)."""
         axis_pts, axis_w = zip(*self._axis_rules(points_per_cell))
-        return _tensor_points(axis_pts), np.log(np.prod(_tensor_points(axis_w), axis=1))
+        return TensorGrid(axis_pts), np.log(np.prod(_tensor_points(axis_w), axis=1))
 
     def log_axis_factors(self, points_per_cell: int) -> list:
         """Per axis, log(w_q phi_c(x_q)) over that axis's rule and elements: (Q_a, c_a), -inf off support.

@@ -34,6 +34,17 @@ def _as_1d(x, name: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class _DecayBlock:
+    """Amplitudes, and the (N, R_b, n) table exp(-rate * t) of the rates, of a ``PkExp`` grid block."""
+
+    amps: np.ndarray
+    decay: np.ndarray
+
+    def __len__(self) -> int:
+        return self.amps.shape[0] * self.decay.shape[1]
+
+
+@dataclass(frozen=True)
 class PkExp:
     """Two-parameter exponential decay: s = (A, rate), value A * exp(-rate * t).
 
@@ -44,11 +55,26 @@ class PkExp:
     def dim(self) -> int:
         return 2
 
-    def evaluate_many(self, S: np.ndarray, T: np.ndarray) -> np.ndarray:
-        # S: (B, 2), T: (N, n) -> (N, B, n)
+    def evaluate_many(self, S, T: np.ndarray) -> np.ndarray:
+        # S: (B, 2) points or a _DecayBlock, T: (N, n) -> (N, B, n)
+        if isinstance(S, _DecayBlock):
+            return (S.amps[None, :, None, None] * S.decay[:, None]).reshape(T.shape[0], len(S), T.shape[1])
         amp = S[:, 0][None, :, None]
         rate = S[:, 1][None, :, None]
         return amp * np.exp(-rate * T[:, None, :])
+
+    def grid_blocks(self, grid, T: np.ndarray, size: int):
+        """(start, block) over ``grid.slabs(size)``, each block as ``evaluate_many`` takes it at times T.
+
+        exp(-rate * t) is taken once, on the rate axis; each block scales its part
+        of that table by its amplitudes, with the bits of ``evaluate_many``.
+        """
+        rates = grid.axes[1]
+        with np.errstate(over="ignore"):
+            decay = np.exp(-rates[None, :, None] * T[:, None, :])
+        for start, slab in grid.slabs(size):
+            r0 = start % rates.shape[0]
+            yield start, _DecayBlock(slab.axes[0], decay[:, r0 : r0 + slab.axes[1].shape[0]])
 
 
 @dataclass(frozen=True)
@@ -247,7 +273,7 @@ class ModelSpec:
 
 
 def _forward(spec: ModelSpec, S: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """f at points S (B, p) and times T (N, n) as an (N, B, n) table; every value must be finite."""
+    """f at points S (B, p), or a grid block, and times T (N, n) as an (N, B, n) table; all must be finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         F = spec.f.evaluate_many(S, T)
     if not np.all(np.isfinite(F)):
@@ -318,17 +344,17 @@ def log_kernel_block(
 ) -> np.ndarray:
     """Log conditional densities for a block of individuals and atoms.
 
-    S: (B, p) candidate points; Y: (N, k) observed components (k = n, or the
-    mask cardinality when censored); T: (N, n) full time vectors. Returns the
-    (N, B) table of log k_x(s). Raises when a candidate point drives the
-    model out of its numeric domain.
+    S: (B, p) candidate points (a float array) or a ``spec.f.grid_blocks``
+    block; Y: (N, k) observed components (k = n, or the mask cardinality when
+    censored); T: (N, n) full time vectors. Returns the (N, B) table of
+    log k_x(s). Raises when a candidate point drives the model out of its
+    numeric domain.
     """
-    S = np.asarray(S, dtype=float)
     Y = np.asarray(Y, dtype=float)
     T = np.asarray(T, dtype=float)
     if mask is not None and mask.cardinality == 0:
         # No observed components: unit contribution to the likelihood.
-        return np.zeros((T.shape[0], S.shape[0]))
+        return np.zeros((T.shape[0], len(S)))
     if spec.sigma <= 0:
         raise InvalidArgumentError("density evaluation requires sigma > 0")
     F = _forward(spec, S, T)

@@ -14,8 +14,8 @@ as the reference EM weight solver.
 Every table the solver scans is a ``KernelMatrix`` whose ``atoms`` are its
 columns' points. A discrete fit builds the (N, G) table of its scan grid
 once; an inserted atom takes its column from it, so the kernel is computed
-once per fit. ``certify`` holds no such table: it streams the grid and the
-atoms through ``directional_derivatives`` in blocks of ``_SCAN_BLOCK`` points.
+once per fit. ``certify`` holds no such table: it streams the grid, then the
+atoms, in blocks of at most ``_SCAN_BLOCK`` points.
 """
 
 from __future__ import annotations
@@ -41,10 +41,11 @@ from .measures import (
     MixingMeasure,
     SieveBasis,
     SieveDensity,
+    TensorGrid,
     _check_box,
     _checked_weights,
     _clean_weights,
-    _tensor_points,
+    _point_blocks,
     new_uniform_grid_measure,
 )
 
@@ -174,11 +175,10 @@ def _exp_mean(log_cols: np.ndarray, log_rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dir_derivs_from_rows(ds, log_rows: np.ndarray, points: np.ndarray) -> np.ndarray:
-    points = np.asarray(points, dtype=float)
-    out = np.empty(points.shape[0])
-    for start in range(0, points.shape[0], _SCAN_BLOCK):
-        cols = kernel_columns(ds, points[start : start + _SCAN_BLOCK])
+def _dir_derivs_from_rows(ds, log_rows: np.ndarray, points) -> np.ndarray:
+    out = np.empty(len(points))
+    for start, block in _point_blocks(points, _SCAN_BLOCK):
+        cols = kernel_columns(ds, block)
         out[start : start + cols.shape[1]] = _exp_mean(cols, log_rows)
     return out
 
@@ -189,15 +189,15 @@ def _certificate(values: np.ndarray, candidates: np.ndarray, grid_resolution: in
     return Certificate(float(values[best]), candidates[best].copy(), grid_resolution)
 
 
-def _scan_grid(box_arr: np.ndarray, resolution: int) -> np.ndarray:
+def _scan_grid(box_arr: np.ndarray, resolution: int) -> TensorGrid:
     # plain linspace, not the start-grid node rule: resolution 1 scans lo
-    return _tensor_points([np.linspace(lo, hi, resolution) for lo, hi in box_arr])
+    return TensorGrid([np.linspace(lo, hi, resolution) for lo, hi in box_arr])
 
 
 def _scan_table(ds, box_arr: np.ndarray, resolution: int) -> KernelMatrix:
-    """The scan grid's (N, G) log-kernel table, with the grid as its atoms; built once per fit."""
+    """The scan grid's (N, G) log-kernel table, with the grid's points as its atoms; built once per fit."""
     grid = _scan_grid(box_arr, resolution)
-    return KernelMatrix(kernel_columns(ds, grid), atoms=grid)
+    return KernelMatrix(kernel_columns(ds, grid), atoms=np.asarray(grid))
 
 
 def _scan_certificate(
@@ -221,8 +221,8 @@ def certify(
 ) -> Certificate:
     """Recompute the sup of a fit's directional derivative.
 
-    For a discrete measure the scan covers a uniform grid over the box plus
-    the atoms, streamed through ``directional_derivatives`` in blocks, so its
+    For a discrete measure the scan covers a uniform grid over the box, then
+    the atoms, streamed in blocks of at most ``_SCAN_BLOCK`` points, so its
     memory does not grow with the resolution; the fit is optimal on the box
     (up to the scan resolution) when the certificate holds at refine_tol. For a
     SieveDensity the scan covers the basis elements, with the kernel
@@ -236,8 +236,10 @@ def certify(
     box_arr = _check_box(box, mu.p)
     if grid_resolution < 1:
         raise InvalidArgumentError("grid_resolution must be >= 1")
-    candidates = np.concatenate([_scan_grid(box_arr, grid_resolution), mu.atoms])
-    return _certificate(directional_derivatives(ds, mu, candidates), candidates, grid_resolution)
+    grid = _scan_grid(box_arr, grid_resolution)
+    log_rows = row_log_mixture(build_kernel_matrix(ds, mu), mu.weights)
+    values = np.concatenate([_dir_derivs_from_rows(ds, log_rows, c) for c in (grid, mu.atoms)])
+    return _certificate(values, np.concatenate([np.asarray(grid), mu.atoms]), grid_resolution)
 
 
 def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:

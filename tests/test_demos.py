@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from npmlmix.cli import main
+from npmlmix.experiments import CSV_HEADER, REPORT_VERSION
 from npmlmix.serialize import read_json
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -95,3 +96,16 @@ def test_readme_certify_line_gives_a_verdict(readme_dir, monkeypatch, capsys):
 def test_readme_certify_line_certifies_the_npml_fit(readme_dir, monkeypatch, capsys):
     code, report = _run_readme_certify(readme_dir[0], monkeypatch, capsys)
     assert code == 0 and report["optimal"]
+
+
+def test_readme_experiment_line_runs_as_written(tmp_path, monkeypatch, capsys):
+    exp = re.search(r"`experiment` config.*?```json\n(.*?)```", README, re.S).group(1)
+    (tmp_path / "exp.json").write_text(exp)
+    monkeypatch.chdir(tmp_path)
+    assert main(_readme_command("experiment")) == 0, capsys.readouterr().err
+    lines = (tmp_path / "report.csv").read_text().splitlines()
+    assert lines[0].split(",") == CSV_HEADER
+    cfg = json.loads(exp)
+    assert len(lines) == 1 + len(cfg["N_schedule"]) * len(cfg["seeds"])
+    assert all(line.split(",")[0] == str(REPORT_VERSION) for line in lines[1:])
+    assert (tmp_path / "report.gp").read_text().strip()

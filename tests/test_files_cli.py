@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from npmlmix import (
     CensorMask,
@@ -19,6 +21,8 @@ from npmlmix import (
     MixingMeasure,
     ModelSpec,
     PkExp,
+    SieveBasis,
+    SieveDensity,
     TimeDesign,
     apply_censoring,
     simulate_dataset,
@@ -30,6 +34,7 @@ from npmlmix.serialize import (
     dataset_from_dict,
     dataset_to_dict,
     dumps,
+    fit_file_from_dict,
     fit_from_dict,
     fit_options_from_dict,
     fit_to_dict,
@@ -40,7 +45,7 @@ from npmlmix.serialize import (
     spec_to_dict,
     write_json,
 )
-from npmlmix.solver import fit_npml
+from npmlmix.solver import Certificate, FitResult, fit_npml
 
 
 @pytest.fixture
@@ -60,6 +65,73 @@ def sim_config(tmp_path):
     path = tmp_path / "sim.json"
     write_json(path, cfg)
     return path
+
+
+@st.composite
+def fit_files(draw):
+    """A fit as a fit file carries it: (result, box, include_trace, quad_points), discrete or sieve."""
+    p = draw(st.integers(1, 3))
+    lo = np.array(draw(st.lists(st.floats(-1e6, 1e6), min_size=p, max_size=p)))
+    box = np.stack([lo, lo + draw(st.lists(st.floats(1e-2, 1e6), min_size=p, max_size=p))], axis=1)
+    finite = st.floats(-1e300, 1e300)
+    if draw(st.booleans()):
+        basis = SieveBasis(box, draw(st.lists(st.integers(1, 4), min_size=p, max_size=p)))
+        m, quad_points = basis.m, draw(st.integers(1, 12))
+    else:
+        m, quad_points = draw(st.integers(1, 6)), None
+        atoms = np.array(draw(st.lists(finite, min_size=m * p, max_size=m * p))).reshape(m, p)
+    # integer shares: the simplex points a fit reaches are as generic as these ratios
+    weights = np.array(draw(st.lists(st.integers(0, 1000), min_size=m, max_size=m).filter(any)), dtype=float)
+    weights /= weights.sum()
+    measure = MixingMeasure(atoms, weights) if quad_points is None else SieveDensity(basis, weights)
+    trace = np.array(draw(st.lists(finite, min_size=1, max_size=5)))
+    argmax = np.array(draw(st.lists(finite, min_size=p, max_size=p)))
+    cert = Certificate(draw(finite), argmax, draw(st.integers(1, 500)))
+    status = draw(st.sampled_from(["converged", "iter-limit"]))
+    fit = FitResult(measure, trace, float(trace[-1]), draw(st.integers(0, 10**6)), cert, status)
+    return fit, box, draw(st.booleans()), quad_points
+
+
+def _fit_file_text(fit, box, include_trace, quad_points) -> str:
+    return dumps(fit_to_dict(fit, box=box, include_trace=include_trace, quad_points=quad_points))
+
+
+class TestFitFileRoundTrip:
+    """A fit file read back holds what was written; written again, it should keep its bytes."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(case=fit_files())
+    def test_every_field_reads_back(self, case):
+        fit, box, include_trace, quad_points = case
+        again, box_again, quad_again = fit_file_from_dict(json.loads(_fit_file_text(*case)))
+        assert (again.status, again.iterations, again.final_loglik) == (fit.status, fit.iterations, fit.final_loglik)
+        assert again.certificate.sup_dir_derivative == fit.certificate.sup_dir_derivative
+        assert again.certificate.grid_resolution == fit.certificate.grid_resolution
+        np.testing.assert_array_equal(again.certificate.argmax_point, fit.certificate.argmax_point)
+        np.testing.assert_array_equal(box_again, box)
+        assert quad_again == quad_points
+        if include_trace:
+            np.testing.assert_array_equal(again.loglik_trace, fit.loglik_trace)
+        sieve = quad_points is not None
+        weights = again.measure.coefficients if sieve else again.measure.weights
+        written = fit.measure.coefficients if sieve else fit.measure.weights
+        if not sieve:
+            np.testing.assert_array_equal(again.measure.atoms, fit.measure.atoms)
+        # reading renormalizes the weights, which moves them by rounding only
+        np.testing.assert_allclose(weights, written, rtol=written.size * np.finfo(float).eps, atol=0)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="reading a fit file renormalizes its weights (MixingMeasure, SieveDensity), and dividing "
+        "normalized weights by their sum again moves the last bit of some of them",
+    )
+    # no shrinking: the expected failure needs no minimal example
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None, phases=(Phase.generate,))
+    @given(case=fit_files())
+    def test_write_read_write_keeps_the_bytes(self, case):
+        text = _fit_file_text(*case)
+        again, box, quad_points = fit_file_from_dict(json.loads(text))
+        assert _fit_file_text(again, box, case[2], quad_points) == text
 
 
 class TestSchemas:
@@ -922,3 +994,32 @@ class TestCliExperiment:
         payload["kind"] = "bootstrap"
         write_json(cfg, payload)
         assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 1
+
+
+def test_fit_and_certify_load_no_scipy(tmp_path):
+    design = TimeDesign(((0, 0.75), (0.75, 1.5), (1.5, 2.25), (2.25, 3)))
+    spec = ModelSpec(p=2, n=4, sigma=0.2, f=PkExp(), time_design=design)
+    # simulating draws Gaussian noise through scipy; the subprocess only reads the file
+    ds = simulate_dataset(spec, MixingMeasure(np.array([[1.0, 0.3], [2.0, 0.8]]), [0.5, 0.5]), 120, seed=3)
+    write_json(tmp_path / "data.json", dataset_to_dict(ds))
+    script = """
+import sys
+from npmlmix.cli import main
+box = ["--box", "0.5,2.5;0.05,1.2"]
+codes = [
+    main(["fit", "--data", "data.json", "--method", "npml", *box, "--grid", "5", "--out", "fit.json"]),
+    main(["certify", "--data", "data.json", "--fit", "fit.json", "--resolution", "33"]),
+    main(["fit", "--data", "data.json", "--method", "sieve", *box, "--sieve-m", "4", "--out", "sieve.json"]),
+    main(["certify", "--data", "data.json", "--fit", "sieve.json"]),
+]
+assert 1 not in codes, codes
+loaded = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+assert not loaded, loaded
+"""
+    env = dict(os.environ)
+    src = Path(experiments.__file__).resolve().parents[1]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr

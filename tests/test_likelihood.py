@@ -5,6 +5,8 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from npmlmix import (
@@ -31,6 +33,7 @@ from npmlmix import (
     simulate_dataset,
 )
 from npmlmix import likelihood
+from npmlmix.measures import TensorGrid, _tensor_points
 
 
 def single_obs_dataset(spec, y, t):
@@ -355,3 +358,90 @@ class TestCensoredEdgeCases:
         mask = CensorMask(4, (1, 3))
         via_tuple = conditional_log_density(pk_spec, s, (project_mask(y, mask), t, mask))
         assert math.isfinite(via_tuple)
+
+
+# every kind of data a grid's kernel columns meet: (dataset builder, search box)
+PK_CENSORING = CensoringDesign(((CensorMask(4, (0, 2)), 0.5), (CensorMask.full(4), 0.5)))
+LINEAR = ModelSpec(p=2, n=2, sigma=0.3, f=LinearInS(((1.0, 0.5), (0.0, 1.0))), time_design=TD2)
+GRID_CASES = {
+    "pk": (lambda N, seed: sieve_case_dataset(2, "homoscedastic", 0.2, N, seed), PK_BOX),
+    "pk-censored": (
+        lambda N, seed: apply_censoring(sieve_case_dataset(2, "homoscedastic", 0.2, N, seed), PK_CENSORING, seed + 1),
+        PK_BOX,
+    ),
+    "pk-heteroscedastic": (lambda N, seed: sieve_case_dataset(2, "heteroscedastic", 0.2, N, seed), PK_BOX),
+    "pk-laplace": (lambda N, seed: sieve_case_dataset(2, "laplace", 0.2, N, seed), PK_BOX),
+    "location": (lambda N, seed: sieve_case_dataset(1, "homoscedastic", 0.3, N, seed), LOC_BOX),
+    "linear": (lambda N, seed: simulate_dataset(LINEAR, PK_TRUTH, N, seed), [(0.0, 2.5), (0.0, 1.0)]),
+}
+MANY = likelihood._ATOM_BLOCK + 89  # more nodes on one axis than one block of columns holds
+
+
+class TestGridColumns:
+    """A tensor grid's kernel columns, evaluated through its axes, have the bits of its points' columns."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        case=st.sampled_from(sorted(GRID_CASES)),
+        N=st.integers(1, 30),
+        seed=st.integers(0, 10**6),
+        sizes=st.tuples(st.integers(1, 40), st.one_of(st.integers(1, 40), st.just(MANY))),
+    )
+    @example(case="pk", N=3, seed=1, sizes=[1, 1])
+    @example(case="pk-censored", N=9, seed=2, sizes=[3, MANY])
+    @example(case="pk-heteroscedastic", N=4, seed=3, sizes=[1, MANY])
+    @example(case="location", N=5, seed=4, sizes=[MANY])
+    @example(case="linear", N=6, seed=5, sizes=[MANY, 2])
+    def test_grid_columns_equal_point_columns(self, case, N, seed, sizes):
+        build, box = GRID_CASES[case]
+        ds = build(N, seed)
+        rng = np.random.default_rng(seed)
+        axes = [rng.uniform(lo, hi, size) for (lo, hi), size in zip(box, sizes)]
+        grid = TensorGrid(axes)
+        assert len(grid) == math.prod(len(a) for a in axes)
+        np.testing.assert_array_equal(np.asarray(grid), _tensor_points(axes))
+        columns = likelihood.kernel_columns(ds, grid)
+        np.testing.assert_array_equal(columns, likelihood.kernel_columns(ds, np.asarray(grid)))
+
+    @pytest.mark.parametrize("shape", [(1,), (7,), (MANY,), (5, 1), (3, 200), (2, MANY), (4, 3, 50), (2, 30, 40)])
+    def test_slabs_tile_the_grid_in_point_order(self, shape):
+        grid = TensorGrid([np.arange(k) + 1000.0 * a for a, k in enumerate(shape)])
+        points, size, covered = np.asarray(grid), likelihood._ATOM_BLOCK, 0
+        for start, slab in grid.slabs(size):
+            block = np.asarray(slab)
+            assert start == covered and 1 <= len(slab) == len(block) <= size
+            np.testing.assert_array_equal(block, points[start : start + len(block)])
+            covered += len(block)
+        assert covered == len(points)
+
+    def test_point_outside_domain_rejected_on_a_grid(self):
+        ds = sieve_case_dataset(2, "homoscedastic", 0.2, 5, seed=6)
+        grid = TensorGrid([[1.0, 2.0], [0.5, -600.0]])  # exp(600 t) overflows
+        for points in (grid, np.asarray(grid)):
+            with pytest.raises(InvalidArgumentError, match="numeric domain"):
+                likelihood.kernel_columns(ds, points)
+
+    def test_sieve_kernel_evaluates_its_rule_as_a_grid(self, monkeypatch):
+        seen = []
+        real = likelihood.kernel_columns
+        monkeypatch.setattr(likelihood, "kernel_columns", lambda ds, points: seen.append(points) or real(ds, points))
+        basis = SieveBasis(PK_BOX, [3, 4])
+        build_sieve_kernel_matrix(sieve_case_dataset(2, "homoscedastic", 0.2, 10, seed=7), basis, 3)
+        (grid,) = seen
+        assert isinstance(grid, TensorGrid)
+        np.testing.assert_array_equal(np.asarray(grid), np.asarray(basis.quadrature(3)[0]))
+
+
+def test_logsumexp_has_the_bits_of_scipy():
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        rows, cols = (int(k) for k in rng.integers(1, 40, size=2))
+        a = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=(rows, cols))
+        if rng.random() < 0.5:
+            a = np.round(a, 1)  # many ties, among them ties at the row maximum
+        ties = rng.random((rows, cols)) < 0.2
+        a[ties] = a.max(axis=1, keepdims=True).repeat(cols, axis=1)[ties]
+        gone = rng.random((rows, cols)) < 0.3
+        gone[np.arange(rows), rng.integers(0, cols, rows)] = False  # every row keeps a finite entry
+        a[gone] = -np.inf
+        np.testing.assert_array_equal(likelihood.logsumexp(a, axis=1), logsumexp(a, axis=1))

@@ -41,6 +41,7 @@ from npmlmix import (
 )
 from npmlmix import likelihood, solver
 from npmlmix.likelihood import kernel_columns, row_log_mixture
+from npmlmix.measures import _tensor_points
 from npmlmix.solver import _cnm, _exp_mean, _mean_log, _newton_step, _nnls, _refine, _scan_certificate, _scan_table
 
 TIGHT = FitOptions(tol_rel_loglik=1e-14, max_em_iters=200000)
@@ -213,6 +214,25 @@ class TestCertify:
         assert max(widths) <= solver._SCAN_BLOCK
         # the atoms' own columns, then the grid and the atoms in blocks
         assert sum(widths) == 9 + 64 * 64 + 9
+
+    def test_resolution_257_matches_the_point_scan(self, pk_spec, two_point_pk_truth, monkeypatch):
+        ds = simulate_dataset(pk_spec, two_point_pk_truth, 30, seed=8)
+        box = [(0.5, 2.5), (0.1, 1.2)]
+        mu = new_uniform_grid_measure(box, [3, 3])
+        points = np.concatenate([_tensor_points([np.linspace(lo, hi, 257) for lo, hi in box]), mu.atoms])
+        expected = solver._certificate(directional_derivatives(ds, mu, points), points, 257)
+        original, widths = likelihood.kernel_columns, []
+
+        def counting_columns(ds_, points_):
+            widths.append(len(points_))
+            return original(ds_, points_)
+
+        monkeypatch.setattr(likelihood, "kernel_columns", counting_columns)
+        monkeypatch.setattr(solver, "kernel_columns", counting_columns)
+        cert = certify(ds, mu, box, 257)
+        assert cert.sup_dir_derivative == expected.sup_dir_derivative
+        np.testing.assert_array_equal(cert.argmax_point, expected.argmax_point)
+        assert max(widths) <= solver._SCAN_BLOCK and sum(widths) == 9 + 257 * 257 + 9
 
 
 class TestNewtonStep:
