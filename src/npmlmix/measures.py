@@ -18,6 +18,8 @@ from .errors import DegenerateMeasureError, InvalidArgumentError
 _MEASURE_NEG_TOL = 1e-15
 _SOLVER_NEG_TOL = 1e-12
 _WEIGHT_SUM_TOL = 1e-6
+# weights summing to one within this are kept as they are, so cleaning twice changes no bit
+_RENORMALIZE_TOL = 1e-12
 
 
 def _checked_weights(weights, m: Optional[int] = None, neg_tol: float = _SOLVER_NEG_TOL) -> np.ndarray:
@@ -39,12 +41,12 @@ def _checked_weights(weights, m: Optional[int] = None, neg_tol: float = _SOLVER_
 
 
 def _clean_weights(weights, m: int) -> np.ndarray:
-    """Validated weights of length m that sum to one, renormalized exactly."""
+    """Validated weights of length m that sum to one, renormalized when off by more than 1e-12."""
     w = _checked_weights(weights, m, _MEASURE_NEG_TOL)
     total = w.sum()
     if abs(total - 1.0) > _WEIGHT_SUM_TOL:
         raise InvalidArgumentError(f"weights sum to {total!r}, expected 1")
-    return w / total
+    return w / total if abs(total - 1.0) > _RENORMALIZE_TOL else w
 
 
 def _check_box(box, p: Optional[int] = None) -> np.ndarray:
