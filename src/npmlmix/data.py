@@ -145,8 +145,9 @@ def _open_unit(u: np.ndarray) -> np.ndarray:
     return np.clip(u, 1e-300, 1.0 - 1e-16)
 
 
-def _standard_noise(rng: np.random.Generator, n: int, noise: str) -> np.ndarray:
-    u = _open_unit(rng.random(n))
+def _standard_noise(u: np.ndarray, noise: str) -> np.ndarray:
+    """Unit-variance noise from uniforms u, by the inverse CDF of the noise family."""
+    u = _open_unit(u)
     if noise == GAUSSIAN:
         from scipy.special import ndtri  # here, so that only Gaussian simulation loads scipy
 
@@ -160,31 +161,31 @@ def _standard_noise(rng: np.random.Generator, n: int, noise: str) -> np.ndarray:
 def simulate_dataset(spec: ModelSpec, mu_true: MixingMeasure, N: int, seed: int) -> Dataset:
     """Draw N individuals: S from mu_true, T from the design, noise per spec.
 
-    Deterministic for a fixed seed; individual i depends only on (seed, i).
+    Deterministic for a fixed seed; individual i depends only on (seed, i). Its
+    substream gives 1 + 2n uniforms: the atom, then the n times, then the n noise
+    draws. The forward model is evaluated once per truth atom, on its rows.
     """
     if N < 1:
         raise InvalidArgumentError("N must be >= 1")
     if mu_true.p != spec.p:
         raise InvalidArgumentError("truth dimension does not match the spec")
+    n = spec.n
     bounds = spec.time_design.bounds()
-    widths = bounds[:, 1] - bounds[:, 0]
-    cum = np.cumsum(mu_true.weights)
-    observations = []
-    for i in range(N):
-        rng = _substream(seed, i)
-        idx = int(np.searchsorted(cum, rng.random(), side="right"))
-        idx = min(idx, mu_true.m - 1)
-        s = mu_true.atoms[idx]
-        t = bounds[:, 0] + widths * rng.random(spec.n)
-        eps = _standard_noise(rng, spec.n, spec.noise)
-        f_val = _forward(spec, s[None, :], t[None, :])[0, 0]
-        if spec.heteroscedastic:
-            g = _scale(spec, f_val)
-            sd = np.sqrt(spec.sigma**2 + g * g)
-        else:
-            sd = spec.sigma
-        observations.append(Observation(f_val + sd * eps, t))
-    return Dataset(spec=spec, observations=tuple(observations), seed=seed, truth=mu_true)
+    u = np.stack([_substream(seed, i).random(1 + 2 * n) for i in range(N)])
+    idx = np.minimum(np.searchsorted(np.cumsum(mu_true.weights), u[:, 0], side="right"), mu_true.m - 1)
+    T = bounds[:, 0] + (bounds[:, 1] - bounds[:, 0]) * u[:, 1 : 1 + n]
+    F = np.empty((N, n))
+    for j in np.unique(idx):
+        rows = idx == j
+        F[rows] = _forward(spec, mu_true.atoms[j][None, :], T[rows])[:, 0]
+    if spec.heteroscedastic:
+        g = _scale(spec, F)
+        sd = np.sqrt(spec.sigma**2 + g * g)
+    else:
+        sd = spec.sigma
+    Y = F + sd * _standard_noise(u[:, 1 + n :], spec.noise)
+    observations = tuple(Observation(y, t) for y, t in zip(Y, T))
+    return Dataset(spec=spec, observations=observations, seed=seed, truth=mu_true)
 
 
 def apply_censoring(ds: Dataset, design: CensoringDesign, seed: int) -> Dataset:

@@ -35,13 +35,24 @@ def _as_1d(x, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _DecayBlock:
-    """Amplitudes, and the (N, R_b, n) table exp(-rate * t) of the rates, of a ``PkExp`` grid block."""
+    """Amplitudes, and an (N, R, n) table exp(-rate * t), of a block of ``PkExp`` columns.
+
+    A grid block holds the rates of its slab: column a * R + r is amps[a] * decay[:, r]. A
+    ``paired`` block holds one rate per point: R = len(amps), and column b is amps[b] * decay[:, b].
+    """
 
     amps: np.ndarray
     decay: np.ndarray
+    paired: bool = False
 
     def __len__(self) -> int:
-        return self.amps.shape[0] * self.decay.shape[1]
+        return self.decay.shape[1] * (1 if self.paired else self.amps.shape[0])
+
+    def columns(self, a: np.ndarray, e: np.ndarray) -> np.ndarray:
+        """Per-column products a * e, from values a per amplitude and e (..., R) per rate."""
+        if self.paired:
+            return a * e
+        return (a[:, None] * e[..., None, :]).reshape(e.shape[:-1] + (len(self),))
 
 
 @dataclass(frozen=True)
@@ -57,11 +68,15 @@ class PkExp:
 
     def evaluate_many(self, S, T: np.ndarray) -> np.ndarray:
         # S: (B, 2) points or a _DecayBlock, T: (N, n) -> (N, B, n)
-        if isinstance(S, _DecayBlock):
-            return (S.amps[None, :, None, None] * S.decay[:, None]).reshape(T.shape[0], len(S), T.shape[1])
-        amp = S[:, 0][None, :, None]
-        rate = S[:, 1][None, :, None]
-        return amp * np.exp(-rate * T[:, None, :])
+        S = S if isinstance(S, _DecayBlock) else self.decay_block(S, T)
+        if S.paired:
+            return S.amps[None, :, None] * S.decay
+        return (S.amps[None, :, None, None] * S.decay[:, None]).reshape(T.shape[0], len(S), T.shape[1])
+
+    def decay_block(self, S: np.ndarray, T: np.ndarray) -> _DecayBlock:
+        """(B, 2) points as a paired block: exp(-rate * t) per point, with the bits of ``grid_blocks``."""
+        with np.errstate(over="ignore"):
+            return _DecayBlock(S[:, 0], np.exp(-S[:, 1][None, :, None] * T[:, None, :]), paired=True)
 
     def grid_blocks(self, grid, T: np.ndarray, size: int):
         """(start, block) over ``grid.slabs(size)``, each block as ``evaluate_many`` takes it at times T.
@@ -272,12 +287,16 @@ class ModelSpec:
         return self.sigma_prime is not None
 
 
+def _require_domain(values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
+        raise InvalidArgumentError("a parameter point lies outside the model function's numeric domain")
+
+
 def _forward(spec: ModelSpec, S: np.ndarray, T: np.ndarray) -> np.ndarray:
     """f at points S (B, p), or a grid block, and times T (N, n) as an (N, B, n) table; all must be finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         F = spec.f.evaluate_many(S, T)
-    if not np.all(np.isfinite(F)):
-        raise InvalidArgumentError("a parameter point lies outside the model function's numeric domain")
+    _require_domain(F)
     return F
 
 
@@ -335,6 +354,32 @@ def laplace_log_density(u, sigma: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum of a * b over the last axis, term by term in index order, so no layout moves its bits."""
+    out = a[..., 0] * b[..., 0]
+    for j in range(1, a.shape[-1]):
+        out += a[..., j] * b[..., j]
+    return out
+
+
+def _gaussian_terms(spec: ModelSpec, S, Y: np.ndarray, T: np.ndarray, cols) -> tuple:
+    """The (N, B) tables y . f and ||f||^2 over the observed components ``cols`` (None: all).
+
+    A ``PkExp`` block, with f = A * e, gives them as A (y . e) and A^2 (e . e) from (N, R)
+    tables, so no (N, B, n) table is formed on a grid. Its largest entry of f per column,
+    |A| max(e), must be finite: that is ``_forward``'s check, without forming f.
+    """
+    if not isinstance(spec.f, PkExp):
+        F = _forward(spec, S, T)
+        F = F if cols is None else F[:, :, cols]
+        return _dot(Y[:, None, :], F), _dot(F, F)
+    block = S if isinstance(S, _DecayBlock) else spec.f.decay_block(S, T)
+    e = block.decay if cols is None else block.decay[:, :, cols]
+    with np.errstate(over="ignore", invalid="ignore"):
+        _require_domain(block.columns(np.abs(block.amps), block.decay.max(axis=0).max(axis=-1)))
+        return block.columns(block.amps, _dot(Y[:, None, :], e)), block.columns(block.amps * block.amps, _dot(e, e))
+
+
 def log_kernel_block(
     spec: ModelSpec,
     S: np.ndarray,
@@ -349,6 +394,13 @@ def log_kernel_block(
     censored); T: (N, n) full time vectors. Returns the (N, B) table of
     log k_x(s). Raises when a candidate point drives the model out of its
     numeric domain.
+
+    With homoscedastic Gaussian noise, ||y - f||^2 is taken as ||y||^2 - 2 y . f + ||f||^2,
+    with no residual table y - f. Against the residual form that moves log k_x(s) by at
+    most 4 eps (||y|| + ||f||)^2 / (2 sigma^2) + eps |log k_x(s)|, eps = 2^-52: cancellation
+    in the sum, and the rounding of the result. A term can overflow where y - f does not:
+    y or f beyond about 1e154, or for ``PkExp`` exp(-rate * t) beyond it. Such an entry
+    raises as not finite.
     """
     Y = np.asarray(Y, dtype=float)
     T = np.asarray(T, dtype=float)
@@ -357,29 +409,33 @@ def log_kernel_block(
         return np.zeros((T.shape[0], len(S)))
     if spec.sigma <= 0:
         raise InvalidArgumentError("density evaluation requires sigma > 0")
-    F = _forward(spec, S, T)
-    if mask is not None and not mask.is_full:
-        F = F[:, :, list(mask.indices)]
-    U = Y[:, None, :] - F
+    cols = None if mask is None or mask.is_full else list(mask.indices)
     k = Y.shape[1]
-    if not spec.heteroscedastic:
-        sigma = spec.sigma
-        if spec.noise == GAUSSIAN:
-            out = -0.5 * k * np.log(2.0 * math.pi * sigma * sigma) - np.einsum(
-                "ibj,ibj->ib", U, U
-            ) / (2.0 * sigma * sigma)
-        else:
+    sigma = spec.sigma
+    if not spec.heteroscedastic and spec.noise == GAUSSIAN:
+        yf, ff = _gaussian_terms(spec, S, Y, T, cols)
+        # ||y||^2 - 2 y.f + ||f||^2, then the log density, in place in y.f's table
+        sq = np.multiply(yf, -2.0, out=yf)
+        sq += _dot(Y, Y)[:, None]
+        sq += ff
+        sq /= -2.0 * sigma * sigma
+        out = np.add(sq, -0.5 * k * np.log(2.0 * math.pi * sigma * sigma), out=sq)
+    else:
+        F = _forward(spec, S, T)
+        F = F if cols is None else F[:, :, cols]
+        U = Y[:, None, :] - F
+        if not spec.heteroscedastic:
             b = sigma / math.sqrt(2.0)
             out = -k * np.log(2.0 * b) - np.abs(U).sum(axis=2) / b
-    else:
-        g = _scale(spec, F)
-        var = spec.sigma * spec.sigma + g * g
-        if spec.noise == GAUSSIAN:
-            comp = -0.5 * np.log(2.0 * math.pi * var) - (U * U) / (2.0 * var)
         else:
-            b = np.sqrt(var / 2.0)
-            comp = -np.log(2.0 * b) - np.abs(U) / b
-        out = comp.sum(axis=2)
+            g = _scale(spec, F)
+            var = sigma * sigma + g * g
+            if spec.noise == GAUSSIAN:
+                comp = -0.5 * np.log(2.0 * math.pi * var) - (U * U) / (2.0 * var)
+            else:
+                b = np.sqrt(var / 2.0)
+                comp = -np.log(2.0 * b) - np.abs(U) / b
+            out = comp.sum(axis=2)
     if not np.all(np.isfinite(out)):
         raise InvalidArgumentError("conditional log-density is not finite for some atom")
     return out

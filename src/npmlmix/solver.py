@@ -165,13 +165,18 @@ _SCAN_BLOCK = 2048
 def _exp_mean(log_cols: np.ndarray, log_rows: np.ndarray) -> np.ndarray:
     """Directional derivatives (1/N) sum_i k_ij / K(mu)(x_i) from log columns.
 
-    Taken over blocks of columns; each column is summed down its rows in
-    the same order whatever the block, so the blocking does not move bits.
+    Taken over blocks of columns, each exponentiated in place in one
+    preallocated buffer; each column is summed down its rows in the same
+    order whatever the block, so the blocking does not move bits.
     """
-    out = np.empty(log_cols.shape[1])
-    for start in range(0, log_cols.shape[1], _SCAN_BLOCK):
+    N, G = log_cols.shape
+    out = np.empty(G)
+    buf = np.empty(N * min(G, _SCAN_BLOCK))
+    for start in range(0, G, _SCAN_BLOCK):
         block = log_cols[:, start : start + _SCAN_BLOCK]
-        out[start : start + block.shape[1]] = np.exp(block - log_rows[:, None]).mean(axis=0)
+        part = buf[: block.size].reshape(block.shape)
+        np.subtract(block, log_rows[:, None], out=part)
+        out[start : start + block.shape[1]] = np.exp(part, out=part).mean(axis=0)
     return out
 
 

@@ -11,6 +11,7 @@ from npmlmix import (
     CensoringDesign,
     IdentityLocation,
     InvalidArgumentError,
+    LinearInS,
     MixingMeasure,
     ModelSpec,
     ModelViolationError,
@@ -22,7 +23,9 @@ from npmlmix import (
     project_mask,
     simulate_dataset,
 )
+from npmlmix.data import _standard_noise, _substream
 from npmlmix.likelihood import kernel_columns, log_likelihood
+from npmlmix.model import _forward
 from npmlmix.serialize import dataset_to_dict, dumps
 
 
@@ -165,6 +168,52 @@ class TestSimulateDataset:
         truth = MixingMeasure(np.array([[-1.0]]), [1.0])
         with pytest.raises(ModelViolationError):
             simulate_dataset(spec, truth, 5, seed=1)
+
+
+def simulate_per_individual(spec, mu_true, N, seed):
+    """Reference: (Y, T) drawn one individual at a time, three draws from each substream."""
+    bounds = spec.time_design.bounds()
+    cum = np.cumsum(mu_true.weights)
+    Y, T = [], []
+    for i in range(N):
+        rng = _substream(seed, i)
+        idx = min(int(np.searchsorted(cum, rng.random(), side="right")), mu_true.m - 1)
+        t = bounds[:, 0] + (bounds[:, 1] - bounds[:, 0]) * rng.random(spec.n)
+        eps = _standard_noise(rng.random(spec.n), spec.noise)
+        f = _forward(spec, mu_true.atoms[idx][None, :], t[None, :])[0, 0]
+        sd = np.sqrt(spec.sigma**2 + (spec.sigma_prime * f) ** 2) if spec.heteroscedastic else spec.sigma
+        Y.append(f + sd * eps)
+        T.append(t)
+    return np.array(Y), np.array(T)
+
+
+# nonnegative model values on these boxes, so the heteroscedastic scale is valid
+SIMULATION_MODELS = {
+    "pk": (PkExp(), ((0.5, 2.5), (0.05, 1.2))),
+    "location": (IdentityLocation(), ((0.0, 2.5),)),
+    "linear": (LinearInS(((1.0, 0.5), (0.0, 1.0))), ((0.0, 2.5), (0.0, 1.0))),
+}
+
+
+class TestVectorizedSimulation:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        model=st.sampled_from(sorted(SIMULATION_MODELS)),
+        variant=st.sampled_from([{}, {"sigma_prime": 0.3}, {"noise": "laplace"}, {"sigma_prime": 0.2, "noise": "laplace"}]),
+        N=st.integers(1, 40),
+        seed=st.integers(0, 10**6),
+        unit=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.01, 1.0)), min_size=1, max_size=4),
+    )
+    def test_bits_equal_the_per_individual_loop(self, model, variant, N, seed, unit):
+        f, box = SIMULATION_MODELS[model]
+        spec = ModelSpec(p=len(box), n=3, sigma=0.2, f=f, time_design=TimeDesign(((0, 1), (1, 2), (2, 3))), **variant)
+        lo, hi = np.array(box).T
+        unit = np.array(unit)
+        truth = MixingMeasure(lo + (hi - lo) * unit[:, : spec.p], unit[:, -1] / unit[:, -1].sum())
+        ds = simulate_dataset(spec, truth, N, seed)
+        Y, T = simulate_per_individual(spec, truth, N, seed)
+        np.testing.assert_array_equal(np.array([o.y for o in ds.observations]), Y)
+        np.testing.assert_array_equal(np.array([o.t for o in ds.observations]), T)
 
 
 class TestApplyCensoring:

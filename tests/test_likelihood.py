@@ -34,6 +34,7 @@ from npmlmix import (
 )
 from npmlmix import likelihood
 from npmlmix.measures import TensorGrid, _tensor_points
+from npmlmix.model import _forward, log_kernel_block
 
 
 def single_obs_dataset(spec, y, t):
@@ -430,6 +431,80 @@ class TestGridColumns:
         (grid,) = seen
         assert isinstance(grid, TensorGrid)
         np.testing.assert_array_equal(np.asarray(grid), np.asarray(basis.quadrature(3)[0]))
+
+
+def residual_log_kernel(spec, points, Y, T, mask=None):
+    """Reference: homoscedastic Gaussian log k_x(s) from the residual table y - f, and f itself."""
+    F = _forward(spec, points, T)
+    if mask is not None:
+        F = F[:, :, list(mask.indices)]
+    U = Y[:, None, :] - F
+    sigma, k = spec.sigma, Y.shape[1]
+    out = -0.5 * k * np.log(2.0 * math.pi * sigma * sigma) - np.einsum("ibj,ibj->ib", U, U) / (2.0 * sigma * sigma)
+    if not np.all(np.isfinite(out)):
+        raise InvalidArgumentError("conditional log-density is not finite for some atom")
+    return out, F
+
+
+def contraction_bound(spec, Y, F, reference):
+    """The documented distance of the contracted kernel from the residual form."""
+    eps = np.finfo(float).eps
+    norms = np.linalg.norm(Y, axis=1)[:, None] + np.linalg.norm(F, axis=2)
+    return 4 * eps * norms**2 / (2 * spec.sigma**2) + eps * np.abs(reference)
+
+
+# model, search box and truth of the contracted-kernel checks; n = 4 so that the mask [0, 2] fits
+CONTRACTION_MODELS = {
+    "pk": (PkExp(), PK_BOX, PK_TRUTH),
+    "location": (IdentityLocation(), LOC_BOX, LOC_TRUTH),
+    "linear": (LinearInS(((1.0, 0.5), (0.0, 1.0))), [(0.0, 2.5), (0.0, 1.0)], PK_TRUTH),
+}
+
+
+class TestGaussianContraction:
+    """The Gaussian kernel from ||y||^2 - 2 y.f + ||f||^2 stays within its bound of the residual form."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        model=st.sampled_from(sorted(CONTRACTION_MODELS)),
+        sigma=st.sampled_from([0.001, 0.01, 0.2]),
+        censored=st.booleans(),
+        N=st.integers(1, 30),
+        seed=st.integers(0, 10**6),
+        sizes=st.tuples(st.integers(1, 30), st.integers(1, 30)),
+    )
+    def test_grid_and_point_columns_within_the_bound(self, model, sigma, censored, N, seed, sizes):
+        f, box, truth = CONTRACTION_MODELS[model]
+        spec = ModelSpec(p=len(box), n=4, sigma=sigma, f=f, time_design=TD4)
+        ds = simulate_dataset(spec, truth, N, seed)
+        if censored:
+            ds = apply_censoring(ds, PK_CENSORING, seed + 1)
+        rng = np.random.default_rng(seed)
+        grid = TensorGrid([rng.uniform(lo, hi, size) for (lo, hi), size in zip(box, sizes)])
+        points = np.asarray(grid)
+        for columns in (likelihood.kernel_columns(ds, grid), likelihood.kernel_columns(ds, points)):
+            for mask, rows, Z, T in ds.mask_groups:
+                reference, F = residual_log_kernel(spec, points, Z, T, mask)
+                bound = contraction_bound(spec, Z, F, reference)
+                assert np.all(np.abs(columns[rows] - reference) <= bound)
+
+    def test_overflowing_points_raise_as_the_residual_form(self):
+        spec = ModelSpec(p=2, n=2, sigma=0.2, f=PkExp(), time_design=TimeDesign(((0.0, 0.75), (0.75, 1.5))))
+        ds = simulate_dataset(spec, PK_TRUTH, 6, seed=3)
+        [(_, _, Y, T)] = ds.mask_groups
+        # exp(1000 t) overflows: outside the numeric domain. In the pair, each point's own f is finite, but
+        # 1e300 * exp(200 t) is not, so a max|A| * max(e) check would call the pair outside the domain too;
+        # f ~ 1e300 makes ||y - f||^2 overflow instead, in both forms.
+        for points in ([[1.0, -1000.0]], [[1e300, 0.05], [1e-300, -200.0]]):
+            points = np.array(points)
+            with pytest.raises(InvalidArgumentError) as expected:
+                residual_log_kernel(spec, points, Y, T)
+            with pytest.raises(InvalidArgumentError) as raised:
+                log_kernel_block(spec, points, Y, T)
+            assert str(raised.value) == str(expected.value)
+        tiny = np.array([[1e-300, -200.0]])
+        reference, F = residual_log_kernel(spec, tiny, Y, T)
+        assert np.all(np.abs(log_kernel_block(spec, tiny, Y, T) - reference) <= contraction_bound(spec, Y, F, reference))
 
 
 def test_logsumexp_has_the_bits_of_scipy():
