@@ -17,9 +17,7 @@ import numpy as np
 from .data import Dataset, simulate_dataset  # noqa: F401
 from .errors import InvalidArgumentError, NumericDomainError
 from .measures import MixingMeasure, SieveBasis, TensorGrid, _checked_weights, _point_blocks
-from .model import log_kernel_block
-
-_ATOM_BLOCK = 512
+from .model import _ATOM_BLOCK, log_kernel_block
 
 # Rows per block of the sieve contraction; bounds its (rows, Q) temporary
 _SIEVE_ROW_BLOCK = 32
@@ -87,20 +85,20 @@ def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 def kernel_columns(ds: Dataset, points) -> np.ndarray:
     """Log kernel values of every observation at candidate points: (N, B).
 
-    ``points`` is a (B, p) array or a ``TensorGrid``. A model function with a
-    ``grid_blocks`` method cuts a grid into blocks itself, so it can take once
-    per mask group what depends on one axis only; other grids become points.
+    ``points`` is a (B, p) array or a ``TensorGrid``: one ``log_kernel_block`` call with one
+    mask group, else one per group and slab of at most ``_ATOM_BLOCK`` points.
     """
-    grid_blocks = getattr(ds.spec.f, "grid_blocks", None) if isinstance(points, TensorGrid) else None
-    if grid_blocks is None:
+    if not isinstance(points, TensorGrid):
         points = np.asarray(points, dtype=float)
         points = points[:, None] if points.ndim == 1 else points
-    if (len(points.axes) if grid_blocks else points.shape[1]) != ds.spec.p:
+    if (len(points.axes) if isinstance(points, TensorGrid) else points.shape[1]) != ds.spec.p:
         raise InvalidArgumentError("candidate points have the wrong dimension")
+    if len(ds.mask_groups) == 1:
+        [(mask, _, Z, T)] = ds.mask_groups
+        return log_kernel_block(ds.spec, points, Z, T, mask)
     out = np.empty((ds.N, len(points)))
     for mask, rows, Z, T in ds.mask_groups:
-        blocks = grid_blocks(points, T, _ATOM_BLOCK) if grid_blocks else _point_blocks(points, _ATOM_BLOCK)
-        for start, S in blocks:
+        for start, S in _point_blocks(points, _ATOM_BLOCK):
             out[rows, start : start + len(S)] = log_kernel_block(ds.spec, S, Z, T, mask)
     return out
 

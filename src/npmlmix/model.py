@@ -14,6 +14,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import InvalidArgumentError, ModelViolationError
+from .measures import TensorGrid, _point_blocks
 
 GAUSSIAN = "gaussian"
 LAPLACE = "laplace"
@@ -34,28 +35,6 @@ def _as_1d(x, name: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _DecayBlock:
-    """Amplitudes, and an (N, R, n) table exp(-rate * t), of a block of ``PkExp`` columns.
-
-    A grid block holds the rates of its slab: column a * R + r is amps[a] * decay[:, r]. A
-    ``paired`` block holds one rate per point: R = len(amps), and column b is amps[b] * decay[:, b].
-    """
-
-    amps: np.ndarray
-    decay: np.ndarray
-    paired: bool = False
-
-    def __len__(self) -> int:
-        return self.decay.shape[1] * (1 if self.paired else self.amps.shape[0])
-
-    def columns(self, a: np.ndarray, e: np.ndarray) -> np.ndarray:
-        """Per-column products a * e, from values a per amplitude and e (..., R) per rate."""
-        if self.paired:
-            return a * e
-        return (a[:, None] * e[..., None, :]).reshape(e.shape[:-1] + (len(self),))
-
-
-@dataclass(frozen=True)
 class PkExp:
     """Two-parameter exponential decay: s = (A, rate), value A * exp(-rate * t).
 
@@ -66,30 +45,10 @@ class PkExp:
     def dim(self) -> int:
         return 2
 
-    def evaluate_many(self, S, T: np.ndarray) -> np.ndarray:
-        # S: (B, 2) points or a _DecayBlock, T: (N, n) -> (N, B, n)
-        S = S if isinstance(S, _DecayBlock) else self.decay_block(S, T)
-        if S.paired:
-            return S.amps[None, :, None] * S.decay
-        return (S.amps[None, :, None, None] * S.decay[:, None]).reshape(T.shape[0], len(S), T.shape[1])
-
-    def decay_block(self, S: np.ndarray, T: np.ndarray) -> _DecayBlock:
-        """(B, 2) points as a paired block: exp(-rate * t) per point, with the bits of ``grid_blocks``."""
+    def evaluate_many(self, S: np.ndarray, T: np.ndarray) -> np.ndarray:
+        # S: (B, 2), T: (N, n) -> (N, B, n)
         with np.errstate(over="ignore"):
-            return _DecayBlock(S[:, 0], np.exp(-S[:, 1][None, :, None] * T[:, None, :]), paired=True)
-
-    def grid_blocks(self, grid, T: np.ndarray, size: int):
-        """(start, block) over ``grid.slabs(size)``, each block as ``evaluate_many`` takes it at times T.
-
-        exp(-rate * t) is taken once, on the rate axis; each block scales its part
-        of that table by its amplitudes, with the bits of ``evaluate_many``.
-        """
-        rates = grid.axes[1]
-        with np.errstate(over="ignore"):
-            decay = np.exp(-rates[None, :, None] * T[:, None, :])
-        for start, slab in grid.slabs(size):
-            r0 = start % rates.shape[0]
-            yield start, _DecayBlock(slab.axes[0], decay[:, r0 : r0 + slab.axes[1].shape[0]])
+            return S[:, 0][None, :, None] * np.exp(-S[:, 1][None, :, None] * T[:, None, :])
 
 
 @dataclass(frozen=True)
@@ -293,7 +252,7 @@ def _require_domain(values: np.ndarray) -> None:
 
 
 def _forward(spec: ModelSpec, S: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """f at points S (B, p), or a grid block, and times T (N, n) as an (N, B, n) table; all must be finite."""
+    """f at points S (B, p) and times T (N, n) as an (N, B, n) table; all must be finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         F = spec.f.evaluate_many(S, T)
     _require_domain(F)
@@ -354,6 +313,9 @@ def laplace_log_density(u, sigma: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+_ATOM_BLOCK = 512  # candidate columns per block of ``log_kernel_block``
+
+
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Sum of a * b over the last axis, term by term in index order, so no layout moves its bits."""
     out = a[..., 0] * b[..., 0]
@@ -362,67 +324,59 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gaussian_terms(spec: ModelSpec, S, Y: np.ndarray, T: np.ndarray, cols) -> tuple:
-    """The (N, B) tables y . f and ||f||^2 over the observed components ``cols`` (None: all).
+def _pk_terms(S, Y: np.ndarray, T: np.ndarray, cols, gaussian: bool):
+    """``PkExp`` block terms for ``_block_table``, with e = exp(-rate * t) taken once per call: over a grid's
+    rate axis, where column (a, r) is amps[a] * e_r, or at each point's rate, where column b is amps[b] * e_b.
 
-    A ``PkExp`` block, with f = A * e, gives them as A (y . e) and A^2 (e . e) from (N, R)
-    tables, so no (N, B, n) table is formed on a grid. Its largest entry of f per column,
-    |A| max(e), must be finite: that is ``_forward``'s check, without forming f.
+    With Gaussian noise y . f and ||f||^2 come as A (y . e) and A^2 (e . e) from (N, R) tables, so no
+    (N, B, n) table is formed; |A| max(e), the largest entry of f per column, must be finite.
     """
-    if not isinstance(spec.f, PkExp):
-        F = _forward(spec, S, T)
-        F = F if cols is None else F[:, :, cols]
-        return _dot(Y[:, None, :], F), _dot(F, F)
-    block = S if isinstance(S, _DecayBlock) else spec.f.decay_block(S, T)
-    e = block.decay if cols is None else block.decay[:, :, cols]
-    with np.errstate(over="ignore", invalid="ignore"):
-        _require_domain(block.columns(np.abs(block.amps), block.decay.max(axis=0).max(axis=-1)))
-        return block.columns(block.amps, _dot(Y[:, None, :], e)), block.columns(block.amps * block.amps, _dot(e, e))
+    grid = isinstance(S, TensorGrid)
+    amps, rates = S.axes if grid else S.T
+    with np.errstate(over="ignore"):
+        e = np.exp(-rates[None, :, None] * T[:, None, :])
+
+    def scale(a, table):  # columns a * table: each amplitude by each rate on a grid, pairwise on points
+        if grid:
+            return np.einsum("a,ir...->iar...", a, table).reshape((table.shape[0], -1) + table.shape[2:])
+        return (a[:, None] if table.ndim == 3 else a) * table
+
+    if gaussian:
+        with np.errstate(over="ignore", invalid="ignore"):
+            _require_domain(scale(np.abs(amps), e.max(axis=0).max(axis=-1)[None]))
+        e = e[:, :, cols]
+        per_rate = (_dot(Y[:, None, :], e), _dot(e, e))  # y . e and e . e; e is released on return
+    else:
+        per_rate = (e,)
+
+    def terms(start, part):
+        if grid:
+            r0 = start % rates.shape[0]
+            a, rs = part.axes[0], slice(r0, r0 + part.axes[1].shape[0])
+        else:
+            a, rs = part[:, 0], slice(start, start + len(part))
+        with np.errstate(over="ignore", invalid="ignore"):
+            if gaussian:
+                return scale(a, per_rate[0][:, rs]), scale(a * a, per_rate[1][:, rs])
+            F = scale(a, per_rate[0][:, rs])
+        _require_domain(F)
+        return F[:, :, cols]
+
+    return terms
 
 
-def log_kernel_block(
-    spec: ModelSpec,
-    S: np.ndarray,
-    Y: np.ndarray,
-    T: np.ndarray,
-    mask: Optional[CensorMask] = None,
-) -> np.ndarray:
-    """Log conditional densities for a block of individuals and atoms.
-
-    S: (B, p) candidate points (a float array) or a ``spec.f.grid_blocks``
-    block; Y: (N, k) observed components (k = n, or the mask cardinality when
-    censored); T: (N, n) full time vectors. Returns the (N, B) table of
-    log k_x(s). Raises when a candidate point drives the model out of its
-    numeric domain.
-
-    With homoscedastic Gaussian noise, ||y - f||^2 is taken as ||y||^2 - 2 y . f + ||f||^2,
-    with no residual table y - f. Against the residual form that moves log k_x(s) by at
-    most 4 eps (||y|| + ||f||)^2 / (2 sigma^2) + eps |log k_x(s)|, eps = 2^-52: cancellation
-    in the sum, and the rounding of the result. A term can overflow where y - f does not:
-    y or f beyond about 1e154, or for ``PkExp`` exp(-rate * t) beyond it. Such an entry
-    raises as not finite.
-    """
-    Y = np.asarray(Y, dtype=float)
-    T = np.asarray(T, dtype=float)
-    if mask is not None and mask.cardinality == 0:
-        # No observed components: unit contribution to the likelihood.
-        return np.zeros((T.shape[0], len(S)))
-    if spec.sigma <= 0:
-        raise InvalidArgumentError("density evaluation requires sigma > 0")
-    cols = None if mask is None or mask.is_full else list(mask.indices)
-    k = Y.shape[1]
-    sigma = spec.sigma
-    if not spec.heteroscedastic and spec.noise == GAUSSIAN:
-        yf, ff = _gaussian_terms(spec, S, Y, T, cols)
+def _block_table(spec: ModelSpec, Y: np.ndarray, F) -> np.ndarray:
+    """One block's (N, b) table of log k_x(s) from its terms F: the pair (y . f, ||f||^2), or f for other noise."""
+    k, sigma = Y.shape[1], spec.sigma
+    if isinstance(F, tuple):
         # ||y||^2 - 2 y.f + ||f||^2, then the log density, in place in y.f's table
+        yf, ff = F
         sq = np.multiply(yf, -2.0, out=yf)
         sq += _dot(Y, Y)[:, None]
         sq += ff
         sq /= -2.0 * sigma * sigma
         out = np.add(sq, -0.5 * k * np.log(2.0 * math.pi * sigma * sigma), out=sq)
     else:
-        F = _forward(spec, S, T)
-        F = F if cols is None else F[:, :, cols]
         U = Y[:, None, :] - F
         if not spec.heteroscedastic:
             b = sigma / math.sqrt(2.0)
@@ -438,6 +392,48 @@ def log_kernel_block(
             out = comp.sum(axis=2)
     if not np.all(np.isfinite(out)):
         raise InvalidArgumentError("conditional log-density is not finite for some atom")
+    return out
+
+
+def log_kernel_block(spec: ModelSpec, S, Y: np.ndarray, T: np.ndarray, mask: Optional[CensorMask] = None) -> np.ndarray:
+    """Log conditional densities of individuals that share one mask, at a set of candidates.
+
+    S: (B, p) candidate points (a float array) or a ``TensorGrid``; Y: (N, k) observed
+    components (k = n, or the mask cardinality when censored); T: (N, n) full time vectors.
+    Returns the (N, B) table of log k_x(s), filled in blocks of at most ``_ATOM_BLOCK``
+    columns. Raises when a candidate point drives the model out of its numeric domain.
+
+    With homoscedastic Gaussian noise, ||y - f||^2 is taken as ||y||^2 - 2 y . f + ||f||^2,
+    with no residual table y - f. Against the residual form that moves log k_x(s) by at
+    most 4 eps (||y|| + ||f||)^2 / (2 sigma^2) + eps |log k_x(s)|, eps = 2^-52: cancellation
+    in the sum, and the rounding of the result. A term can overflow where y - f does not:
+    y or f beyond about 1e154, or for ``PkExp`` exp(-rate * t) beyond it. Such an entry
+    raises as not finite.
+    """
+    Y, T = np.asarray(Y, dtype=float), np.asarray(T, dtype=float)
+    if mask is not None and mask.cardinality == 0:
+        # No observed components: unit contribution to the likelihood.
+        return np.zeros((T.shape[0], len(S)))
+    if spec.sigma <= 0:
+        raise InvalidArgumentError("density evaluation requires sigma > 0")
+    cols = slice(None) if mask is None or mask.is_full else list(mask.indices)
+    gaussian = not spec.heteroscedastic and spec.noise == GAUSSIAN
+    if isinstance(spec.f, PkExp) and isinstance(S, TensorGrid):
+        terms = _pk_terms(S, Y, T, cols, gaussian)
+    else:
+        S = np.asarray(S, dtype=float)
+
+        def terms(start, part):  # points have no shared rates: their tables are taken per block
+            if isinstance(spec.f, PkExp):
+                return _pk_terms(part, Y, T, cols, gaussian)(0, part)
+            F = _forward(spec, part, T)[:, :, cols]
+            return (_dot(Y[:, None, :], F), _dot(F, F)) if gaussian else F
+
+    if len(S) <= _ATOM_BLOCK:
+        return _block_table(spec, Y, terms(0, S))
+    out = np.empty((T.shape[0], len(S)))
+    for start, part in _point_blocks(S, _ATOM_BLOCK):
+        out[:, start : start + len(part)] = _block_table(spec, Y, terms(start, part))
     return out
 
 

@@ -1,5 +1,6 @@
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 from statistics import NormalDist
 
@@ -403,6 +404,54 @@ class TestGridColumns:
         np.testing.assert_array_equal(np.asarray(grid), _tensor_points(axes))
         columns = likelihood.kernel_columns(ds, grid)
         np.testing.assert_array_equal(columns, likelihood.kernel_columns(ds, np.asarray(grid)))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        case=st.sampled_from(sorted(GRID_CASES)),
+        N=st.integers(1, 30),
+        seed=st.integers(0, 10**6),
+        sizes=st.tuples(st.integers(1, 40), st.one_of(st.integers(1, 40), st.just(MANY))),
+    )
+    @example(case="pk", N=3, seed=1, sizes=[2, MANY])
+    @example(case="pk-censored", N=9, seed=2, sizes=[3, MANY])
+    @example(case="pk-heteroscedastic", N=4, seed=3, sizes=[1, MANY])
+    @example(case="pk-laplace", N=5, seed=4, sizes=[MANY, 3])
+    @example(case="location", N=5, seed=4, sizes=[MANY])
+    def test_log_kernel_block_on_a_grid_has_the_bits_of_its_points(self, case, N, seed, sizes):
+        build, box = GRID_CASES[case]
+        ds = build(N, seed)
+        rng = np.random.default_rng(seed)
+        grid = TensorGrid([rng.uniform(lo, hi, size) for (lo, hi), size in zip(box, sizes)])
+        for mask, _, Z, T in ds.mask_groups:
+            np.testing.assert_array_equal(
+                log_kernel_block(ds.spec, grid, Z, T, mask), log_kernel_block(ds.spec, np.asarray(grid), Z, T, mask)
+            )
+
+    # reference peaks of kernel_columns on a 33 x 33 grid at N = 400, in tables, from a kernel loop that took
+    # one log_kernel_block call per block; a peak may exceed them by 10%
+    @pytest.mark.parametrize(
+        "case, as_points, peak",
+        [
+            ("pk", False, 2.10),
+            ("pk", True, 4.76),
+            ("pk-censored", False, 1.64),
+            ("pk-heteroscedastic", False, 13.9),
+            ("pk-laplace", False, 7.0),
+        ],
+    )
+    def test_kernel_columns_peak_memory(self, case, as_points, peak):
+        build, box = GRID_CASES[case]
+        ds = build(400, 0)
+        grid = TensorGrid([np.linspace(lo, hi, 33) for lo, hi in box])
+        candidates = np.asarray(grid) if as_points else grid
+        ds.mask_groups  # built and cached outside the traced call
+        tracemalloc.start()
+        try:
+            table = likelihood.kernel_columns(ds, candidates)
+            traced = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traced <= 1.1 * peak * table.nbytes
 
     @pytest.mark.parametrize("shape", [(1,), (7,), (MANY,), (5, 1), (3, 200), (2, MANY), (4, 3, 50), (2, 30, 40)])
     def test_slabs_tile_the_grid_in_point_order(self, shape):
