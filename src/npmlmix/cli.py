@@ -43,12 +43,14 @@ def _parse_box(text: str) -> list:
         raise InvalidArgumentError(f"cannot parse box {text!r}; expected 'lo,hi;lo,hi'") from exc
 
 
-def _parse_counts(text: str):
-    """One node count for every axis, or a list with one count per axis."""
+def _parse_counts(text: str, p: int):
+    """--grid: one node count for every axis, or one count per axis of a p-axis box."""
     try:
         parts = [int(v) for v in text.split(",")]
     except ValueError as exc:
-        raise InvalidArgumentError(f"cannot parse grid counts {text!r}; expected integers") from exc
+        raise InvalidArgumentError(f"cannot parse --grid {text!r}; expected integers") from exc
+    if len(parts) not in (1, p) or min(parts) < 1:
+        raise InvalidArgumentError(f"--grid needs one node count >= 1 or {p} of them, got {text!r}")
     return parts[0] if len(parts) == 1 else parts
 
 
@@ -73,7 +75,7 @@ def cmd_fit(args) -> int:
     box = _parse_box(args.box)
     opts = _options_from_args(args)
     if args.method == "npml":
-        fit = fit_npml(ds, box, _parse_counts(args.grid), opts)
+        fit = fit_npml(ds, box, _parse_counts(args.grid, len(box)), opts)
     else:
         for flag, value in (("--sieve-m", args.sieve_m), ("--quad-points", args.quad_points)):
             if value is None or value < 1:
@@ -182,6 +184,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (NpmlError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -27,7 +27,7 @@ from npmlmix import (
     apply_censoring,
     simulate_dataset,
 )
-from npmlmix import experiments
+from npmlmix import cli, experiments
 from npmlmix.cli import main
 from npmlmix.experiments import atom_count
 from npmlmix.serialize import (
@@ -579,8 +579,13 @@ class TestCliErrors:
             (["--max-refinements", "-1"], "max_refinements must be at least 0, got -1"),
             # the last --method wins, so this is a sieve fit
             (["--method", "sieve", "--sieve-m", "2", "--quad-points", "0"], "--quad-points of at least 1, got 0"),
+            (["--grid", "0"], "--grid"),
+            (["--grid", "3,3,3"], "--grid"),
         ],
-        ids=["refine-tol", "prune-eps", "tol", "max-iters", "refine-grid", "max-refinements", "quad-points"],
+        ids=[
+            "refine-tol", "prune-eps", "tol", "max-iters", "refine-grid", "max-refinements", "quad-points",
+            "grid-zero", "grid-axes",
+        ],
     )
     def test_fit_tolerance_not_finite(self, sim_config, tmp_path, capsys, flags, name):
         data = tmp_path / "data.json"
@@ -588,6 +593,18 @@ class TestCliErrors:
         capsys.readouterr()
         code = main(["fit", "--data", str(data), "--method", "npml", "--box", "0.5,2.5;0.1,1.2", "--out", str(tmp_path / "f.json"), *flags])
         assert name in self._assert_one_line_error(capsys, code)
+
+    def test_out_of_memory_is_one_line(self, sim_config, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "data.json"
+        main(["simulate", "--config", str(sim_config), "--out", str(data)])
+        capsys.readouterr()
+
+        def fit_npml(*args):  # the error numpy raises for a table too large, without allocating it
+            raise MemoryError("Unable to allocate 4.37 TiB for an array with shape (60, 10000000000)")
+
+        monkeypatch.setattr(cli, "fit_npml", fit_npml)
+        code = main(["fit", "--data", str(data), "--method", "npml", "--box", "0.5,2.5;0.1,1.2", "--out", str(tmp_path / "f.json")])
+        assert "out of memory: Unable to allocate 4.37 TiB" in self._assert_one_line_error(capsys, code)
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "0"])
     def test_certify_tolerance_must_be_positive(self, sim_config, tmp_path, capsys, tol):
