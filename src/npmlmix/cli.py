@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     em_only = "tunes em_fit only; no longer changes an npml or sieve fit"
     p_fit.add_argument("--tol", dest="tol_rel_loglik", type=float, help=f"EM log-likelihood tolerance ({em_only})")
     p_fit.add_argument("--max-iters", dest="max_em_iters", type=int, help=f"EM iteration cap ({em_only})")
-    p_fit.add_argument("--prune-eps", type=float, default=None)
+    p_fit.add_argument("--prune-eps", type=float, default=None, help="only sets how a sieve fit's report counts atoms")
     p_fit.add_argument("--refine-grid", type=int, default=None)
     p_fit.add_argument("--refine-tol", type=float, default=None)
     p_fit.add_argument("--max-refinements", type=int, default=None)

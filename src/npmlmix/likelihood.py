@@ -16,8 +16,8 @@ import numpy as np
 # simulate_dataset is unused here, but bench/tracer.py patches this binding of this module.
 from .data import Dataset, simulate_dataset  # noqa: F401
 from .errors import InvalidArgumentError, NumericDomainError
-from .measures import MixingMeasure, SieveBasis, TensorGrid, _checked_weights, _point_blocks
-from .model import _ATOM_BLOCK, log_kernel_block
+from .measures import MixingMeasure, SieveBasis, TensorGrid, _checked_weights
+from .model import log_kernel_block
 
 # Rows per block of the sieve contraction; bounds its (rows, Q) temporary
 _SIEVE_ROW_BLOCK = 32
@@ -85,21 +85,17 @@ def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 def kernel_columns(ds: Dataset, points) -> np.ndarray:
     """Log kernel values of every observation at candidate points: (N, B).
 
-    ``points`` is a (B, p) array or a ``TensorGrid``: one ``log_kernel_block`` call with one
-    mask group, else one per group and slab of at most ``_ATOM_BLOCK`` points.
+    ``points`` is a (B, p) array or a ``TensorGrid``; one ``log_kernel_block`` call per
+    censor-mask group fills that group's rows.
     """
     if not isinstance(points, TensorGrid):
         points = np.asarray(points, dtype=float)
         points = points[:, None] if points.ndim == 1 else points
     if (len(points.axes) if isinstance(points, TensorGrid) else points.shape[1]) != ds.spec.p:
         raise InvalidArgumentError("candidate points have the wrong dimension")
-    if len(ds.mask_groups) == 1:
-        [(mask, _, Z, T)] = ds.mask_groups
-        return log_kernel_block(ds.spec, points, Z, T, mask)
     out = np.empty((ds.N, len(points)))
     for mask, rows, Z, T in ds.mask_groups:
-        for start, S in _point_blocks(points, _ATOM_BLOCK):
-            out[rows, start : start + len(S)] = log_kernel_block(ds.spec, S, Z, T, mask)
+        log_kernel_block(ds.spec, points, Z, T, mask, out=out, rows=rows)
     return out
 
 

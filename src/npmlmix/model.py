@@ -395,13 +395,17 @@ def _block_table(spec: ModelSpec, Y: np.ndarray, F) -> np.ndarray:
     return out
 
 
-def log_kernel_block(spec: ModelSpec, S, Y: np.ndarray, T: np.ndarray, mask: Optional[CensorMask] = None) -> np.ndarray:
+def log_kernel_block(
+    spec: ModelSpec, S, Y: np.ndarray, T: np.ndarray, mask: Optional[CensorMask] = None, *, out=None, rows=slice(None)
+) -> np.ndarray:
     """Log conditional densities of individuals that share one mask, at a set of candidates.
 
     S: (B, p) candidate points (a float array) or a ``TensorGrid``; Y: (N, k) observed
     components (k = n, or the mask cardinality when censored); T: (N, n) full time vectors.
-    Returns the (N, B) table of log k_x(s), filled in blocks of at most ``_ATOM_BLOCK``
-    columns. Raises when a candidate point drives the model out of its numeric domain.
+    Fills the (N, B) table of log k_x(s), or the rows ``rows`` (one per individual) of a
+    caller's table ``out``, leaving its other rows, in blocks of at most ``_ATOM_BLOCK``
+    columns, and returns the table. Raises when a candidate point drives the model out of
+    its numeric domain.
 
     With homoscedastic Gaussian noise, ||y - f||^2 is taken as ||y||^2 - 2 y . f + ||f||^2,
     with no residual table y - f. Against the residual form that moves log k_x(s) by at
@@ -411,9 +415,11 @@ def log_kernel_block(spec: ModelSpec, S, Y: np.ndarray, T: np.ndarray, mask: Opt
     raises as not finite.
     """
     Y, T = np.asarray(Y, dtype=float), np.asarray(T, dtype=float)
+    out = np.empty((T.shape[0], len(S))) if out is None else out
     if mask is not None and mask.cardinality == 0:
         # No observed components: unit contribution to the likelihood.
-        return np.zeros((T.shape[0], len(S)))
+        out[rows] = 0.0
+        return out
     if spec.sigma <= 0:
         raise InvalidArgumentError("density evaluation requires sigma > 0")
     cols = slice(None) if mask is None or mask.is_full else list(mask.indices)
@@ -429,11 +435,8 @@ def log_kernel_block(spec: ModelSpec, S, Y: np.ndarray, T: np.ndarray, mask: Opt
             F = _forward(spec, part, T)[:, :, cols]
             return (_dot(Y[:, None, :], F), _dot(F, F)) if gaussian else F
 
-    if len(S) <= _ATOM_BLOCK:
-        return _block_table(spec, Y, terms(0, S))
-    out = np.empty((T.shape[0], len(S)))
     for start, part in _point_blocks(S, _ATOM_BLOCK):
-        out[:, start : start + len(part)] = _block_table(spec, Y, terms(start, part))
+        out[rows, start : start + len(part)] = _block_table(spec, Y, terms(start, part))
     return out
 
 

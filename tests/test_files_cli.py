@@ -314,6 +314,9 @@ class TestCliFit:
         assert fit_obj["sieve"]["quad_points"] == 8
         # the report's count: coefficients above prune_eps, not the basis size
         assert f" atoms={atom_count(fit.measure, FitOptions().prune_eps)} " in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            main(["fit", "--help"])
+        assert "only sets how a sieve fit's report counts atoms" in " ".join(capsys.readouterr().out.split())
 
     def test_refit_idempotent_loglik(self, sim_config, tmp_path):
         data = tmp_path / "data.json"

@@ -35,7 +35,7 @@ from npmlmix import (
 )
 from npmlmix import likelihood
 from npmlmix.measures import TensorGrid, _tensor_points
-from npmlmix.model import _forward, log_kernel_block
+from npmlmix.model import _ATOM_BLOCK, _forward, log_kernel_block
 
 
 def single_obs_dataset(spec, y, t):
@@ -376,7 +376,7 @@ GRID_CASES = {
     "location": (lambda N, seed: sieve_case_dataset(1, "homoscedastic", 0.3, N, seed), LOC_BOX),
     "linear": (lambda N, seed: simulate_dataset(LINEAR, PK_TRUTH, N, seed), [(0.0, 2.5), (0.0, 1.0)]),
 }
-MANY = likelihood._ATOM_BLOCK + 89  # more nodes on one axis than one block of columns holds
+MANY = _ATOM_BLOCK + 89  # more nodes on one axis than one block of columns holds
 
 
 class TestGridColumns:
@@ -456,7 +456,7 @@ class TestGridColumns:
     @pytest.mark.parametrize("shape", [(1,), (7,), (MANY,), (5, 1), (3, 200), (2, MANY), (4, 3, 50), (2, 30, 40)])
     def test_slabs_tile_the_grid_in_point_order(self, shape):
         grid = TensorGrid([np.arange(k) + 1000.0 * a for a, k in enumerate(shape)])
-        points, size, covered = np.asarray(grid), likelihood._ATOM_BLOCK, 0
+        points, size, covered = np.asarray(grid), _ATOM_BLOCK, 0
         for start, slab in grid.slabs(size):
             block = np.asarray(slab)
             assert start == covered and 1 <= len(slab) == len(block) <= size
@@ -480,6 +480,47 @@ class TestGridColumns:
         (grid,) = seen
         assert isinstance(grid, TensorGrid)
         np.testing.assert_array_equal(np.asarray(grid), np.asarray(basis.quadrature(3)[0]))
+
+
+# three censor masks, one of them empty, so that one group's rows are all zeros
+PK_CENSORING_EMPTY = CensoringDesign(
+    ((CensorMask.empty(4), 0.2), (CensorMask(4, (0, 2)), 0.3), (CensorMask.full(4), 0.5))
+)
+
+
+class TestMaskGroupCalls:
+    """``kernel_columns`` hands each mask group's rows to one ``log_kernel_block`` call, which writes only those."""
+
+    @pytest.mark.parametrize("as_points", [False, True], ids=["grid", "points"])
+    def test_one_log_kernel_block_call_per_mask_group(self, monkeypatch, as_points):
+        ds = GRID_CASES["pk-censored"][0](40, 3)
+        grid = TensorGrid([np.linspace(lo, hi, k) for (lo, hi), k in zip(PK_BOX, (3, MANY))])
+        candidates = np.asarray(grid) if as_points else grid
+        assert len(candidates) > _ATOM_BLOCK and len(ds.mask_groups) == 2
+        seen = []
+        real = likelihood.log_kernel_block
+        monkeypatch.setattr(
+            likelihood, "log_kernel_block", lambda *args, **kwargs: seen.append(args[1]) or real(*args, **kwargs)
+        )
+        likelihood.kernel_columns(ds, candidates)
+        assert len(seen) == len(ds.mask_groups)
+        assert all(S is candidates for S in seen)
+
+    @pytest.mark.parametrize("as_points", [False, True], ids=["grid", "points"])
+    def test_out_keeps_the_rows_of_other_groups(self, as_points):
+        ds = apply_censoring(sieve_case_dataset(2, "homoscedastic", 0.2, 30, 4), PK_CENSORING_EMPTY, 5)
+        grid = TensorGrid([np.linspace(lo, hi, k) for (lo, hi), k in zip(PK_BOX, (2, MANY))])
+        candidates = np.asarray(grid) if as_points else grid
+        expected = likelihood.kernel_columns(ds, candidates)
+        assert ds.mask_groups[0][0].cardinality == 0 and len(ds.mask_groups) == 3
+        for mask, rows, Z, T in ds.mask_groups:
+            out = np.full((ds.N, len(candidates)), np.nan)
+            assert log_kernel_block(ds.spec, candidates, Z, T, mask, out=out, rows=rows) is out
+            others = np.setdiff1d(np.arange(ds.N), rows)
+            assert np.all(np.isnan(out[others]))
+            np.testing.assert_array_equal(out[rows], expected[rows])
+            if mask.cardinality == 0:
+                assert np.all(out[rows] == 0.0)
 
 
 def residual_log_kernel(spec, points, Y, T, mask=None):
