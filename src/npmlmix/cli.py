@@ -1,6 +1,6 @@
 """Command-line front end: simulate, fit, certify, experiment.
 
-Exit codes: 0 success, 1 input error, 2 the fit's certificate does not hold
+Exit codes: 0 success, 1 input error (a usage error too), 2 the fit's certificate does not hold
 (or a contrast maximum exceeds the tolerance).
 Experiments run their cells in one process; disjoint seed lists can be run
 as separate processes, since each seed's rows are the same either way.
@@ -26,7 +26,7 @@ from .experiments import (
     write_report_csv,
 )
 from .measures import SieveBasis
-from .solver import FitOptions, certify, fit_npml, fit_sieve
+from .solver import STATUS_CONVERGED, FitOptions, certify, fit_npml, fit_sieve
 
 # The last two are unused here, but bench/tracer.py patches these bindings of this module.
 from .likelihood import DEFAULT_QUAD_POINTS, build_sieve_kernel_matrix, row_log_mixture  # noqa: F401
@@ -88,7 +88,7 @@ def cmd_fit(args) -> int:
         f"iters={fit.iterations} atoms={atom_count(fit.measure, opts.prune_eps)} "
         f"status={fit.status} cert_sup={fit.certificate.sup_dir_derivative:.9f}"
     )
-    return 0 if fit.status == "converged" else 2
+    return 0 if fit.status == STATUS_CONVERGED else 2
 
 
 def cmd_certify(args) -> int:
@@ -131,8 +131,13 @@ def cmd_experiment(args) -> int:
     return exit_code
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error, in any subcommand's parser too, is an input error like any other
+        raise InvalidArgumentError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="npmlmix",
         description="Mixing-law estimation by nonparametric maximum likelihood",
     )
@@ -178,9 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (NpmlError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

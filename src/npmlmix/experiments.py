@@ -268,6 +268,7 @@ def read_report_csv(path) -> List[ReportRow]:
 
 def gnuplot_script(csv_path: str, kind: str) -> str:
     """Plain-text gnuplot script plotting the report (no plotting dependency)."""
+    col = {name: i + 1 for i, name in enumerate(CSV_HEADER)}  # gnuplot counts columns from 1
     lines = [
         "set datafile separator ','",
         "set key outside",
@@ -277,7 +278,7 @@ def gnuplot_script(csv_path: str, kind: str) -> str:
         lines += [
             "set xlabel 'sieve cells per axis'",
             "set ylabel 'final log-likelihood'",
-            f"plot '{csv_path}' every ::1 using 4:6 with linespoints title 'sieve'",
+            f"plot '{csv_path}' every ::1 using {col['m']}:{col['final_loglik']} with linespoints title 'sieve'",
         ]
     else:
         if kind == "consistency":
@@ -285,6 +286,6 @@ def gnuplot_script(csv_path: str, kind: str) -> str:
         lines += [
             "set xlabel 'N'",
             "set ylabel 'distance to truth'",
-            f"plot '{csv_path}' every ::1 using 3:7 with points pt 7 title 'fits'",
+            f"plot '{csv_path}' every ::1 using {col['N']}:{col['distance_to_truth']} with points pt 7 title 'fits'",
         ]
     return "\n".join(lines) + "\n"

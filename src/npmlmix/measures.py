@@ -180,22 +180,12 @@ def prune(mu: MixingMeasure, eps: float) -> MixingMeasure:
 
 
 def _w1_discrete(u_vals, u_w, v_vals, v_w) -> float:
-    """Exact W1 between two weighted discrete 1-d measures via CDF coupling."""
-    u_vals = np.asarray(u_vals, dtype=float)
-    v_vals = np.asarray(v_vals, dtype=float)
-    u_w = np.asarray(u_w, dtype=float)
-    v_w = np.asarray(v_w, dtype=float)
-    us = np.argsort(u_vals, kind="stable")
-    vs = np.argsort(v_vals, kind="stable")
-    all_vals = np.sort(np.concatenate([u_vals, v_vals]), kind="stable")
-    deltas = np.diff(all_vals)
-    u_cdf_idx = np.searchsorted(u_vals[us], all_vals[:-1], side="right")
-    v_cdf_idx = np.searchsorted(v_vals[vs], all_vals[:-1], side="right")
-    u_cum = np.concatenate([[0.0], np.cumsum(u_w[us])])
-    v_cum = np.concatenate([[0.0], np.cumsum(v_w[vs])])
-    u_cdf = u_cum[u_cdf_idx] / u_cum[-1]
-    v_cdf = v_cum[v_cdf_idx] / v_cum[-1]
-    return float(np.sum(np.abs(u_cdf - v_cdf) * deltas))
+    """Exact W1 of two weighted discrete 1-d measures: each CDF sums its own weights in one merged order."""
+    vals = np.concatenate([u_vals, v_vals])
+    order = np.argsort(vals, kind="stable")
+    from_u, w = order < len(u_vals), np.concatenate([u_w, v_w])[order]
+    u_cum, v_cum = np.cumsum(np.where(from_u, w, 0.0)), np.cumsum(np.where(from_u, 0.0, w))
+    return float(np.sum(np.abs(u_cum[:-1] / u_cum[-1] - v_cum[:-1] / v_cum[-1]) * np.diff(vals[order])))
 
 
 def measure_distance(mu: MixingMeasure, nu: MixingMeasure) -> float:

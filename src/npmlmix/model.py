@@ -326,7 +326,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _pk_terms(S, Y: np.ndarray, T: np.ndarray, cols, gaussian: bool):
     """``PkExp`` block terms for ``_block_table``, with e = exp(-rate * t) taken once per call: over a grid's
-    rate axis, where column (a, r) is amps[a] * e_r, or at each point's rate, where column b is amps[b] * e_b.
+    rate axis, where column (a, r) is amps[a] * e_r, or, for Gaussian noise only, at each point's rate: amps[b] * e_b.
 
     With Gaussian noise y . f and ||f||^2 come as A (y . e) and A^2 (e . e) from (N, R) tables, so no
     (N, B, n) table is formed; |A| max(e), the largest entry of f per column, must be finite.
@@ -339,7 +339,7 @@ def _pk_terms(S, Y: np.ndarray, T: np.ndarray, cols, gaussian: bool):
     def scale(a, table):  # columns a * table: each amplitude by each rate on a grid, pairwise on points
         if grid:
             return np.einsum("a,ir...->iar...", a, table).reshape((table.shape[0], -1) + table.shape[2:])
-        return (a[:, None] if table.ndim == 3 else a) * table
+        return a * table
 
     if gaussian:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -430,7 +430,7 @@ def log_kernel_block(
         S = np.asarray(S, dtype=float)
 
         def terms(start, part):  # points have no shared rates: their tables are taken per block
-            if isinstance(spec.f, PkExp):
+            if isinstance(spec.f, PkExp) and gaussian:
                 return _pk_terms(part, Y, T, cols, gaussian)(0, part)
             F = _forward(spec, part, T)[:, :, cols]
             return (_dot(Y[:, None, :], F), _dot(F, F)) if gaussian else F

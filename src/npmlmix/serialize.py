@@ -311,8 +311,10 @@ def read_json(path) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InvalidArgumentError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise InvalidArgumentError(f"{path}: nested too deeply ({exc})") from exc
 
 
 def load(path, parse):
@@ -320,5 +322,5 @@ def load(path, parse):
     obj = read_json(path)
     try:
         return parse(obj)
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, RecursionError, TypeError, ValueError) as exc:
         raise InvalidArgumentError(f"{path}: {exc}") from exc

@@ -14,8 +14,8 @@ as the reference EM weight solver.
 Every table the solver scans is a ``KernelMatrix`` whose ``atoms`` are its
 columns' points. A discrete fit builds the (N, G) table of its scan grid
 once; an inserted atom takes its column from it, so the kernel is computed
-once per fit. ``certify`` holds no such table: it streams the grid, then the
-atoms, in blocks of at most ``_SCAN_BLOCK`` points.
+once per fit. ``certify`` streams the grid in blocks of at most ``_SCAN_BLOCK``
+points and reads the atoms' columns from the measure's own table.
 """
 
 from __future__ import annotations
@@ -106,10 +106,10 @@ class FitResult:
     status: str
 
 
-def _fit_result(measure, trace: np.ndarray, iterations: int, cert: Certificate, opts: FitOptions) -> FitResult:
-    """Every fit's result: ``converged`` exactly when its certificate holds at ``refine_tol``."""
+def _fit_result(measure, trace: np.ndarray, cert: Certificate, opts: FitOptions) -> FitResult:
+    """Every fit's result: ``converged`` exactly when its certificate holds, one iteration per step traced."""
     status = STATUS_CONVERGED if cert.holds(opts.refine_tol) else STATUS_ITER_LIMIT
-    return FitResult(measure, trace, float(trace[-1]), iterations, cert, status)
+    return FitResult(measure, trace, float(trace[-1]), trace.size - 1, cert, status)
 
 
 def _mean_log(M: np.ndarray) -> float:
@@ -226,9 +226,9 @@ def certify(
 ) -> Certificate:
     """Recompute the sup of a fit's directional derivative.
 
-    For a discrete measure the scan covers a uniform grid over the box, then
-    the atoms, streamed in blocks of at most ``_SCAN_BLOCK`` points, so its
-    memory does not grow with the resolution; the fit is optimal on the box
+    For a discrete measure the scan covers a uniform grid over the box, streamed
+    in blocks of at most ``_SCAN_BLOCK`` points so memory does not grow with the
+    resolution, then the atoms from the measure's own table; the fit is optimal on the box
     (up to the scan resolution) when the certificate holds at refine_tol. For a
     SieveDensity the scan covers the basis elements, with the kernel
     integrated at the fit's quadrature order; box and grid_resolution are
@@ -241,10 +241,10 @@ def certify(
     box_arr = _check_box(box, mu.p)
     if grid_resolution < 1:
         raise InvalidArgumentError("grid_resolution must be >= 1")
-    grid = _scan_grid(box_arr, grid_resolution)
-    log_rows = row_log_mixture(build_kernel_matrix(ds, mu), mu.weights)
-    values = np.concatenate([_dir_derivs_from_rows(ds, log_rows, c) for c in (grid, mu.atoms)])
-    return _certificate(values, np.concatenate([np.asarray(grid), mu.atoms]), grid_resolution)
+    grid, km = _scan_grid(box_arr, grid_resolution), build_kernel_matrix(ds, mu)
+    log_rows = row_log_mixture(km, mu.weights)
+    values = np.concatenate([_dir_derivs_from_rows(ds, log_rows, grid), _exp_mean(km.log_k, log_rows)])
+    return _certificate(values, np.concatenate([np.asarray(grid), km.atoms]), grid_resolution)
 
 
 def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -326,7 +326,7 @@ def _insert_atom(km: KernelMatrix, w, scan: KernelMatrix, values: np.ndarray, re
 
 
 def _cnm(km: KernelMatrix, w, opts: FitOptions, resolution: int, scan: Optional[KernelMatrix] = None):
-    """CNM rounds from weights ``w``: (km, weights, loglik trace, Newton steps, certificate).
+    """CNM rounds from weights ``w``: (km, weights, loglik trace, certificate).
 
     A discrete fit passes its scan table and gains and loses atoms; a sieve
     fit passes none and keeps its basis. The trace holds the start value and
@@ -356,7 +356,7 @@ def _cnm(km: KernelMatrix, w, opts: FitOptions, resolution: int, scan: Optional[
         keep = w > 0
         if scan is not None and not keep.all():
             km, w = KernelMatrix(km.log_k[:, keep], atoms=km.atoms[keep]), w[keep]
-    return km, w, np.asarray(trace), len(trace) - 1, cert
+    return km, w, np.asarray(trace), cert
 
 
 def _refine(ds, mu: MixingMeasure, box_arr: np.ndarray, opts: FitOptions) -> FitResult:
@@ -365,8 +365,8 @@ def _refine(ds, mu: MixingMeasure, box_arr: np.ndarray, opts: FitOptions) -> Fit
     ``box_arr`` is a box already checked against the measure's dimension.
     """
     scan = _scan_table(ds, box_arr, opts.refine_grid)
-    km, w, trace, steps, cert = _cnm(build_kernel_matrix(ds, mu), mu.weights, opts, opts.refine_grid, scan)
-    return _fit_result(MixingMeasure(km.atoms, w), trace, steps, cert, opts)
+    km, w, trace, cert = _cnm(build_kernel_matrix(ds, mu), mu.weights, opts, opts.refine_grid, scan)
+    return _fit_result(MixingMeasure(km.atoms, w), trace, cert, opts)
 
 
 def fit_npml(ds, box, initial_counts, opts: Optional[FitOptions] = None) -> FitResult:
@@ -388,8 +388,8 @@ def fit_sieve(
     """
     opts = opts or FitOptions()
     km = build_sieve_kernel_matrix(ds, basis, quad_points_per_cell)
-    _, w, trace, steps, cert = _cnm(km, np.full(basis.m, 1.0 / basis.m), opts, basis.m)
-    return _fit_result(SieveDensity(basis, w), trace, steps, cert, opts)
+    _, w, trace, cert = _cnm(km, np.full(basis.m, 1.0 / basis.m), opts, basis.m)
+    return _fit_result(SieveDensity(basis, w), trace, cert, opts)
 
 
 def _lattice_blocks(total: int, m: int, prefix: tuple = ()):

@@ -676,6 +676,85 @@ class TestCliErrors:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["fit", "--data", "d.json", "--method", "npml", "--out", "f.json"], "required: --box"),
+            (["fit", "--data", "d.json", "--method", "npml", "--box", "0,1", "--out", "f.json", "--bogus"], "unrecognized arguments: --bogus"),
+            (["fit", "--data", "d.json", "--method", "npml", "--box", "0,1", "--out", "f.json", "--refine-grid", "x"], "invalid int value: 'x'"),
+            ([], "required: command"),
+        ],
+        ids=["missing-box", "unknown-flag", "non-integer-refine-grid", "no-subcommand"],
+    )
+    def test_usage_error(self, capsys, argv, reason):
+        # exit 2 is the certificate's verdict, so a usage error is an input error like any other
+        assert reason in self._assert_one_line_error(capsys, main(argv))
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--help"])
+        assert exc.value.code == 0 and "--box" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            lambda cfg: b"[" * 100_000,
+            # valid JSON, but deeper than the reader of nested number arrays can recurse
+            lambda cfg: dumps({**cfg, "truth": {**cfg["truth"], "atoms": "ATOMS"}})
+            .replace('"ATOMS"', "[" * 900 + "1.0" + "]" * 900)
+            .encode(),
+            lambda cfg: b"\xff\xfe{}",
+        ],
+        ids=["json-100000-deep", "atoms-900-deep", "not-utf-8"],
+    )
+    def test_unreadable_document_names_the_file(self, sim_config, tmp_path, capsys, content):
+        bad = tmp_path / "deep.json"
+        bad.write_bytes(content(read_json(sim_config)))
+        code = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "d.json")])
+        assert str(bad) in self._assert_one_line_error(capsys, code)
+
+    @pytest.mark.parametrize(
+        "command, path, value, reason",
+        [
+            ("simulate", ("model", "p"), 0, "p and n must be positive"),
+            ("simulate", ("model", "sigma"), -1, "sigma must be finite and nonnegative"),
+            ("simulate", ("model", "p"), 1, "model function has parameter dimension 2, spec says p=1"),
+            ("simulate", ("model", "n"), 2, "time design length does not match n"),
+            ("simulate", ("model", "g"), {"sigma_prime": -1}, "sigma_prime must be finite and nonnegative"),
+            ("simulate", ("model", "noise"), "cauchy", "unknown noise family 'cauchy'"),
+            ("simulate", ("model", "f"), {"kind": "spline"}, "unknown model function kind 'spline'"),
+            ("simulate", ("model", "f"), {"kind": "linear_in_s", "coefficients": [1.0, 2.0]}, "needs a (p, degree+1) coefficient table"),
+            ("simulate", ("truth",), {"atoms": [], "weights": []}, "atoms must form a nonempty (m, p) array"),
+            ("simulate", ("censoring",), {"n": 0, "masks": [[0]], "probabilities": [1.0]}, "mask needs n >= 1"),
+            ("simulate", ("censoring",), {"n": 3, "masks": [], "probabilities": []}, "censoring design needs at least one mask"),
+            ("simulate", ("censoring",), {"n": 3, "masks": [[0, 2]], "probabilities": [0.5, 0.5]}, "masks and probabilities must have equal length"),
+            ("simulate", ("censoring",), {"n": 2, "masks": [[0, 1]], "probabilities": [1.0]}, "censoring design does not match the spec's n"),
+            ("fit", ("observations", 0, "y"), [1.0, 2.0], "y and t must have equal length"),
+            ("fit", ("observations", 0, "mask"), [0, 1, 2], "observations must all be censored or all uncensored"),
+            ("fit", ("observations", 0), {"y": [1.0, 2.0], "t": [0.1, 0.6]}, "an observation's length disagrees with the spec"),
+            ("fit", ("observations",), [], "observations must be a nonempty array"),
+            ("fit", None, None, "cannot parse box 'abc'"),
+        ],
+        ids=[
+            "p-zero", "negative-sigma", "pk-with-p-one", "n-not-interval-count", "negative-sigma-prime",
+            "unknown-noise", "unknown-model-kind", "one-row-linear-coefficients", "no-truth-atoms",
+            "censoring-n-zero", "censoring-no-masks", "censoring-probability-count", "censoring-n-not-model-n",
+            "row-y-t-lengths", "rows-mix-masks", "row-t-length", "no-observations", "unparsable-box",
+        ],
+    )  # fmt: skip
+    def test_input_check_names_its_condition(self, sim_config, tmp_path, capsys, command, path, value, reason):
+        data, bad = tmp_path / "data.json", tmp_path / "bad.json"
+        assert main(["simulate", "--config", str(sim_config), "--out", str(data)]) == 0
+        doc = read_json(sim_config if command == "simulate" else data)
+        write_json(bad, doc if path is None else _replaced(doc, path, value))
+        capsys.readouterr()
+        if command == "simulate":
+            argv = ["simulate", "--config", str(bad), "--out", str(tmp_path / "d.json")]
+        else:
+            box = "abc" if path is None else "0.5,2.5;0.1,1.2"
+            argv = ["fit", "--data", str(bad), "--method", "npml", "--box", box, "--out", str(tmp_path / "f.json")]
+        assert reason in self._assert_one_line_error(capsys, main(argv))
+
 
 # fields that hold integers; every other number in a document is a float
 INT_FIELDS = {

@@ -31,6 +31,17 @@ def w1_by_quantile_coupling(u_vals, u_w, v_vals, v_w):
     return cost
 
 
+def w1_by_two_cdfs(u_vals, u_w, v_vals, v_w):
+    """The two-CDF form of W1: each CDF from its own sort, read at the merged atoms by searchsorted."""
+    us, vs = np.argsort(u_vals, kind="stable"), np.argsort(v_vals, kind="stable")
+    all_vals = np.sort(np.concatenate([u_vals, v_vals]), kind="stable")
+    u_cum = np.concatenate([[0.0], np.cumsum(u_w[us])])
+    v_cum = np.concatenate([[0.0], np.cumsum(v_w[vs])])
+    u_cdf = u_cum[np.searchsorted(u_vals[us], all_vals[:-1], side="right")] / u_cum[-1]
+    v_cdf = v_cum[np.searchsorted(v_vals[vs], all_vals[:-1], side="right")] / v_cum[-1]
+    return float(np.sum(np.abs(u_cdf - v_cdf) * np.diff(all_vals)))
+
+
 def assert_simplex(weights):
     assert np.all(np.asarray(weights) >= -1e-15)
     assert abs(np.sum(weights) - 1.0) <= 1e-12
@@ -142,6 +153,25 @@ class TestWasserstein:
             nu = MixingMeasure(nu_vals[:, None], wv / wv.sum())
             expect = w1_by_quantile_coupling(mu_vals, wu / wu.sum(), nu_vals, wv / wv.sum())
             assert measure_distance(mu, nu) == pytest.approx(expect, abs=1e-10)
+
+    def test_has_the_bits_of_the_two_cdf_form(self):
+        rng = np.random.default_rng(19)
+        for k in range(3000):
+            m_u, m_v = rng.integers(1, 8, size=2)
+            if k % 2:  # atoms on a coarse lattice tie inside and across the measures
+                u_vals, v_vals = rng.integers(0, 4, m_u) * 0.25, rng.integers(0, 4, m_v) * 0.25
+            else:
+                u_vals, v_vals = rng.normal(size=m_u), rng.normal(size=m_v)
+            mu = MixingMeasure(u_vals[:, None], rng.dirichlet(np.ones(m_u)))
+            nu = mu if k % 5 == 0 else MixingMeasure(v_vals[:, None], rng.dirichlet(np.ones(m_v)))
+            expect = w1_by_two_cdfs(mu.atoms[:, 0], mu.weights, nu.atoms[:, 0], nu.weights)
+            assert measure_distance(mu, nu) == expect
+            assert nu is not mu or expect == 0.0
+
+    def test_identity_with_tied_atoms(self):
+        # one signed running sum would leave (0.1 + 0.2) - 0.1 - 0.2 = 2.8e-17 over the gap to 1.0
+        mu = MixingMeasure(np.array([[0.0], [0.0], [1.0]]), [0.1, 0.2, 0.7])
+        assert measure_distance(mu, mu) == 0.0
 
     def test_symmetry_and_triangle(self):
         rng = np.random.default_rng(7)
