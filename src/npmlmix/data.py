@@ -145,13 +145,67 @@ def _open_unit(u: np.ndarray) -> np.ndarray:
     return np.clip(u, 1e-300, 1.0 - 1e-16)
 
 
+# Cephes ndtri (Moshier), as scipy.special.ndtri computes it: P0/Q0 for |u - 1/2| <= 1/2 - exp(-2),
+# then, with x = sqrt(-2 log y) on the nearer tail y, P1/Q1 for x < 8 and P2/Q2 beyond.
+_EXP_M2 = 0.13533528323661269189
+_S2PI = 2.50662827463100050242
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _polevl(x: np.ndarray, coefs, leading_one: bool = False) -> np.ndarray:
+    """Horner's rule in Cephes' order; ``leading_one`` is p1evl, whose first coefficient 1 is implied."""
+    out = x + coefs[0] if leading_one else np.full_like(x, coefs[0])
+    for c in coefs[1:]:
+        out = out * x + c
+    return out
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    # libm's log, as the compiled Cephes calls it; numpy's SIMD log differs in the last bit on some inputs
+    return np.array([math.log(v) for v in x.tolist()])
+
+
+def _ndtri(u: np.ndarray) -> np.ndarray:
+    """The standard normal quantile at u in (0, 1), with the bits of ``scipy.special.ndtri``."""
+    u = np.asarray(u, dtype=float)
+    out = np.empty_like(u)
+    upper = u > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - u, u)
+    central = y > _EXP_M2
+    c = y[central] - 0.5
+    c2 = c * c
+    out[central] = (c + c * (c2 * _polevl(c2, _P0) / _polevl(c2, _Q0, True))) * _S2PI
+    tail = ~central
+    x = np.sqrt(-2.0 * _log(y[tail]))
+    x0 = x - _log(x) / x
+    z = 1.0 / x
+    near = x < 8.0
+    x1 = np.where(near, z * _polevl(z, _P1) / _polevl(z, _Q1, True), z * _polevl(z, _P2) / _polevl(z, _Q2, True))
+    out[tail] = np.where(upper[tail], x0 - x1, x1 - x0)
+    return out
+
+
 def _standard_noise(u: np.ndarray, noise: str) -> np.ndarray:
     """Unit-variance noise from uniforms u, by the inverse CDF of the noise family."""
     u = _open_unit(u)
     if noise == GAUSSIAN:
-        from scipy.special import ndtri  # here, so that only Gaussian simulation loads scipy
-
-        return ndtri(u)
+        return _ndtri(u)
     # standard Laplace via inverse CDF, scaled to unit variance
     centered = u - 0.5
     lap = -np.sign(centered) * np.log1p(-2.0 * np.abs(centered))

@@ -333,8 +333,9 @@ def _pk_terms(S, Y: np.ndarray, T: np.ndarray, cols, gaussian: bool):
     """
     grid = isinstance(S, TensorGrid)
     amps, rates = S.axes if grid else S.T
+    e = -rates[None, :, None] * T[:, None, :]
     with np.errstate(over="ignore"):
-        e = np.exp(-rates[None, :, None] * T[:, None, :])
+        np.exp(e, out=e)
 
     def scale(a, table):  # columns a * table: each amplitude by each rate on a grid, pairwise on points
         if grid:
@@ -365,8 +366,11 @@ def _pk_terms(S, Y: np.ndarray, T: np.ndarray, cols, gaussian: bool):
     return terms
 
 
-def _block_table(spec: ModelSpec, Y: np.ndarray, F) -> np.ndarray:
-    """One block's (N, b) table of log k_x(s) from its terms F: the pair (y . f, ||f||^2), or f for other noise."""
+def _block_table(spec: ModelSpec, Y: np.ndarray, F, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """One block's (N, b) table of log k_x(s) from its terms F: the pair (y . f, ||f||^2), or f for other noise.
+
+    The last step writes into ``out`` when given, a view of the caller's table, so no second table is built.
+    """
     k, sigma = Y.shape[1], spec.sigma
     if isinstance(F, tuple):
         # ||y||^2 - 2 y.f + ||f||^2, then the log density, in place in y.f's table
@@ -375,12 +379,12 @@ def _block_table(spec: ModelSpec, Y: np.ndarray, F) -> np.ndarray:
         sq += _dot(Y, Y)[:, None]
         sq += ff
         sq /= -2.0 * sigma * sigma
-        out = np.add(sq, -0.5 * k * np.log(2.0 * math.pi * sigma * sigma), out=sq)
+        out = np.add(sq, -0.5 * k * np.log(2.0 * math.pi * sigma * sigma), out=sq if out is None else out)
     else:
         U = Y[:, None, :] - F
         if not spec.heteroscedastic:
             b = sigma / math.sqrt(2.0)
-            out = -k * np.log(2.0 * b) - np.abs(U).sum(axis=2) / b
+            out = np.subtract(-k * np.log(2.0 * b), np.abs(U).sum(axis=2) / b, out=out)
         else:
             g = _scale(spec, F)
             var = sigma * sigma + g * g
@@ -389,7 +393,7 @@ def _block_table(spec: ModelSpec, Y: np.ndarray, F) -> np.ndarray:
             else:
                 b = np.sqrt(var / 2.0)
                 comp = -np.log(2.0 * b) - np.abs(U) / b
-            out = comp.sum(axis=2)
+            out = comp.sum(axis=2, out=out)
     if not np.all(np.isfinite(out)):
         raise InvalidArgumentError("conditional log-density is not finite for some atom")
     return out
@@ -435,8 +439,14 @@ def log_kernel_block(
             F = _forward(spec, part, T)[:, :, cols]
             return (_dot(Y[:, None, :], F), _dot(F, F)) if gaussian else F
 
+    if not isinstance(rows, slice) and np.array_equal(rows, np.arange(out.shape[0])):
+        rows = slice(None)  # every row in order: each block is written into its view of out
     for start, part in _point_blocks(S, _ATOM_BLOCK):
-        out[rows, start : start + len(part)] = _block_table(spec, Y, terms(start, part))
+        block = (rows, slice(start, start + len(part)))
+        if isinstance(rows, slice):
+            _block_table(spec, Y, terms(start, part), out=out[block])
+        else:
+            out[block] = _block_table(spec, Y, terms(start, part))
     return out
 
 

@@ -11,11 +11,16 @@ zero-weight atoms, Newton steps solve the weights, and the atoms left at
 weight zero are dropped; the sieve fit keeps its basis. ``em_fit`` remains
 as the reference EM weight solver.
 
-Every table the solver scans is a ``KernelMatrix`` whose ``atoms`` are its
-columns' points. A discrete fit builds the (N, G) table of its scan grid
-once; an inserted atom takes its column from it, so the kernel is computed
-once per fit. ``certify`` streams the grid in blocks of at most ``_SCAN_BLOCK``
-points and reads the atoms' columns from the measure's own table.
+A scan takes d at a block of candidates as one mat-vec: with E = exp(L - shift)
+for the block's log-kernel table L and its row maxima shift, d = c @ E where
+c_i = exp(min(shift_i - log K(mu)(x_i), 700)) / N (``_slab_derivs``). A
+discrete fit builds its scan grid's E in slabs of at most ``_SCAN_BLOCK``
+points once, in place of their log tables, and keeps them for the fit;
+``certify`` streams the same slabs, so the fit's certificate has its bits.
+The atoms' d reads ``KernelMatrix.shifted``, the table the Newton steps use.
+An inserted atom takes its column from ``kernel_columns`` at its point.
+A Newton step whose weights have a wide support reduces its least-squares
+problem once by QR, so its NNLS works on an (m + 1)-row triangle.
 """
 
 from __future__ import annotations
@@ -158,33 +163,38 @@ def directional_derivatives(ds, mu: MixingMeasure, points: np.ndarray) -> np.nda
     return _dir_derivs_from_rows(ds, log_rows, points)
 
 
-# columns per exp-mean block: the temporaries stay at N x _SCAN_BLOCK
+# grid points per scan slab: a slab's table is at most N x _SCAN_BLOCK
 _SCAN_BLOCK = 2048
+# cap on shift_i - log K(mu)(x_i) in a scan, so that d stays finite
+_LOG_RATIO_CAP = 700.0
 
 
-def _exp_mean(log_cols: np.ndarray, log_rows: np.ndarray) -> np.ndarray:
-    """Directional derivatives (1/N) sum_i k_ij / K(mu)(x_i) from log columns.
+def _slab(log_cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(E, shift) of a block of log columns: shift is the row maximum, E = exp(log_cols - shift) in place."""
+    shift = log_cols.max(axis=1)
+    log_cols -= shift[:, None]
+    return np.exp(log_cols, out=log_cols), shift
 
-    Taken over blocks of columns, each exponentiated in place in one
-    preallocated buffer; each column is summed down its rows in the same
-    order whatever the block, so the blocking does not move bits.
+
+def _slab_derivs(E: np.ndarray, shift: np.ndarray, log_rows: np.ndarray) -> np.ndarray:
+    """Directional derivatives d_j = (1/N) sum_i k_ij / K(mu)(x_i) at a slab's columns, as one mat-vec.
+
+    With c_i = exp(min(shift_i - log_rows_i, 700)) / N, d = c @ E. Without the
+    cap, each term rounds L_ij - shift_i and shift_i - log_rows_i, so
+    |d_hat_j - d_j| <= d_j * eps * (N + 6 + max_i (|L_ij - shift_i| + |shift_i - log_rows_i|)),
+    eps = 2^-52, against the exact exp-mean of the same log values. The cap
+    bounds d by e^700 whatever N is, and keeps it at least e^700 / N at a
+    column where a capped row has its maximum, so such a measure never certifies.
     """
-    N, G = log_cols.shape
-    out = np.empty(G)
-    buf = np.empty(N * min(G, _SCAN_BLOCK))
-    for start in range(0, G, _SCAN_BLOCK):
-        block = log_cols[:, start : start + _SCAN_BLOCK]
-        part = buf[: block.size].reshape(block.shape)
-        np.subtract(block, log_rows[:, None], out=part)
-        out[start : start + block.shape[1]] = np.exp(part, out=part).mean(axis=0)
-    return out
+    c = np.exp(np.minimum(shift - log_rows, _LOG_RATIO_CAP)) / E.shape[0]
+    return c @ E
 
 
 def _dir_derivs_from_rows(ds, log_rows: np.ndarray, points) -> np.ndarray:
     out = np.empty(len(points))
     for start, block in _point_blocks(points, _SCAN_BLOCK):
-        cols = kernel_columns(ds, block)
-        out[start : start + cols.shape[1]] = _exp_mean(cols, log_rows)
+        E, shift = _slab(kernel_columns(ds, block))
+        out[start : start + E.shape[1]] = _slab_derivs(E, shift, log_rows)
     return out
 
 
@@ -199,25 +209,43 @@ def _scan_grid(box_arr: np.ndarray, resolution: int) -> TensorGrid:
     return TensorGrid([np.linspace(lo, hi, resolution) for lo, hi in box_arr])
 
 
-def _scan_table(ds, box_arr: np.ndarray, resolution: int) -> KernelMatrix:
-    """The scan grid's (N, G) log-kernel table, with the grid's points as its atoms; built once per fit."""
+@dataclass(frozen=True)
+class _ScanTable:
+    """A fit's scan grid: its dataset, its points, and its kernel as ``_slab`` pairs (E, shift).
+
+    The slabs are the grid's blocks of at most ``_SCAN_BLOCK`` points, the
+    blocks ``certify`` streams, so a fit's d has the bits of ``certify``'s.
+    """
+
+    ds: object
+    atoms: np.ndarray
+    slabs: tuple
+
+    def derivs(self, log_rows: np.ndarray) -> np.ndarray:
+        return np.concatenate([_slab_derivs(E, shift, log_rows) for E, shift in self.slabs])
+
+
+def _scan_table(ds, box_arr: np.ndarray, resolution: int) -> _ScanTable:
+    """The scan grid's (N, G) kernel, in slabs exponentiated in place of their log tables; built once per fit."""
     grid = _scan_grid(box_arr, resolution)
-    return KernelMatrix(kernel_columns(ds, grid), atoms=np.asarray(grid))
+    slabs = tuple(_slab(kernel_columns(ds, block)) for _, block in _point_blocks(grid, _SCAN_BLOCK))
+    return _ScanTable(ds, np.asarray(grid), slabs)
 
 
 def _scan_certificate(
-    km: KernelMatrix, w, resolution: int, scan: Optional[KernelMatrix] = None
+    km: KernelMatrix, w, resolution: int, scan: Optional[_ScanTable] = None
 ) -> Tuple[Certificate, np.ndarray]:
-    """Certificate over the columns of ``scan``, if given, then those of ``km``, and every d it scanned.
+    """Certificate over the points of ``scan``, if given, then the columns of ``km``, and every d it scanned.
 
     A discrete fit passes its scan table, so value j < G is d at the grid point
     ``scan.atoms[j]``; a sieve fit passes none and scans its basis elements,
     the extreme points of the hull.
     """
     log_rows = row_log_mixture(km, w)
-    tables = [km] if scan is None else [scan, km]
-    values = np.concatenate([_exp_mean(t.log_k, log_rows) for t in tables])
-    return _certificate(values, np.concatenate([t.atoms for t in tables]), resolution), values
+    values, candidates = _slab_derivs(*km.shifted, log_rows), km.atoms
+    if scan is not None:
+        values, candidates = np.concatenate([scan.derivs(log_rows), values]), np.concatenate([scan.atoms, candidates])
+    return _certificate(values, candidates, resolution), values
 
 
 def certify(
@@ -227,7 +255,7 @@ def certify(
     """Recompute the sup of a fit's directional derivative.
 
     For a discrete measure the scan covers a uniform grid over the box, streamed
-    in blocks of at most ``_SCAN_BLOCK`` points so memory does not grow with the
+    in the slabs of a fit's scan table so memory does not grow with the
     resolution, then the atoms from the measure's own table; the fit is optimal on the box
     (up to the scan resolution) when the certificate holds at refine_tol. For a
     SieveDensity the scan covers the basis elements, with the kernel
@@ -243,16 +271,24 @@ def certify(
         raise InvalidArgumentError("grid_resolution must be >= 1")
     grid, km = _scan_grid(box_arr, grid_resolution), build_kernel_matrix(ds, mu)
     log_rows = row_log_mixture(km, mu.weights)
-    values = np.concatenate([_dir_derivs_from_rows(ds, log_rows, grid), _exp_mean(km.log_k, log_rows)])
+    values = np.concatenate([_dir_derivs_from_rows(ds, log_rows, grid), _slab_derivs(*km.shifted, log_rows)])
     return _certificate(values, np.concatenate([np.asarray(grid), km.atoms]), grid_resolution)
 
 
-def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Lawson-Hanson active-set solution of min ||A x - b|| subject to x >= 0."""
+def _nnls(A: np.ndarray, b: np.ndarray, reduce: bool = True) -> np.ndarray:
+    """Lawson-Hanson active-set solution of min ||A x - b|| subject to x >= 0.
+
+    With ``reduce``, [A | b] is first reduced to its triangular QR factor
+    [R | r]: ||A x - b||^2 = ||R x - r||^2 + const, so each least-squares solve
+    has at most m + 1 rows however tall A is. The tolerance is A's either way.
+    """
     m = A.shape[1]
     x = np.zeros(m)
     passive = np.zeros(m, dtype=bool)
     tol = 10.0 * np.finfo(float).eps * max(A.shape) * np.abs(A).sum(axis=0).max()
+    if reduce:
+        Rb = np.linalg.qr(np.column_stack([A, b]), mode="r")
+        A, b = Rb[:, :m], Rb[:, m]
     for _ in range(3 * m):
         grad = A.T @ (b - A @ x)
         if not np.any(~passive & (grad > tol)):
@@ -282,12 +318,17 @@ def _newton_step(E: np.ndarray, w: np.ndarray, current: float) -> Tuple[np.ndarr
     a heavy sum-to-one row. The step towards v backtracks until the
     log-likelihood rises by an Armijo fraction of the slope; when no step size
     raises it, the weights come back unchanged.
+
+    The NNLS reduces its system by QR when that costs less: the QR takes about
+    2 N m^2 flops, and the tall solves it saves about 2 N k^3 / 3 for an active
+    set that grows to k columns, taken as the support of w. A discrete fit's
+    atoms mostly carry weight; a sieve fit's basis mostly does not.
     """
     N = E.shape[0]
     S = E / np.maximum(E @ w, 1e-300)[:, None]
     A = np.vstack([S / math.sqrt(N), np.full((1, w.size), _SUM_ROW)])
     b = np.concatenate([np.full(N, 2.0 / math.sqrt(N)), [_SUM_ROW]])
-    target = _nnls(A, b)
+    target = _nnls(A, b, reduce=np.count_nonzero(w) ** 3 > 3 * w.size**2)
     target /= target.sum()
     slope = float(S.mean(axis=0) @ (target - w))
     alpha = 1.0
@@ -310,22 +351,24 @@ def _grid_local_maxima(values: np.ndarray, resolution: int, p: int) -> np.ndarra
     return np.flatnonzero(peak)
 
 
-def _insert_atom(km: KernelMatrix, w, scan: KernelMatrix, values: np.ndarray, resolution: int):
+def _insert_atom(km: KernelMatrix, w, scan: _ScanTable, values: np.ndarray, resolution: int):
     """Append the grid's local maxima of d above one that are not atoms yet: (km, w, how many).
 
-    Each new atom has zero weight and takes its column from the scan table.
+    Each new atom has zero weight; its column comes from ``kernel_columns`` at its
+    point, with the bits of its grid column.
     """
-    new = _grid_local_maxima(values[: scan.m], resolution, scan.atoms.shape[1])
+    new = _grid_local_maxima(values[: len(scan.atoms)], resolution, scan.atoms.shape[1])
     new = new[values[new] > 1.0]
     new = new[~np.all(scan.atoms[new][:, None, :] == km.atoms[None, :, :], axis=2).any(axis=1)]
     if not new.size:
         return km, w, 0
-    log_k = np.concatenate([km.log_k, scan.log_k[:, new]], axis=1)
-    atoms = np.concatenate([km.atoms, scan.atoms[new]])
-    return KernelMatrix(log_k, atoms=atoms), np.concatenate([w, np.zeros(new.size)]), new.size
+    points = scan.atoms[new]
+    log_k = np.concatenate([km.log_k, kernel_columns(scan.ds, points)], axis=1)
+    km = KernelMatrix(log_k, atoms=np.concatenate([km.atoms, points]))
+    return km, np.concatenate([w, np.zeros(new.size)]), new.size
 
 
-def _cnm(km: KernelMatrix, w, opts: FitOptions, resolution: int, scan: Optional[KernelMatrix] = None):
+def _cnm(km: KernelMatrix, w, opts: FitOptions, resolution: int, scan: Optional[_ScanTable] = None):
     """CNM rounds from weights ``w``: (km, weights, loglik trace, certificate).
 
     A discrete fit passes its scan table and gains and loses atoms; a sieve

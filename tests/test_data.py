@@ -23,7 +23,7 @@ from npmlmix import (
     project_mask,
     simulate_dataset,
 )
-from npmlmix.data import _standard_noise, _substream
+from npmlmix.data import _ndtri, _standard_noise, _substream
 from npmlmix.likelihood import kernel_columns, log_likelihood
 from npmlmix.model import _forward
 from npmlmix.serialize import dataset_to_dict, dumps
@@ -214,6 +214,31 @@ class TestVectorizedSimulation:
         Y, T = simulate_per_individual(spec, truth, N, seed)
         np.testing.assert_array_equal(np.array([o.y for o in ds.observations]), Y)
         np.testing.assert_array_equal(np.array([o.t for o in ds.observations]), T)
+
+
+
+class TestNdtri:
+    """The Gaussian quantile that simulation draws through has the bits of ``scipy.special.ndtri``."""
+
+    @staticmethod
+    def assert_bits_equal(u):
+        from scipy.special import ndtri
+
+        np.testing.assert_array_equal(_ndtri(u).view(np.int64), ndtri(u).view(np.int64))
+
+    def test_uniforms(self):
+        self.assert_bits_equal(np.random.default_rng(31).random(10**6))
+
+    def test_tails(self):
+        rng = np.random.default_rng(32)
+        lower = np.concatenate([10.0 ** -rng.uniform(0.0, 300.0, 100_000), [1e-300]])
+        upper = np.concatenate([1.0 - 10.0 ** -rng.uniform(0.0, 16.0, 100_000), [1.0 - 1e-16]])
+        self.assert_bits_equal(np.clip(np.concatenate([lower, upper]), 1e-300, 1.0 - 1e-16))
+
+    def test_branch_points(self):
+        # the central branch ends at exp(-2) on either side; x = sqrt(-2 log y) reaches 8 at exp(-32)
+        edges = np.array([math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0)])
+        self.assert_bits_equal(np.concatenate([np.nextafter(edges, 0.0), edges, np.nextafter(edges, 1.0)]))
 
 
 class TestApplyCensoring:

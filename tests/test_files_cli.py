@@ -434,6 +434,48 @@ class TestCliCertify:
         assert json.loads(capsys.readouterr().out)["sup"] != payload["sup"]
 
 
+    def test_a_fit_whose_scan_overflows_reads_back_under_w_error(self, tmp_path):
+        # sigma = 0.01 puts log K(mu)(x_i) hundreds below the best grid column for some rows;
+        # a scan that exponentiates their difference overflows, warns, and writes an infinite sup
+        cfg = {
+            "model": {
+                "p": 1,
+                "n": 2,
+                "sigma": 0.01,
+                "f": {"kind": "identity_location"},
+                "time_design": [[0.0, 1.0], [1.0, 2.0]],
+            },
+            "truth": {"atoms": [[0.7], [1.8]], "weights": [0.5, 0.5]},
+            "N": 200,
+            "seed": 1,
+        }
+        write_json(tmp_path / "sim.json", cfg)
+        script = """
+import sys
+from npmlmix.cli import main
+fit = ["--method", "npml", "--box", "0,2.5", "--grid", "3", "--refine-grid", "33", "--out", "fit.json"]
+codes = [
+    main(["simulate", "--config", "sim.json", "--out", "data.json"]),
+    main(["fit", "--data", "data.json", *fit]),
+    main(["certify", "--data", "data.json", "--fit", "fit.json"]),
+]
+assert codes == [0, 2, 2], codes
+"""
+        env = dict(os.environ)
+        src = Path(experiments.__file__).resolve().parents[1]
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        fit_obj = read_json(tmp_path / "fit.json")
+        assert fit_obj["status"] == "iter-limit" and len(fit_obj["measure"]["atoms"]) == 3
+        # finite, and at least e^700 / N: the cap keeps d finite without letting the fit certify
+        assert math.exp(700) / 200 <= fit_obj["certificate"]["sup"] < math.inf
+        verdict = json.loads(proc.stdout[proc.stdout.index("{"):])
+        assert verdict["sup"] == fit_obj["certificate"]["sup"] and verdict["optimal"] is False
+
 class TestCliErrors:
     """Every package error reaches the user as one 'error:' line and exit 1."""
 
@@ -1090,24 +1132,41 @@ class TestCliExperiment:
 
 
 def test_fit_and_certify_load_no_scipy(tmp_path):
-    design = TimeDesign(((0, 0.75), (0.75, 1.5), (1.5, 2.25), (2.25, 3)))
-    spec = ModelSpec(p=2, n=4, sigma=0.2, f=PkExp(), time_design=design)
-    # simulating draws Gaussian noise through scipy; the subprocess only reads the file
-    ds = simulate_dataset(spec, MixingMeasure(np.array([[1.0, 0.3], [2.0, 0.8]]), [0.5, 0.5]), 120, seed=3)
-    write_json(tmp_path / "data.json", dataset_to_dict(ds))
+    # simulate, fit, certify and experiment, with every import of scipy made to fail
+    model = {
+        "p": 2,
+        "n": 4,
+        "sigma": 0.2,
+        "f": {"kind": "pk_exp"},
+        "time_design": [[0, 0.75], [0.75, 1.5], [1.5, 2.25], [2.25, 3]],
+    }
+    truth = {"atoms": [[1.0, 0.3], [2.0, 0.8]], "weights": [0.5, 0.5]}
+    censoring = {"n": 4, "masks": [[0, 2], [0, 1, 2, 3]], "probabilities": [0.4, 0.6]}
+    plain = {"model": model, "truth": truth, "N": 120, "seed": 3}
+    write_json(tmp_path / "plain.json", plain)
+    write_json(tmp_path / "censored.json", dict(plain, censoring=censoring))
+    experiment = {"model": model, "truth": truth, "box": [[0.5, 2.5], [0.05, 1.2]], "initial_counts": [3, 3]}
+    experiment.update(N_schedule=[40], seeds=[1])
+    write_json(tmp_path / "exp-consistency.json", dict(experiment, kind="consistency"))
+    write_json(tmp_path / "exp-sieve.json", dict(experiment, kind="sieve", m_schedule=[3]))
     script = """
 import sys
+sys.modules["scipy"] = None
 from npmlmix.cli import main
 box = ["--box", "0.5,2.5;0.05,1.2"]
 codes = [
-    main(["fit", "--data", "data.json", "--method", "npml", *box, "--grid", "5", "--out", "fit.json"]),
-    main(["certify", "--data", "data.json", "--fit", "fit.json", "--resolution", "33"]),
+    main(["simulate", "--config", "censored.json", "--out", "censored-data.json"]),
+    main(["fit", "--data", "censored-data.json", "--method", "npml", *box, "--grid", "5", "--out", "fit.json"]),
+    main(["certify", "--data", "censored-data.json", "--fit", "fit.json", "--resolution", "33"]),
+    main(["simulate", "--config", "plain.json", "--out", "data.json"]),
     main(["fit", "--data", "data.json", "--method", "sieve", *box, "--sieve-m", "4", "--out", "sieve.json"]),
     main(["certify", "--data", "data.json", "--fit", "sieve.json"]),
+    main(["experiment", "--config", "exp-consistency.json", "--out", "consistency.csv"]),
+    main(["experiment", "--config", "exp-sieve.json", "--out", "sieve.csv"]),
 ]
 assert 1 not in codes, codes
 loaded = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
-assert not loaded, loaded
+assert loaded == ["scipy"], loaded
 """
     env = dict(os.environ)
     src = Path(experiments.__file__).resolve().parents[1]

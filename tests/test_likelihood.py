@@ -453,6 +453,21 @@ class TestGridColumns:
             tracemalloc.stop()
         assert traced <= 1.1 * peak * table.nbytes
 
+    def test_start_grid_points_peak_at_eight_tables(self):
+        # a 7 x 7 start grid at N = 1600 as points: exp(-rate * t) is four tables, taken in place,
+        # then the result and the three products of y . e and e . e; 8.05 tables is 4.81 MiB
+        build, box = GRID_CASES["pk"]
+        ds = build(1600, 0)
+        points = np.asarray(TensorGrid([np.linspace(lo, hi, 7) for lo, hi in box]))
+        ds.mask_groups
+        tracemalloc.start()
+        try:
+            table = likelihood.kernel_columns(ds, points)
+            traced = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traced <= 8.05 * table.nbytes
+
     @pytest.mark.parametrize("shape", [(1,), (7,), (MANY,), (5, 1), (3, 200), (2, MANY), (4, 3, 50), (2, 30, 40)])
     def test_slabs_tile_the_grid_in_point_order(self, shape):
         grid = TensorGrid([np.arange(k) + 1000.0 * a for a, k in enumerate(shape)])

@@ -41,8 +41,7 @@ from npmlmix import (
 )
 from npmlmix import likelihood, solver
 from npmlmix.likelihood import kernel_columns, row_log_mixture
-from npmlmix.measures import _tensor_points
-from npmlmix.solver import _cnm, _exp_mean, _mean_log, _newton_step, _nnls, _refine, _scan_certificate, _scan_table
+from npmlmix.solver import _cnm, _mean_log, _newton_step, _nnls, _refine, _scan_certificate, _scan_table
 
 TIGHT = FitOptions(tol_rel_loglik=1e-14, max_em_iters=200000)
 
@@ -219,8 +218,15 @@ class TestCertify:
         ds = simulate_dataset(pk_spec, two_point_pk_truth, 30, seed=8)
         box = [(0.5, 2.5), (0.1, 1.2)]
         mu = new_uniform_grid_measure(box, [3, 3])
-        points = np.concatenate([_tensor_points([np.linspace(lo, hi, 257) for lo, hi in box]), mu.atoms])
-        expected = solver._certificate(directional_derivatives(ds, mu, points), points, 257)
+        # the point scan over each of the grid's slabs: a slab's d depends on its row maxima
+        grid = solver._scan_grid(np.array(box), 257)
+        slabs = [np.asarray(slab) for _, slab in grid.slabs(solver._SCAN_BLOCK)]
+        assert len(slabs) > 1
+        km = build_kernel_matrix(ds, mu)
+        values = [directional_derivatives(ds, mu, slab) for slab in slabs]
+        values.append(solver._slab_derivs(*km.shifted, row_log_mixture(km, mu.weights)))
+        points = np.concatenate(slabs + [mu.atoms])
+        expected = solver._certificate(np.concatenate(values), points, 257)
         original, widths = likelihood.kernel_columns, []
 
         def counting_columns(ds_, points_):
@@ -247,17 +253,67 @@ class TestNewtonStep:
 
     def test_nnls_satisfies_kkt(self):
         rng = np.random.default_rng(22)
-        for _ in range(300):
+        for i in range(300):
             rows, m = int(rng.integers(1, 30)), int(rng.integers(1, 12))
             A = rng.normal(size=(rows, m)) * rng.uniform(0.1, 10.0, size=m)
             b = rng.normal(size=rows)
-            x = _nnls(A, b)
+            x = _nnls(A, b, reduce=i % 2 == 0)
             # minus the gradient of ||A x - b||^2 / 2: no entry may grow, and the support is stationary
             grad = A.T @ (b - A @ x)
             tol = 1e-9 * (1.0 + np.abs(A).sum() * (np.abs(b).sum() + np.abs(A @ x).sum()))
             assert np.all(x >= 0)
             assert np.all(grad <= tol)
             assert np.all(np.abs(grad[x > 0]) <= tol)
+
+    @staticmethod
+    def nnls_tall(A, b):
+        """The Lawson-Hanson loop on A itself, with no QR reduction: the reference for ``_nnls``."""
+        m = A.shape[1]
+        x = np.zeros(m)
+        passive = np.zeros(m, dtype=bool)
+        tol = 10.0 * np.finfo(float).eps * max(A.shape) * np.abs(A).sum(axis=0).max()
+        for _ in range(3 * m):
+            grad = A.T @ (b - A @ x)
+            if not np.any(~passive & (grad > tol)):
+                break
+            passive[np.argmax(np.where(passive, -np.inf, grad))] = True
+            while True:
+                z = np.zeros(m)
+                z[passive] = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
+                if np.all(z[passive] > 0):
+                    x = z
+                    break
+                hit = np.flatnonzero(passive & (z <= 0))
+                ratios = x[hit] / np.maximum(x[hit] - z[hit], np.finfo(float).tiny)
+                x = x + ratios.min() * (z - x)
+                passive[hit[np.argmin(ratios)]] = False
+                passive &= x > tol
+                x[~passive] = 0.0
+        return x
+
+    @pytest.mark.parametrize("shape", ["tall", "wide", "duplicate", "newton"])
+    def test_nnls_matches_the_tall_form(self, shape):
+        rng = np.random.default_rng(24)
+        for _ in range(200):
+            m = int(rng.integers(1, 12))
+            rows = {"tall": int(rng.integers(m + 1, 300)), "wide": int(rng.integers(1, m + 1))}.get(shape, 200)
+            A = rng.normal(size=(rows, m)) * rng.uniform(0.1, 10.0, size=m)
+            b = rng.normal(size=rows)
+            if shape == "duplicate":
+                A[:, rng.integers(m, size=m // 2)] = A[:, rng.integers(m, size=m // 2)]
+            elif shape == "newton":
+                # a Newton step's system: scaled kernel ratios and the heavy sum-to-one row
+                E = KernelMatrix(2.0 * rng.normal(size=(rows, m))).shifted[0]
+                w = rng.exponential(size=m)
+                S = E / (E @ (w / w.sum()))[:, None]
+                A = np.vstack([S / math.sqrt(rows), np.full((1, m), solver._SUM_ROW)])
+                b = np.concatenate([np.full(rows, 2.0 / math.sqrt(rows)), [solver._SUM_ROW]])
+            x, x_ref = _nnls(A, b), self.nnls_tall(A, b)
+            assert np.all(x >= 0)
+            scale = np.linalg.norm(b) + np.abs(A).sum()
+            # duplicate columns leave x free to split; the fitted values and the residual are unique
+            np.testing.assert_allclose(A @ x, A @ x_ref, rtol=0, atol=1e-9 * scale)
+            assert np.linalg.norm(A @ x - b) <= np.linalg.norm(A @ x_ref - b) + 1e-12 * scale
 
     def test_weights_match_brute_force_oracle(self):
         rng = np.random.default_rng(10)
@@ -348,39 +404,59 @@ class TestScanTable:
             return out
 
         def counting_insert(*args):
-            insertions.append(1)
-            return original_insert(*args)
+            out = original_insert(*args)
+            insertions.append(out[2])
+            return out
 
         monkeypatch.setattr(likelihood, "kernel_columns", counting_columns)
         monkeypatch.setattr(solver, "kernel_columns", counting_columns)
         monkeypatch.setattr(solver, "_insert_atom", counting_insert)
         opts = FitOptions(max_em_iters=2000, refine_grid=9, max_refinements=4)
         fit_npml(ds, self.PK_BOX, [3, 3], opts)
-        assert len(insertions) >= 2
-        assert sum(columns) == 3 * 3 + 9 * 9
+        assert len(insertions) >= 2 and sum(insertions) >= 1
+        # the start atoms, the grid once, then one column per inserted atom
+        assert sum(columns) == 3 * 3 + 9 * 9 + sum(insertions)
+
+    @staticmethod
+    def variant_dataset(pk_spec, truth, variant, N, seed):
+        changes = {"heteroscedastic": {"sigma_prime": 0.3}, "laplace": {"noise": "laplace"}}
+        ds = simulate_dataset(replace(pk_spec, **changes.get(variant, {})), truth, N, seed=seed)
+        if variant == "censored":
+            design = CensoringDesign(((CensorMask(4, (0, 2)), 0.4), (CensorMask.full(4), 0.6)))
+            ds = apply_censoring(ds, design, seed=seed + 1)
+            assert len(ds.mask_groups) == 2
+        return ds
 
     @pytest.mark.parametrize("variant", ["pk", "heteroscedastic", "censored", "laplace"])
     def test_table_columns_equal_single_point_columns(self, pk_spec, two_point_pk_truth, variant):
-        changes = {"heteroscedastic": {"sigma_prime": 0.3}, "laplace": {"noise": "laplace"}}
-        spec = replace(pk_spec, **changes.get(variant, {}))
-        ds = simulate_dataset(spec, two_point_pk_truth, 40, seed=4)
-        if variant == "censored":
-            design = CensoringDesign(((CensorMask(4, (0, 2)), 0.4), (CensorMask.full(4), 0.6)))
-            ds = apply_censoring(ds, design, seed=5)
-            assert len(ds.mask_groups) == 2
-        # 24 x 24 = 576 points: the table spans two of kernel_columns' atom blocks
-        scan = _scan_table(ds, self.PK_BOX, 24)
-        for j, point in enumerate(scan.atoms):
-            np.testing.assert_array_equal(scan.log_k[:, j : j + 1], kernel_columns(ds, point[None, :]))
+        ds = self.variant_dataset(pk_spec, two_point_pk_truth, variant, 40, 4)
+        # 48 x 48 = 2304 points: the table spans two slabs, each several of log_kernel_block's blocks
+        scan = _scan_table(ds, self.PK_BOX, 48)
+        assert len(scan.slabs) == 2
+        j = 0
+        for E, shift in scan.slabs:
+            for column in E.T:
+                expected = np.exp(kernel_columns(ds, scan.atoms[j][None, :])[:, 0] - shift)
+                np.testing.assert_array_equal(column, expected)
+                j += 1
+        assert j == len(scan.atoms) == 48 * 48
 
-    def test_blocked_exp_mean_equals_full_width(self, pk_spec, two_point_pk_truth):
-        ds = simulate_dataset(pk_spec, two_point_pk_truth, 40, seed=7)
-        # 64 x 64 = 4096 points: the exp-mean runs over two column blocks
-        scan = _scan_table(ds, self.PK_BOX, 64)
+    def test_derivs_match_a_long_double_exp_mean(self, pk_spec, two_point_pk_truth):
+        ds = simulate_dataset(pk_spec, two_point_pk_truth, 300, seed=7)
         mu = new_uniform_grid_measure(self.PK_BOX, [3, 3])
-        log_rows = row_log_mixture(build_kernel_matrix(ds, mu), mu.weights)
-        full = np.exp(scan.log_k - log_rows[:, None]).mean(axis=0)
-        np.testing.assert_array_equal(_exp_mean(scan.log_k, log_rows), full)
+        km = build_kernel_matrix(ds, mu)
+        log_rows = row_log_mixture(km, mu.weights)
+        # 64 x 64 = 4096 points: two slabs
+        scan = _scan_table(ds, self.PK_BOX, 64)
+        L = kernel_columns(ds, scan.atoms)
+        shift = np.concatenate([np.broadcast_to(s[:, None], E.shape) for E, s in scan.slabs], axis=1)
+        exact = np.exp(L.astype(np.longdouble) - log_rows.astype(np.longdouble)[:, None]).mean(axis=0)
+        d = scan.derivs(log_rows)
+        # _slab_derivs' stated bound
+        spread = (np.abs(L - shift) + np.abs(shift - log_rows[:, None])).max(axis=0)
+        bound = exact * 2.0**-52 * (ds.N + 6 + spread)
+        assert np.all(np.abs(d - exact) <= bound)
+        assert np.max(np.abs(d / exact - 1)) > 0  # the reference does see the rounding
 
     @staticmethod
     def dropped(ds, atoms, w0):
@@ -404,18 +480,28 @@ class TestScanTable:
             return original(values, candidates, resolution)
 
         monkeypatch.setattr(solver, "_certificate", spy)
-        # at resolution 64 the grid and the atoms span three of certify's streaming blocks
+        # at resolution 64 the grid spans two of certify's streaming slabs
         for resolution in (9, 64):
             seen.clear()
             scan = _scan_table(ds, self.PK_BOX, resolution)
             cert, _ = _scan_certificate(km, mu.weights, resolution, scan)
             streamed = certify(ds, mu, self.PK_BOX, resolution)
-            candidates = np.concatenate([scan.atoms, km.atoms])
-            expected = _exp_mean(kernel_columns(ds, candidates), row_log_mixture(km, mu.weights))
-            np.testing.assert_array_equal(seen[0], expected)
-            np.testing.assert_array_equal(seen[1], expected)
+            np.testing.assert_array_equal(seen[0], seen[1])
+            assert seen[0].shape == (resolution**2 + 4,)
             assert streamed.sup_dir_derivative == cert.sup_dir_derivative
             np.testing.assert_array_equal(streamed.argmax_point, cert.argmax_point)
+
+    @pytest.mark.parametrize("max_refinements", [0, 4])
+    @pytest.mark.parametrize("resolution", [9, 33, 64])
+    @pytest.mark.parametrize("variant", ["pk", "heteroscedastic", "censored", "laplace"])
+    def test_fit_certificate_equals_certify(self, pk_spec, two_point_pk_truth, variant, resolution, max_refinements):
+        ds = self.variant_dataset(pk_spec, two_point_pk_truth, variant, 60, 9)
+        opts = FitOptions(refine_grid=resolution, max_refinements=max_refinements)
+        fit = fit_npml(ds, self.PK_BOX, [3, 3], opts)
+        cert = certify(ds, fit.measure, self.PK_BOX, resolution)
+        assert cert.sup_dir_derivative == fit.certificate.sup_dir_derivative
+        np.testing.assert_array_equal(cert.argmax_point, fit.certificate.argmax_point)
+        assert cert.grid_resolution == fit.certificate.grid_resolution == resolution
 
     def test_em_after_prune_equals_em_on_fresh_kernel(self, pk_spec, two_point_pk_truth):
         # a fit's bits must not depend on whether its kernel came out of a drop
