@@ -86,7 +86,7 @@ def cmd_fit(args) -> int:
     print(
         f"fit method={args.method} loglik={fit.final_loglik:.9f} "
         f"iters={fit.iterations} atoms={atom_count(fit.measure, opts.prune_eps)} "
-        f"status={fit.status} cert_sup={fit.certificate.sup_dir_derivative:.9f}"
+        f"status={fit.status} cert_sup={fit.certificate.sup_dir_derivative:.9g}"
     )
     return 0 if fit.status == STATUS_CONVERGED else 2
 

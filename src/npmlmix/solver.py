@@ -13,11 +13,11 @@ as the reference EM weight solver.
 
 A scan takes d at a block of candidates as one mat-vec: with E = exp(L - shift)
 for the block's log-kernel table L and its row maxima shift, d = c @ E where
-c_i = exp(min(shift_i - log K(mu)(x_i), 700)) / N (``_slab_derivs``). A
-discrete fit builds its scan grid's E in slabs of at most ``_SCAN_BLOCK``
-points once, in place of their log tables, and keeps them for the fit;
-``certify`` streams the same slabs, so the fit's certificate has its bits.
-The atoms' d reads ``KernelMatrix.shifted``, the table the Newton steps use.
+c_i = exp(min(shift_i - log K(mu)(x_i), 700)) / N (``_slab_derivs``). One
+builder, ``_dir_derivs_from_rows``, makes every scan's E in slabs of at most
+``_SCAN_BLOCK`` points, in place of their log tables: a fit keeps its grid's
+slabs, ``certify`` and ``directional_derivatives`` stream them. One
+``_scan_certificate``, over them and ``KernelMatrix.shifted``, computes every certificate.
 An inserted atom takes its column from ``kernel_columns`` at its point.
 A Newton step whose weights have a wide support reduces its least-squares
 problem once by QR, so its NNLS works on an (m + 1)-row triangle.
@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -157,10 +157,9 @@ def em_fit(km: KernelMatrix, w0, opts: Optional[FitOptions] = None) -> Tuple[np.
 
 
 def directional_derivatives(ds, mu: MixingMeasure, points: np.ndarray) -> np.ndarray:
-    """Vectorized directional derivatives at many candidate points."""
+    """Vectorized directional derivatives at many candidate points, streamed in scan slabs."""
     km = build_kernel_matrix(ds, mu)
-    log_rows = row_log_mixture(km, mu.weights)
-    return _dir_derivs_from_rows(ds, log_rows, points)
+    return _ScanTable(ds, points, _dir_derivs_from_rows(ds, points)).derivs(row_log_mixture(km, mu.weights))
 
 
 # grid points per scan slab: a slab's table is at most N x _SCAN_BLOCK
@@ -190,12 +189,10 @@ def _slab_derivs(E: np.ndarray, shift: np.ndarray, log_rows: np.ndarray) -> np.n
     return c @ E
 
 
-def _dir_derivs_from_rows(ds, log_rows: np.ndarray, points) -> np.ndarray:
-    out = np.empty(len(points))
-    for start, block in _point_blocks(points, _SCAN_BLOCK):
-        E, shift = _slab(kernel_columns(ds, block))
-        out[start : start + E.shape[1]] = _slab_derivs(E, shift, log_rows)
-    return out
+def _dir_derivs_from_rows(ds, points):
+    """Every scan's ``_slab``, one per ``_SCAN_BLOCK`` block; bench/tracer.py maps this name to ``scan``."""
+    for _, block in _point_blocks(points, _SCAN_BLOCK):
+        yield _slab(kernel_columns(ds, block))
 
 
 def _certificate(values: np.ndarray, candidates: np.ndarray, grid_resolution: int) -> Certificate:
@@ -211,25 +208,28 @@ def _scan_grid(box_arr: np.ndarray, resolution: int) -> TensorGrid:
 
 @dataclass(frozen=True)
 class _ScanTable:
-    """A fit's scan grid: its dataset, its points, and its kernel as ``_slab`` pairs (E, shift).
+    """Scan candidates: a dataset, its points (an array or a grid), and their kernel as ``_slab`` pairs (E, shift).
 
-    The slabs are the grid's blocks of at most ``_SCAN_BLOCK`` points, the
-    blocks ``certify`` streams, so a fit's d has the bits of ``certify``'s.
+    The slabs are ``_dir_derivs_from_rows``': a tuple a fit keeps, or the generator that ``certify``
+    and ``directional_derivatives`` read once, so their memory does not grow with the points.
     """
 
     ds: object
-    atoms: np.ndarray
-    slabs: tuple
+    atoms: Union[np.ndarray, TensorGrid]
+    slabs: Iterable[Tuple[np.ndarray, np.ndarray]]
 
     def derivs(self, log_rows: np.ndarray) -> np.ndarray:
-        return np.concatenate([_slab_derivs(E, shift, log_rows) for E, shift in self.slabs])
+        out, start = np.empty(len(self.atoms)), 0
+        for E, shift in self.slabs:
+            out[start : start + E.shape[1]] = _slab_derivs(E, shift, log_rows)
+            start += E.shape[1]
+        return out
 
 
 def _scan_table(ds, box_arr: np.ndarray, resolution: int) -> _ScanTable:
     """The scan grid's (N, G) kernel, in slabs exponentiated in place of their log tables; built once per fit."""
     grid = _scan_grid(box_arr, resolution)
-    slabs = tuple(_slab(kernel_columns(ds, block)) for _, block in _point_blocks(grid, _SCAN_BLOCK))
-    return _ScanTable(ds, np.asarray(grid), slabs)
+    return _ScanTable(ds, np.asarray(grid), tuple(_dir_derivs_from_rows(ds, grid)))
 
 
 def _scan_certificate(
@@ -237,9 +237,9 @@ def _scan_certificate(
 ) -> Tuple[Certificate, np.ndarray]:
     """Certificate over the points of ``scan``, if given, then the columns of ``km``, and every d it scanned.
 
-    A discrete fit passes its scan table, so value j < G is d at the grid point
-    ``scan.atoms[j]``; a sieve fit passes none and scans its basis elements,
-    the extreme points of the hull.
+    A discrete fit passes its kept scan table and ``certify`` a streamed one, so
+    value j < G is d at the grid point ``scan.atoms[j]``; a sieve fit passes
+    none and scans its basis elements, the extreme points of the hull.
     """
     log_rows = row_log_mixture(km, w)
     values, candidates = _slab_derivs(*km.shifted, log_rows), km.atoms
@@ -254,9 +254,9 @@ def certify(
 ) -> Certificate:
     """Recompute the sup of a fit's directional derivative.
 
-    For a discrete measure the scan covers a uniform grid over the box, streamed
-    in the slabs of a fit's scan table so memory does not grow with the
-    resolution, then the atoms from the measure's own table; the fit is optimal on the box
+    For a discrete measure the fit's ``_scan_certificate`` covers a uniform grid
+    over the box, streamed from the fit's slab builder so memory does not grow
+    with the resolution, then the atoms from the measure's own table; the fit is optimal on the box
     (up to the scan resolution) when the certificate holds at refine_tol. For a
     SieveDensity the scan covers the basis elements, with the kernel
     integrated at the fit's quadrature order; box and grid_resolution are
@@ -269,10 +269,9 @@ def certify(
     box_arr = _check_box(box, mu.p)
     if grid_resolution < 1:
         raise InvalidArgumentError("grid_resolution must be >= 1")
-    grid, km = _scan_grid(box_arr, grid_resolution), build_kernel_matrix(ds, mu)
-    log_rows = row_log_mixture(km, mu.weights)
-    values = np.concatenate([_dir_derivs_from_rows(ds, log_rows, grid), _slab_derivs(*km.shifted, log_rows)])
-    return _certificate(values, np.concatenate([np.asarray(grid), km.atoms]), grid_resolution)
+    grid = _scan_grid(box_arr, grid_resolution)
+    scan = _ScanTable(ds, grid, _dir_derivs_from_rows(ds, grid))
+    return _scan_certificate(build_kernel_matrix(ds, mu), mu.weights, grid_resolution, scan)[0]
 
 
 def _nnls(A: np.ndarray, b: np.ndarray, reduce: bool = True) -> np.ndarray:

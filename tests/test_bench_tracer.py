@@ -10,11 +10,12 @@ the only imports the package may keep without using them.
 import ast
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
 
-from npmlmix import likelihood, solver
+from npmlmix import FitOptions, certify, fit_npml, likelihood, simulate_dataset, solver
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -52,6 +53,27 @@ def test_kernel_callers_are_package_functions(tracer):
             if inspect.isfunction(fn) and fn.__code__.co_name == caller
         ]
         assert found, f"kernel_columns caller {caller!r} is not a function in solver or likelihood"
+
+
+def test_fit_and_certify_scan_through_the_scan_caller(tracer, monkeypatch, pk_spec, two_point_pk_truth):
+    # the tracer reads the name of kernel_columns' calling function; a scan built elsewhere counts as "other"
+    ds = simulate_dataset(pk_spec, two_point_pk_truth, 60, seed=9)
+    box = [(0.5, 2.5), (0.05, 1.2)]
+    original, seen = likelihood.kernel_columns, []
+
+    def recording(ds_, points):
+        seen.append(sys._getframe(1).f_code.co_name)
+        return original(ds_, points)
+
+    monkeypatch.setattr(likelihood, "kernel_columns", recording)
+    monkeypatch.setattr(solver, "kernel_columns", recording)
+    fit = fit_npml(ds, box, [3, 3], FitOptions(refine_grid=33))
+    fit_callers = set(seen)
+    seen.clear()
+    certify(ds, fit.measure, box, 65)
+    for name, callers in (("fit_npml", fit_callers), ("certify", set(seen))):
+        assert callers <= set(tracer._KERNEL_CALLERS), (name, callers)
+        assert "_dir_derivs_from_rows" in callers, (name, callers)
 
 
 def _unused_imports(path: Path) -> set:

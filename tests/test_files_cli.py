@@ -274,6 +274,28 @@ class TestCliFit:
         assert fit.status == "converged"
         assert fit.certificate.sup_dir_derivative <= 1.0 + 1e-6
 
+    def test_a_capped_sup_prints_a_short_line(self, tmp_path, capsys):
+        # sigma = 0.01 caps the first scan's sup near 5e303, which a fixed-point format spells out in 304 digits
+        cfg = {
+            "model": {
+                "p": 1, "n": 2, "sigma": 0.01, "f": {"kind": "identity_location"},
+                "time_design": [[0.0, 1.0], [1.0, 2.0]],
+            },
+            "truth": {"atoms": [[0.7], [1.8]], "weights": [0.5, 0.5]},
+            "N": 200,
+            "seed": 1,
+        }
+        write_json(tmp_path / "sim.json", cfg)
+        data, fit = str(tmp_path / "data.json"), str(tmp_path / "fit.json")
+        assert main(["simulate", "--config", str(tmp_path / "sim.json"), "--out", data]) == 0
+        capsys.readouterr()
+        fit_args = ["--method", "npml", "--box", "0,2.5", "--grid", "3", "--refine-grid", "33", "--max-refinements", "0"]
+        assert main(["fit", "--data", data, *fit_args, "--out", fit]) == 2
+        line = capsys.readouterr().out.strip()
+        sup = read_json(fit)["certificate"]["sup"]
+        assert sup > 1e300 and len(line) < 120
+        assert float(line.split("cert_sup=")[1]) == pytest.approx(sup, rel=1e-8, abs=0)
+
     def test_sieve_fit_file(self, tmp_path, capsys):
         cfg = {
             "model": {

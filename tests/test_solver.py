@@ -163,6 +163,18 @@ class TestDirectionalDerivative:
             d = directional_derivatives(ds, mu, atoms)
             assert float(mu.weights @ d) == pytest.approx(1.0, abs=1e-10)
 
+    def test_no_points_give_an_empty_array(self, pk_spec, two_point_pk_truth):
+        ds = simulate_dataset(pk_spec, two_point_pk_truth, 40, seed=5)
+        mu = new_uniform_grid_measure([(0.5, 2.5), (0.1, 1.2)], [2, 2])
+        d = directional_derivatives(ds, mu, np.empty((0, 2)))
+        assert d.shape == (0,) and d.dtype == np.float64
+
+    def test_one_dimensional_points_are_a_column(self):
+        ds, mu, _ = two_to_one_dataset()
+        points = np.linspace(-0.5, 0.5, 2 * solver._SCAN_BLOCK + 3)  # three scan slabs
+        column = directional_derivatives(ds, mu, points[:, None])
+        np.testing.assert_array_equal(directional_derivatives(ds, mu, points), column)
+
 
 class TestCertify:
     def test_sup_one_at_concentrated_fit(self):
