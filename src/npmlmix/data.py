@@ -10,7 +10,7 @@ which are deterministic at double precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Dict, Optional
 
@@ -106,6 +106,12 @@ class Dataset:
     @property
     def N(self) -> int:
         return len(self.observations)
+
+    def row_slice(self, start: int, stop: int) -> "Dataset":
+        """Rows start to stop, in order, with this dataset's spec and provenance: the dataset itself if they are all."""
+        if start <= 0 and stop >= self.N:
+            return self
+        return replace(self, observations=self.observations[start:stop])
 
     @property
     def is_censored(self) -> bool:

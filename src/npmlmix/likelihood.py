@@ -21,6 +21,8 @@ from .model import log_kernel_block
 
 # Rows per block of the sieve contraction; bounds its (rows, Q) temporary
 _SIEVE_ROW_BLOCK = 32
+# Bytes of one row block's (rows, Q) log table in the sieve build; its rows are a multiple of _SIEVE_ROW_BLOCK
+_SIEVE_TABLE_BYTES = 8 * 2**20
 # A contracted sieve sum below this is recomputed by log-sum-exp. Each term lost to
 # underflow is below 2.3e-308, so a sum kept above it carries a relative error below 1e-20.
 _SIEVE_UNDERFLOW = 1e-280
@@ -113,13 +115,17 @@ def build_sieve_kernel_matrix(
     Entry (i, j) approximates log sum_q w_q phi_j(x_q) k_i(x_q), the log of
     the kernel integrated against basis density j. Both the rule and the hat
     basis are tensor products, so the table w_q phi_j(x_q) factors into one
-    (Q_a, c_a) matrix per axis and is never built. Each block of rows is
-    shifted by its row maxima, exponentiated, reshaped to (rows, Q_1, ...,
-    Q_p) and contracted with those factors one axis at a time, last axis
-    first; the log of the sum plus the shift is the entry. A sum below
+    (Q_a, c_a) matrix per axis and is never built. The rows are taken in
+    blocks whose (rows, Q) log table, from one ``kernel_columns`` call on the
+    whole rule, fits ``_SIEVE_TABLE_BYTES``. Each ``_SIEVE_ROW_BLOCK`` rows of
+    it are shifted by their row maxima, exponentiated, reshaped to (rows,
+    Q_1, ..., Q_p) and contracted with those factors one axis at a time, last
+    axis first; the log of the sum plus the shift is the entry. A sum below
     ``_SIEVE_UNDERFLOW`` may have lost its terms to underflow, so that entry
-    alone is recomputed by log-sum-exp over its column's support. The rule is
-    fixed-order, so entries are bit-stable across runs.
+    alone is recomputed by log-sum-exp over its column's support. Every entry
+    depends only on its row, and the contraction's blocks are the same for
+    any table budget, so neither moves a bit. The rule is fixed-order, so
+    entries are bit-stable across runs.
     """
     if ds.is_censored:
         raise InvalidArgumentError("sieve fitting expects an uncensored dataset")
@@ -127,24 +133,30 @@ def build_sieve_kernel_matrix(
     log_factors = basis.log_axis_factors(quad_points_per_cell)
     factors = [np.exp(f) for f in log_factors]
     q_shape = tuple(f.shape[0] for f in factors)
-    log_kq = kernel_columns(ds, grid)  # (N, Q)
-    shift = log_kq.max(axis=1)
-    sums = np.empty((ds.N, basis.m))
-    for start in range(0, ds.N, _SIEVE_ROW_BLOCK):
-        rows = slice(start, start + _SIEVE_ROW_BLOCK)
-        part = np.exp(log_kq[rows] - shift[rows, None]).reshape((-1,) + q_shape)
-        for f in reversed(factors):
-            part = np.moveaxis(part @ f, -1, 1)  # contracts the last Q_a, puts c_a next to the rows
-        sums[rows] = part.reshape(part.shape[0], -1)
-    low_rows, low_cols = np.nonzero(sums < _SIEVE_UNDERFLOW)
-    with np.errstate(divide="ignore"):
-        out = np.log(sums) + shift[:, None]
-    for j in np.unique(low_cols):
-        rows_j = low_rows[low_cols == j]
-        per_axis = (f[:, c] for f, c in zip(log_factors, np.unravel_index(j, basis.node_counts)))
-        log_b = reduce(np.add.outer, per_axis).reshape(-1)  # log w_q phi_j(x_q), all q
-        support = np.isfinite(log_b)
-        out[rows_j, j] = logsumexp(log_kq[np.ix_(rows_j, support)] + log_b[support], axis=1)
+    step = _SIEVE_ROW_BLOCK * max(1, _SIEVE_TABLE_BYTES // (8 * len(grid) * _SIEVE_ROW_BLOCK))
+    out = np.empty((ds.N, basis.m))
+    for first in range(0, ds.N, step):
+        log_kq = kernel_columns(ds.row_slice(first, first + step), grid)  # (rows, Q)
+        shift = log_kq.max(axis=1)
+        sums = np.empty((len(shift), basis.m))
+        for start in range(0, len(shift), _SIEVE_ROW_BLOCK):
+            rows = slice(start, start + _SIEVE_ROW_BLOCK)
+            part = log_kq[rows] - shift[rows, None]
+            part = np.exp(part, out=part).reshape((-1,) + q_shape)
+            for f in reversed(factors):
+                part = np.moveaxis(part @ f, -1, 1)  # contracts the last Q_a, puts c_a next to the rows
+            sums[rows] = part.reshape(part.shape[0], -1)
+        low_rows, low_cols = np.nonzero(sums < _SIEVE_UNDERFLOW)
+        block = out[first : first + len(shift)]
+        with np.errstate(divide="ignore"):
+            np.add(np.log(sums), shift[:, None], out=block)
+        for j in np.unique(low_cols):
+            rows_j = low_rows[low_cols == j]
+            per_axis = (f[:, c] for f, c in zip(log_factors, np.unravel_index(j, basis.node_counts)))
+            log_b = reduce(np.add.outer, per_axis).reshape(-1)  # log w_q phi_j(x_q), all q
+            support = np.isfinite(log_b)
+            block[rows_j, j] = logsumexp(log_kq[np.ix_(rows_j, support)] + log_b[support], axis=1)
+        del log_kq  # freed before the next block's table is built
     return KernelMatrix(log_k=out, atoms=basis.nodes)
 
 

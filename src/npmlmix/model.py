@@ -313,7 +313,8 @@ def laplace_log_density(u, sigma: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-_ATOM_BLOCK = 512  # candidate columns per block of ``log_kernel_block``
+_ATOM_BLOCK = 512  # candidate columns per block of ``log_kernel_block``, at most,
+_BLOCK_BYTES = 2**20  # and bytes per (N, b) or (N, b, k) temporary of a block, so its tables stay near an L2 cache
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -407,9 +408,13 @@ def log_kernel_block(
     S: (B, p) candidate points (a float array) or a ``TensorGrid``; Y: (N, k) observed
     components (k = n, or the mask cardinality when censored); T: (N, n) full time vectors.
     Fills the (N, B) table of log k_x(s), or the rows ``rows`` (one per individual) of a
-    caller's table ``out``, leaving its other rows, in blocks of at most ``_ATOM_BLOCK``
-    columns, and returns the table. Raises when a candidate point drives the model out of
-    its numeric domain.
+    caller's table ``out``, leaving its other rows, and returns the table. It works in blocks
+    of at most ``_ATOM_BLOCK`` columns whose temporaries fit ``_BLOCK_BYTES``: a column costs
+    8 N bytes in the (N, b) tables of homoscedastic Gaussian noise (n times that in the forward
+    table of a model other than ``PkExp``) and 8 N k in the (N, b, k) tables of other noise, so
+    no block temporary grows with N. Entry (i, j) depends only on row i and column j, so the
+    block size moves no bits. Raises when a candidate point drives the model out of its
+    numeric domain.
 
     With homoscedastic Gaussian noise, ||y - f||^2 is taken as ||y||^2 - 2 y . f + ||f||^2,
     with no residual table y - f. Against the residual form that moves log k_x(s) by at
@@ -441,7 +446,8 @@ def log_kernel_block(
 
     if not isinstance(rows, slice) and np.array_equal(rows, np.arange(out.shape[0])):
         rows = slice(None)  # every row in order: each block is written into its view of out
-    for start, part in _point_blocks(S, _ATOM_BLOCK):
+    per_column = 8 * T.shape[0] * (1 if gaussian else Y.shape[1])
+    for start, part in _point_blocks(S, min(_ATOM_BLOCK, max(1, _BLOCK_BYTES // per_column))):
         block = (rows, slice(start, start + len(part)))
         if isinstance(rows, slice):
             _block_table(spec, Y, terms(start, part), out=out[block])

@@ -223,6 +223,7 @@ class _ScanTable:
         for E, shift in self.slabs:
             out[start : start + E.shape[1]] = _slab_derivs(E, shift, log_rows)
             start += E.shape[1]
+            del E, shift  # a streamed slab is freed before the next one is built
         return out
 
 

@@ -1,8 +1,10 @@
 import ast
 import math
 import tracemalloc
+from functools import reduce
 from pathlib import Path
 from statistics import NormalDist
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +38,8 @@ from npmlmix import (
 from npmlmix import likelihood
 from npmlmix.measures import TensorGrid, _tensor_points
 from npmlmix.model import _ATOM_BLOCK, _forward, log_kernel_block
+
+MiB = 2**20
 
 
 def single_obs_dataset(spec, y, t):
@@ -252,6 +256,85 @@ class TestSieveKernelMatrix:
             build_sieve_kernel_matrix(censored, SieveBasis([(0.5, 2.5), (0.1, 1.0)], [3, 3]), 4)
 
 
+def one_shot_sieve_kernel(ds, basis, quad_points_per_cell):
+    """Reference: the sieve build on one (N, Q) table of every row, with the build's contraction and fix-up."""
+    grid, _ = basis.quadrature(quad_points_per_cell)
+    log_factors = basis.log_axis_factors(quad_points_per_cell)
+    factors = [np.exp(f) for f in log_factors]
+    log_kq = likelihood.kernel_columns(ds, grid)
+    shift = log_kq.max(axis=1)
+    sums = np.empty((ds.N, basis.m))
+    for start in range(0, ds.N, likelihood._SIEVE_ROW_BLOCK):
+        rows = slice(start, start + likelihood._SIEVE_ROW_BLOCK)
+        part = np.exp(log_kq[rows] - shift[rows, None]).reshape((-1,) + tuple(f.shape[0] for f in factors))
+        for f in reversed(factors):
+            part = np.moveaxis(part @ f, -1, 1)
+        sums[rows] = part.reshape(part.shape[0], -1)
+    low_rows, low_cols = np.nonzero(sums < likelihood._SIEVE_UNDERFLOW)
+    with np.errstate(divide="ignore"):
+        out = np.log(sums) + shift[:, None]
+    for j in np.unique(low_cols):
+        rows_j = low_rows[low_cols == j]
+        per_axis = (f[:, c] for f, c in zip(log_factors, np.unravel_index(j, basis.node_counts)))
+        log_b = reduce(np.add.outer, per_axis).reshape(-1)
+        support = np.isfinite(log_b)
+        out[rows_j, j] = likelihood.logsumexp(log_kq[np.ix_(rows_j, support)] + log_b[support], axis=1)
+    return out, len(low_rows)
+
+
+class TestSieveRowBlocks:
+    """The sieve build takes its rows in blocks of a byte budget, with the bits of one table of every row."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        p=st.sampled_from([1, 2]),
+        variant=st.sampled_from(sorted(NOISE_VARIANTS)),
+        sigma=st.sampled_from([0.005, 0.02, 0.05, 0.3]),
+        N=st.integers(1, 150),
+        seed=st.integers(0, 10**6),
+        cells=st.integers(1, 12),
+        quad_points=st.integers(1, 8),
+        blocks=st.integers(1, 3),
+    )
+    @example(p=1, variant="homoscedastic", sigma=0.005, N=97, seed=14, cells=33, quad_points=8, blocks=1)
+    @example(p=2, variant="homoscedastic", sigma=0.03, N=70, seed=14, cells=8, quad_points=8, blocks=2)
+    @example(p=2, variant="heteroscedastic", sigma=0.05, N=65, seed=3, cells=4, quad_points=6, blocks=1)
+    @example(p=2, variant="laplace", sigma=0.02, N=131, seed=5, cells=5, quad_points=4, blocks=3)
+    def test_row_blocks_have_the_bits_of_one_table(self, p, variant, sigma, N, seed, cells, quad_points, blocks):
+        ds = sieve_case_dataset(p, variant, sigma, N, seed)
+        basis = SieveBasis(LOC_BOX if p == 1 else PK_BOX, [cells + 1] if p == 1 else [cells // 2 + 2, cells + 1])
+        expected, fixed = one_shot_sieve_kernel(ds, basis, quad_points)
+        grid = basis.quadrature(quad_points)[0]
+        rows = blocks * likelihood._SIEVE_ROW_BLOCK  # rows per block of the build
+        calls, real = [], likelihood.kernel_columns
+        with mock.patch.object(likelihood, "_SIEVE_TABLE_BYTES", 8 * len(grid) * rows), mock.patch.object(
+            likelihood, "kernel_columns", lambda ds_, points: calls.append((ds_, points)) or real(ds_, points)
+        ):
+            km = build_sieve_kernel_matrix(ds, basis, quad_points)
+        np.testing.assert_array_equal(km.log_k, expected)
+        assert len(calls) == -(-N // rows)
+        for part, points in calls:
+            assert isinstance(points, TensorGrid)
+            np.testing.assert_array_equal(np.asarray(points), np.asarray(grid))
+        tiled = [o for part, _ in calls for o in part.observations]
+        assert len(tiled) == N and all(a is b for a, b in zip(tiled, ds.observations))
+        if (p, variant, sigma, N) == (1, "homoscedastic", 0.005, 97):
+            assert fixed > 0  # this example reaches the log-sum-exp fix-up in several row blocks
+
+    def test_sieve_build_traces_a_fixed_budget(self):
+        # the 2d-16 rule of the sieve-nested benchmark, 16,384 points at N = 400: its one (N, Q) table alone
+        # was 50 MiB, and the build traced 59.9 MiB; row blocks of 8 MiB keep it near 14 MiB
+        ds = sieve_case_dataset(2, "homoscedastic", 0.2, 400, seed=42)
+        ds.mask_groups
+        tracemalloc.start()
+        try:
+            build_sieve_kernel_matrix(ds, SieveBasis(PK_BOX, [17, 17]), 8)
+            traced = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traced <= 16 * MiB
+
+
 class TestLogLikelihood:
     def test_single_column_average(self):
         log_k = np.log(np.array([[2.0], [3.0], [0.5]]))
@@ -452,6 +535,27 @@ class TestGridColumns:
         finally:
             tracemalloc.stop()
         assert traced <= 1.1 * peak * table.nbytes
+
+    @pytest.mark.parametrize("N", [400, 6400])
+    @pytest.mark.parametrize(
+        "case, as_points",
+        [("pk", False), ("pk", True), ("pk-heteroscedastic", False), ("pk-laplace", True), ("linear", True)],
+    )
+    def test_kernel_columns_peak_memory_has_a_fixed_bound(self, case, as_points, N):
+        # block temporaries fit a byte budget, so the peak beyond the table does not grow with N through them;
+        # a pk_exp grid's per-rate table, N x 33 x 4 doubles, does: 6.4 MiB of the bound at N = 6400
+        build, box = GRID_CASES[case]
+        ds = build(N, 0)
+        grid = TensorGrid([np.linspace(lo, hi, 33) for lo, hi in box])
+        candidates = np.asarray(grid) if as_points else grid
+        ds.mask_groups
+        tracemalloc.start()
+        try:
+            table = likelihood.kernel_columns(ds, candidates)
+            traced = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traced - table.nbytes <= 16 * MiB
 
     def test_start_grid_points_peak_at_eight_tables(self):
         # a 7 x 7 start grid at N = 1600 as points: exp(-rate * t) is four tables, taken in place,

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -225,6 +226,21 @@ class TestCertify:
         assert max(widths) <= solver._SCAN_BLOCK
         # the atoms' own columns, then the grid in blocks
         assert sum(widths) == 9 + 64 * 64
+
+    def test_streamed_certify_holds_one_slab(self, pk_spec, two_point_pk_truth):
+        # 65 x 65 points stream as slabs of 2048, 2048 and 129 columns; the next slab's kernel is built after
+        # the last one is freed, so the peak is one N x 2048 slab, the next slab's block temporaries and the
+        # atoms' table, where holding two slabs peaked at 2.5 slabs
+        ds = simulate_dataset(pk_spec, two_point_pk_truth, 1600, seed=0)
+        mu = MixingMeasure(np.array([[1.0, 0.3], [2.0, 0.8], [1.5, 0.5]]), [0.4, 0.4, 0.2])
+        ds.mask_groups
+        tracemalloc.start()
+        try:
+            certify(ds, mu, [(0.5, 2.5), (0.05, 1.2)], 65)
+            traced = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traced <= 1.5 * ds.N * solver._SCAN_BLOCK * 8
 
     def test_resolution_257_matches_the_point_scan(self, pk_spec, two_point_pk_truth, monkeypatch):
         ds = simulate_dataset(pk_spec, two_point_pk_truth, 30, seed=8)
