@@ -101,7 +101,7 @@ class TensorGrid:
         return _tensor_points(self.axes).astype(dtype or float, copy=False)
 
     def slabs(self, size: int):
-        """Sub-grids of at most ``size`` points that tile the grid in point order: (start, sub-grid).
+        """Sub-grids of at most ``size`` points that tile the grid in point order: (start, sub-grid), a scan's slabs.
 
         Each is a run of leading-axis values or, where one value's sub-grid is larger, a slab of that.
         """
@@ -116,7 +116,7 @@ class TensorGrid:
 
 
 def _point_blocks(points, size: int):
-    """(start, block) of at most ``size`` candidates: row blocks of a point array, slabs of a ``TensorGrid``."""
+    """(start, block) of at most ``size`` scan candidates: row blocks of a point array, slabs of a ``TensorGrid``."""
     if isinstance(points, TensorGrid):
         return points.slabs(size)
     return ((start, points[start : start + size]) for start in range(0, len(points), size))

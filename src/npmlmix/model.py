@@ -14,7 +14,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import InvalidArgumentError, ModelViolationError
-from .measures import TensorGrid, _point_blocks
+from .measures import TensorGrid
 
 GAUSSIAN = "gaussian"
 LAPLACE = "laplace"
@@ -313,8 +313,7 @@ def laplace_log_density(u, sigma: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-_ATOM_BLOCK = 512  # candidate columns per block of ``log_kernel_block``, at most,
-_BLOCK_BYTES = 2**20  # and bytes per (N, b) or (N, b, k) temporary of a block, so its tables stay near an L2 cache
+_BLOCK_BYTES = 2**18  # bytes per (rows, B) or (rows, B, k) temporary of a row block of ``log_kernel_block``
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -325,50 +324,41 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pk_terms(S, Y: np.ndarray, T: np.ndarray, cols, gaussian: bool):
-    """``PkExp`` block terms for ``_block_table``, with e = exp(-rate * t) taken once per call: over a grid's
-    rate axis, where column (a, r) is amps[a] * e_r, or, for Gaussian noise only, at each point's rate: amps[b] * e_b.
+def _terms(spec: ModelSpec, S, Y: np.ndarray, T: np.ndarray, cols, gaussian: bool):
+    """One row block's terms for ``_block_table``: the pair (y . f, ||f||^2) with Gaussian noise, else f.
 
-    With Gaussian noise y . f and ||f||^2 come as A (y . e) and A^2 (e . e) from (N, R) tables, so no
-    (N, B, n) table is formed; |A| max(e), the largest entry of f per column, must be finite.
+    ``PkExp`` takes e = exp(-rate * t) once per rate: over a grid's rate axis, where column (a, r) is
+    amps[a] * e_r, or, for Gaussian noise only, at each point's rate: amps[b] * e_b. With Gaussian noise
+    y . f and ||f||^2 come as A (y . e) and A^2 (e . e) from (rows, R) tables, so no (rows, B, n) table is
+    formed. |A| max(e), the largest entry of f per column, must be finite. Other candidates go through
+    ``_forward``.
     """
     grid = isinstance(S, TensorGrid)
+    if not isinstance(spec.f, PkExp) or not (grid or gaussian):
+        F = _forward(spec, S, T)[:, :, cols]
+        return (_dot(Y[:, None, :], F), _dot(F, F)) if gaussian else F
     amps, rates = S.axes if grid else S.T
-    e = -rates[None, :, None] * T[:, None, :]
-    with np.errstate(over="ignore"):
-        np.exp(e, out=e)
 
     def scale(a, table):  # columns a * table: each amplitude by each rate on a grid, pairwise on points
         if grid:
             return np.einsum("a,ir...->iar...", a, table).reshape((table.shape[0], -1) + table.shape[2:])
         return a * table
 
-    if gaussian:
-        with np.errstate(over="ignore", invalid="ignore"):
-            _require_domain(scale(np.abs(amps), e.max(axis=0).max(axis=-1)[None]))
+    e = -rates[None, :, None] * T[:, None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.exp(e, out=e)
+        peak = e.max(axis=0).max(axis=-1)  # a grid's columns share a rate's peak, so its largest |A| checks them all
+        _require_domain((np.max(np.abs(amps), initial=0.0) if grid else np.abs(amps)) * peak)
         e = e[:, :, cols]
-        per_rate = (_dot(Y[:, None, :], e), _dot(e, e))  # y . e and e . e; e is released on return
-    else:
-        per_rate = (e,)
-
-    def terms(start, part):
-        if grid:
-            r0 = start % rates.shape[0]
-            a, rs = part.axes[0], slice(r0, r0 + part.axes[1].shape[0])
-        else:
-            a, rs = part[:, 0], slice(start, start + len(part))
-        with np.errstate(over="ignore", invalid="ignore"):
-            if gaussian:
-                return scale(a, per_rate[0][:, rs]), scale(a * a, per_rate[1][:, rs])
-            F = scale(a, per_rate[0][:, rs])
-        _require_domain(F)
-        return F[:, :, cols]
-
-    return terms
+        if not gaussian:
+            return scale(amps, e)
+        yf, ff = _dot(Y[:, None, :], e), _dot(e, e)
+        del e
+        return scale(amps, yf), scale(amps * amps, ff)
 
 
 def _block_table(spec: ModelSpec, Y: np.ndarray, F, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """One block's (N, b) table of log k_x(s) from its terms F: the pair (y . f, ||f||^2), or f for other noise.
+    """One row block's (rows, B) table of log k_x(s) from its terms F: the pair (y . f, ||f||^2), or f for other noise.
 
     The last step writes into ``out`` when given, a view of the caller's table, so no second table is built.
     """
@@ -408,13 +398,13 @@ def log_kernel_block(
     S: (B, p) candidate points (a float array) or a ``TensorGrid``; Y: (N, k) observed
     components (k = n, or the mask cardinality when censored); T: (N, n) full time vectors.
     Fills the (N, B) table of log k_x(s), or the rows ``rows`` (one per individual) of a
-    caller's table ``out``, leaving its other rows, and returns the table. It works in blocks
-    of at most ``_ATOM_BLOCK`` columns whose temporaries fit ``_BLOCK_BYTES``: a column costs
-    8 N bytes in the (N, b) tables of homoscedastic Gaussian noise (n times that in the forward
-    table of a model other than ``PkExp``) and 8 N k in the (N, b, k) tables of other noise, so
-    no block temporary grows with N. Entry (i, j) depends only on row i and column j, so the
-    block size moves no bits. Raises when a candidate point drives the model out of its
-    numeric domain.
+    caller's table ``out``, leaving its other rows, and returns the table. It works in row
+    blocks, each of every candidate and of as many rows as fit ``_BLOCK_BYTES`` (at least one):
+    a row costs 8 B bytes in the (rows, B) tables of homoscedastic Gaussian noise (n times that
+    in the forward table of a model other than ``PkExp``) and 8 B k in the (rows, B, k) tables
+    of other noise, so no block temporary, a ``PkExp`` decay table included, grows with N.
+    Entry (i, j) depends only on row i and column j, so the block size moves no bits. Raises
+    when a candidate point drives the model out of its numeric domain.
 
     With homoscedastic Gaussian noise, ||y - f||^2 is taken as ||y||^2 - 2 y . f + ||f||^2,
     with no residual table y - f. Against the residual form that moves log k_x(s) by at
@@ -433,26 +423,17 @@ def log_kernel_block(
         raise InvalidArgumentError("density evaluation requires sigma > 0")
     cols = slice(None) if mask is None or mask.is_full else list(mask.indices)
     gaussian = not spec.heteroscedastic and spec.noise == GAUSSIAN
-    if isinstance(spec.f, PkExp) and isinstance(S, TensorGrid):
-        terms = _pk_terms(S, Y, T, cols, gaussian)
-    else:
+    if not (isinstance(spec.f, PkExp) and isinstance(S, TensorGrid)):
         S = np.asarray(S, dtype=float)
-
-        def terms(start, part):  # points have no shared rates: their tables are taken per block
-            if isinstance(spec.f, PkExp) and gaussian:
-                return _pk_terms(part, Y, T, cols, gaussian)(0, part)
-            F = _forward(spec, part, T)[:, :, cols]
-            return (_dot(Y[:, None, :], F), _dot(F, F)) if gaussian else F
-
     if not isinstance(rows, slice) and np.array_equal(rows, np.arange(out.shape[0])):
         rows = slice(None)  # every row in order: each block is written into its view of out
-    per_column = 8 * T.shape[0] * (1 if gaussian else Y.shape[1])
-    for start, part in _point_blocks(S, min(_ATOM_BLOCK, max(1, _BLOCK_BYTES // per_column))):
-        block = (rows, slice(start, start + len(part)))
+    size = max(1, _BLOCK_BYTES // (8 * max(1, len(S)) * (1 if gaussian else Y.shape[1])))
+    for start in range(0, T.shape[0], size):
+        block = slice(start, start + size)
         if isinstance(rows, slice):
-            _block_table(spec, Y, terms(start, part), out=out[block])
+            _block_table(spec, Y[block], _terms(spec, S, Y[block], T[block], cols, gaussian), out=out[rows][block])
         else:
-            out[block] = _block_table(spec, Y, terms(start, part))
+            out[rows[block]] = _block_table(spec, Y[block], _terms(spec, S, Y[block], T[block], cols, gaussian))
     return out
 
 

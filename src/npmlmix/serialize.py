@@ -238,11 +238,14 @@ def fit_from_dict(obj: dict) -> FitResult:
     statuses = (STATUS_CONVERGED, STATUS_ITER_LIMIT)
     if _require(obj, "status") not in statuses:
         raise InvalidArgumentError(f"status must be one of {statuses}, got {obj['status']!r}")
+    trace = _number(obj, "loglik_trace", float, default=[final_loglik])
+    if not trace or trace[-1] != final_loglik:
+        raise InvalidArgumentError(f"loglik_trace must be nonempty and end at final_loglik {final_loglik!r}")
     return FitResult(
         measure=measure,
-        loglik_trace=np.asarray(_number(obj, "loglik_trace", float, default=[final_loglik])),
+        loglik_trace=np.asarray(trace),
         final_loglik=final_loglik,
-        iterations=_number(obj, "iterations"),
+        iterations=_number(obj, "iterations", least=0),
         certificate=cert,
         status=obj["status"],
     )

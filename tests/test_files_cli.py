@@ -798,22 +798,30 @@ class TestCliErrors:
             ("fit", ("observations", 0), {"y": [1.0, 2.0], "t": [0.1, 0.6]}, "an observation's length disagrees with the spec"),
             ("fit", ("observations",), [], "observations must be a nonempty array"),
             ("fit", None, None, "cannot parse box 'abc'"),
+            ("certify", ("iterations",), -7, "iterations must be at least 0, got -7"),
+            ("certify", ("loglik_trace",), [], "loglik_trace must be nonempty and end at final_loglik"),
+            ("certify", ("loglik_trace",), [-1e300], "loglik_trace must be nonempty and end at final_loglik"),
         ],
         ids=[
             "p-zero", "negative-sigma", "pk-with-p-one", "n-not-interval-count", "negative-sigma-prime",
             "unknown-noise", "unknown-model-kind", "one-row-linear-coefficients", "no-truth-atoms",
             "censoring-n-zero", "censoring-no-masks", "censoring-probability-count", "censoring-n-not-model-n",
             "row-y-t-lengths", "rows-mix-masks", "row-t-length", "no-observations", "unparsable-box",
+            "negative-iterations", "empty-loglik-trace", "loglik-trace-not-ending-at-final-loglik",
         ],
     )  # fmt: skip
     def test_input_check_names_its_condition(self, sim_config, tmp_path, capsys, command, path, value, reason):
-        data, bad = tmp_path / "data.json", tmp_path / "bad.json"
+        data, fit, bad = tmp_path / "data.json", tmp_path / "fit.json", tmp_path / "bad.json"
         assert main(["simulate", "--config", str(sim_config), "--out", str(data)]) == 0
-        doc = read_json(sim_config if command == "simulate" else data)
+        if command == "certify":
+            main(["fit", "--data", str(data), "--method", "npml", "--box", "0.5,2.5;0.1,1.2", "--max-refinements", "1", "--out", str(fit)])
+        doc = read_json({"simulate": sim_config, "fit": data, "certify": fit}[command])
         write_json(bad, doc if path is None else _replaced(doc, path, value))
         capsys.readouterr()
         if command == "simulate":
             argv = ["simulate", "--config", str(bad), "--out", str(tmp_path / "d.json")]
+        elif command == "certify":
+            argv = ["certify", "--data", str(data), "--fit", str(bad)]
         else:
             box = "abc" if path is None else "0.5,2.5;0.1,1.2"
             argv = ["fit", "--data", str(bad), "--method", "npml", "--box", box, "--out", str(tmp_path / "f.json")]

@@ -35,9 +35,9 @@ from npmlmix import (
     log_likelihood,
     simulate_dataset,
 )
-from npmlmix import likelihood
+from npmlmix import likelihood, model, solver
 from npmlmix.measures import TensorGrid, _tensor_points
-from npmlmix.model import _ATOM_BLOCK, _forward, log_kernel_block
+from npmlmix.model import _forward, log_kernel_block
 
 MiB = 2**20
 
@@ -459,7 +459,21 @@ GRID_CASES = {
     "location": (lambda N, seed: sieve_case_dataset(1, "homoscedastic", 0.3, N, seed), LOC_BOX),
     "linear": (lambda N, seed: simulate_dataset(LINEAR, PK_TRUTH, N, seed), [(0.0, 2.5), (0.0, 1.0)]),
 }
-MANY = _ATOM_BLOCK + 89  # more nodes on one axis than one block of columns holds
+
+
+def peak_beyond_the_table(ds, candidates):
+    """Traced peak of ``kernel_columns`` beyond the bytes of the table it returns."""
+    ds.mask_groups  # built and cached outside the traced call
+    tracemalloc.start()
+    try:
+        table = likelihood.kernel_columns(ds, candidates)
+        traced = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return traced - table.nbytes
+
+
+MANY = 601  # nodes on one axis, enough that a row block of ``log_kernel_block`` holds a few rows at most
 
 
 class TestGridColumns:
@@ -542,20 +556,18 @@ class TestGridColumns:
         [("pk", False), ("pk", True), ("pk-heteroscedastic", False), ("pk-laplace", True), ("linear", True)],
     )
     def test_kernel_columns_peak_memory_has_a_fixed_bound(self, case, as_points, N):
-        # block temporaries fit a byte budget, so the peak beyond the table does not grow with N through them;
-        # a pk_exp grid's per-rate table, N x 33 x 4 doubles, does: 6.4 MiB of the bound at N = 6400
+        # block temporaries fit a byte budget, so the peak beyond the table does not grow with N through them
         build, box = GRID_CASES[case]
-        ds = build(N, 0)
         grid = TensorGrid([np.linspace(lo, hi, 33) for lo, hi in box])
-        candidates = np.asarray(grid) if as_points else grid
-        ds.mask_groups
-        tracemalloc.start()
-        try:
-            table = likelihood.kernel_columns(ds, candidates)
-            traced = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert traced - table.nbytes <= 16 * MiB
+        assert peak_beyond_the_table(build(N, 0), np.asarray(grid) if as_points else grid) <= 16 * MiB
+
+    @pytest.mark.parametrize("case", ["pk", "pk-heteroscedastic", "pk-laplace"])
+    def test_pk_grid_peak_beyond_the_table_does_not_grow_with_n(self, case):
+        # a pk_exp grid's decay table exp(-rate * t) is taken per row block, so it fits the block budget too
+        build, box = GRID_CASES[case]
+        grid = TensorGrid([np.linspace(lo, hi, 33) for lo, hi in box])
+        small, large = (peak_beyond_the_table(build(N, 0), grid) for N in (400, 6400))
+        assert large - small <= MiB
 
     def test_start_grid_points_peak_at_eight_tables(self):
         # a 7 x 7 start grid at N = 1600 as points: exp(-rate * t) is four tables, taken in place,
@@ -572,10 +584,10 @@ class TestGridColumns:
             tracemalloc.stop()
         assert traced <= 8.05 * table.nbytes
 
-    @pytest.mark.parametrize("shape", [(1,), (7,), (MANY,), (5, 1), (3, 200), (2, MANY), (4, 3, 50), (2, 30, 40)])
+    @pytest.mark.parametrize("shape", [(1,), (7,), (5000,), (5, 1), (3, 800), (2, 2500), (4, 3, 200), (2, 30, 160)])
     def test_slabs_tile_the_grid_in_point_order(self, shape):
         grid = TensorGrid([np.arange(k) + 1000.0 * a for a, k in enumerate(shape)])
-        points, size, covered = np.asarray(grid), _ATOM_BLOCK, 0
+        points, size, covered = np.asarray(grid), solver._SCAN_BLOCK, 0
         for start, slab in grid.slabs(size):
             block = np.asarray(slab)
             assert start == covered and 1 <= len(slab) == len(block) <= size
@@ -585,10 +597,11 @@ class TestGridColumns:
 
     def test_point_outside_domain_rejected_on_a_grid(self):
         ds = sieve_case_dataset(2, "homoscedastic", 0.2, 5, seed=6)
-        grid = TensorGrid([[1.0, 2.0], [0.5, -600.0]])  # exp(600 t) overflows
-        for points in (grid, np.asarray(grid)):
-            with pytest.raises(InvalidArgumentError, match="numeric domain"):
-                likelihood.kernel_columns(ds, points)
+        # exp(600 t) overflows; 1e308 exp(t) does, though exp(t) and 1e308 exp(-0.5 t) do not
+        for grid in (TensorGrid([[1.0, 2.0], [0.5, -600.0]]), TensorGrid([[1.0, 1e308], [0.5, -1.0]])):
+            for points in (grid, np.asarray(grid)):
+                with pytest.raises(InvalidArgumentError, match="numeric domain"):
+                    likelihood.kernel_columns(ds, points)
 
     def test_sieve_kernel_evaluates_its_rule_as_a_grid(self, monkeypatch):
         seen = []
@@ -615,7 +628,8 @@ class TestMaskGroupCalls:
         ds = GRID_CASES["pk-censored"][0](40, 3)
         grid = TensorGrid([np.linspace(lo, hi, k) for (lo, hi), k in zip(PK_BOX, (3, MANY))])
         candidates = np.asarray(grid) if as_points else grid
-        assert len(candidates) > _ATOM_BLOCK and len(ds.mask_groups) == 2
+        assert len(ds.mask_groups) == 2
+        assert max(8 * len(candidates) * len(rows) for _, rows, _, _ in ds.mask_groups) > model._BLOCK_BYTES
         seen = []
         real = likelihood.log_kernel_block
         monkeypatch.setattr(
@@ -640,6 +654,30 @@ class TestMaskGroupCalls:
             np.testing.assert_array_equal(out[rows], expected[rows])
             if mask.cardinality == 0:
                 assert np.all(out[rows] == 0.0)
+
+
+class TestRowBlocks:
+    """``log_kernel_block``'s row blocks move no bit: one row, or a few, per block give the default table."""
+
+    @pytest.mark.parametrize("rows", ["one", "few"])
+    @pytest.mark.parametrize("as_points", [False, True], ids=["grid", "points"])
+    @pytest.mark.parametrize("case", sorted(GRID_CASES) + ["pk-censored-empty"])
+    def test_small_row_blocks_have_the_bits_of_the_default(self, monkeypatch, case, as_points, rows):
+        if case == "pk-censored-empty":
+            ds = apply_censoring(sieve_case_dataset(2, "homoscedastic", 0.2, 40, 4), PK_CENSORING_EMPTY, 5)
+            box = PK_BOX
+        else:
+            build, box = GRID_CASES[case]
+            ds = build(40, 4)
+        rng = np.random.default_rng(4)
+        grid = TensorGrid([rng.uniform(lo, hi, size) for (lo, hi), size in zip(box, (5, 7))])
+        candidates = np.asarray(grid) if as_points else grid
+        expected = likelihood.kernel_columns(ds, candidates)
+        assert 8 * len(candidates) * ds.spec.n * ds.N <= model._BLOCK_BYTES  # the default is one block
+        # "few": 2n rows a block with homoscedastic Gaussian noise, 2n / k with k observed components of other noise
+        budget = 1 if rows == "one" else 2 * 8 * len(candidates) * ds.spec.n
+        monkeypatch.setattr(model, "_BLOCK_BYTES", budget)
+        np.testing.assert_array_equal(likelihood.kernel_columns(ds, candidates), expected)
 
 
 def residual_log_kernel(spec, points, Y, T, mask=None):
