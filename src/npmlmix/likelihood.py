@@ -21,8 +21,9 @@ from .model import log_kernel_block
 
 # Rows per block of the sieve contraction; bounds its (rows, Q) temporary
 _SIEVE_ROW_BLOCK = 32
-# Bytes of one row block's (rows, Q) log table in the sieve build; its rows are a multiple of _SIEVE_ROW_BLOCK
-_SIEVE_TABLE_BYTES = 8 * 2**20
+# Bytes of one row block's log table at every candidate, in the sieve build and in every scan;
+# a sieve block's rows are a multiple of _SIEVE_ROW_BLOCK
+_TABLE_BYTES = 4 * 2**20
 # A contracted sieve sum below this is recomputed by log-sum-exp. Each term lost to
 # underflow is below 2.3e-308, so a sum kept above it carries a relative error below 1e-20.
 _SIEVE_UNDERFLOW = 1e-280
@@ -117,7 +118,7 @@ def build_sieve_kernel_matrix(
     basis are tensor products, so the table w_q phi_j(x_q) factors into one
     (Q_a, c_a) matrix per axis and is never built. The rows are taken in
     blocks whose (rows, Q) log table, from one ``kernel_columns`` call on the
-    whole rule, fits ``_SIEVE_TABLE_BYTES``. Each ``_SIEVE_ROW_BLOCK`` rows of
+    whole rule, fits ``_TABLE_BYTES``. Each ``_SIEVE_ROW_BLOCK`` rows of
     it are shifted by their row maxima, exponentiated, reshaped to (rows,
     Q_1, ..., Q_p) and contracted with those factors one axis at a time, last
     axis first; the log of the sum plus the shift is the entry. A sum below
@@ -133,7 +134,7 @@ def build_sieve_kernel_matrix(
     log_factors = basis.log_axis_factors(quad_points_per_cell)
     factors = [np.exp(f) for f in log_factors]
     q_shape = tuple(f.shape[0] for f in factors)
-    step = _SIEVE_ROW_BLOCK * max(1, _SIEVE_TABLE_BYTES // (8 * len(grid) * _SIEVE_ROW_BLOCK))
+    step = _SIEVE_ROW_BLOCK * max(1, _TABLE_BYTES // (8 * len(grid) * _SIEVE_ROW_BLOCK))
     out = np.empty((ds.N, basis.m))
     for first in range(0, ds.N, step):
         log_kq = kernel_columns(ds.row_slice(first, first + step), grid)  # (rows, Q)

@@ -100,27 +100,6 @@ class TensorGrid:
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return _tensor_points(self.axes).astype(dtype or float, copy=False)
 
-    def slabs(self, size: int):
-        """Sub-grids of at most ``size`` points that tile the grid in point order: (start, sub-grid), a scan's slabs.
-
-        Each is a run of leading-axis values or, where one value's sub-grid is larger, a slab of that.
-        """
-        lead, rest = self.axes[0], TensorGrid(self.axes[1:])
-        per = len(rest)
-        for i in range(0, lead.shape[0], max(1, size // per)):
-            if per <= size:
-                yield i * per, TensorGrid((lead[i : i + size // per],) + rest.axes)
-            else:
-                for start, part in rest.slabs(size):
-                    yield i * per + start, TensorGrid((lead[i : i + 1],) + part.axes)
-
-
-def _point_blocks(points, size: int):
-    """(start, block) of at most ``size`` scan candidates: row blocks of a point array, slabs of a ``TensorGrid``."""
-    if isinstance(points, TensorGrid):
-        return points.slabs(size)
-    return ((start, points[start : start + size]) for start in range(0, len(points), size))
-
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.array(arr, dtype=float)

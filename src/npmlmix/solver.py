@@ -11,12 +11,13 @@ zero-weight atoms, Newton steps solve the weights, and the atoms left at
 weight zero are dropped; the sieve fit keeps its basis. ``em_fit`` remains
 as the reference EM weight solver.
 
-A scan takes d at a block of candidates as one mat-vec: with E = exp(L - shift)
-for the block's log-kernel table L and its row maxima shift, d = c @ E where
-c_i = exp(min(shift_i - log K(mu)(x_i), 700)) / N (``_slab_derivs``). One
-builder, ``_dir_derivs_from_rows``, makes every scan's E in slabs of at most
-``_SCAN_BLOCK`` points, in place of their log tables: a fit keeps its grid's
-slabs, ``certify`` and ``directional_derivatives`` stream them. One
+A scan takes d at every candidate in blocks of rows (individuals), one mat-vec
+per block: with E = exp(L - shift) for the block's log-kernel table L at all
+the candidates and shift each row's maximum over them, the block adds c @ E to d,
+where c_i = exp(min(shift_i - log K(mu)(x_i), 700)) / N (``_slab_derivs``). One
+builder, ``_dir_derivs_from_rows``, makes every scan's blocks, each table within
+``likelihood._TABLE_BYTES`` and E in place of it: a fit keeps its grid's
+blocks, ``certify`` and ``directional_derivatives`` stream them. One
 ``_scan_certificate``, over them and ``KernelMatrix.shifted``, computes every certificate.
 An inserted atom takes its column from ``kernel_columns`` at its point.
 A Newton step whose weights have a wide support reduces its least-squares
@@ -36,6 +37,7 @@ from .errors import InvalidArgumentError
 from .likelihood import (
     DEFAULT_QUAD_POINTS,
     KernelMatrix,
+    _TABLE_BYTES,
     build_kernel_matrix,
     build_sieve_kernel_matrix,
     kernel_columns,
@@ -50,7 +52,6 @@ from .measures import (
     _check_box,
     _checked_weights,
     _clean_weights,
-    _point_blocks,
     new_uniform_grid_measure,
 )
 
@@ -157,42 +158,45 @@ def em_fit(km: KernelMatrix, w0, opts: Optional[FitOptions] = None) -> Tuple[np.
 
 
 def directional_derivatives(ds, mu: MixingMeasure, points: np.ndarray) -> np.ndarray:
-    """Vectorized directional derivatives at many candidate points, streamed in scan slabs."""
+    """Vectorized directional derivatives at many candidate points, streamed in scan row blocks."""
     km = build_kernel_matrix(ds, mu)
     return _ScanTable(ds, points, _dir_derivs_from_rows(ds, points)).derivs(row_log_mixture(km, mu.weights))
 
 
-# grid points per scan slab: a slab's table is at most N x _SCAN_BLOCK
-_SCAN_BLOCK = 2048
 # cap on shift_i - log K(mu)(x_i) in a scan, so that d stays finite
 _LOG_RATIO_CAP = 700.0
 
 
 def _slab(log_cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(E, shift) of a block of log columns: shift is the row maximum, E = exp(log_cols - shift) in place."""
-    shift = log_cols.max(axis=1)
+    """(E, shift) of a row block's log table: shift is each row's maximum over every candidate, or -inf if none.
+
+    E = exp(log_cols - shift), in place.
+    """
+    shift = log_cols.max(axis=1, initial=-np.inf)
     log_cols -= shift[:, None]
     return np.exp(log_cols, out=log_cols), shift
 
 
-def _slab_derivs(E: np.ndarray, shift: np.ndarray, log_rows: np.ndarray) -> np.ndarray:
-    """Directional derivatives d_j = (1/N) sum_i k_ij / K(mu)(x_i) at a slab's columns, as one mat-vec.
+def _slab_derivs(E: np.ndarray, shift: np.ndarray, log_rows: np.ndarray, N: int) -> np.ndarray:
+    """A row block's terms of the directional derivatives d_j = (1/N) sum_i k_ij / K(mu)(x_i), as one mat-vec.
 
-    With c_i = exp(min(shift_i - log_rows_i, 700)) / N, d = c @ E. Without the
-    cap, each term rounds L_ij - shift_i and shift_i - log_rows_i, so
+    With c_i = exp(min(shift_i - log_rows_i, 700)) / N over the block's rows, the
+    block adds c @ E to d. Without the cap, each term rounds L_ij - shift_i and
+    shift_i - log_rows_i, and the N terms of d are summed block by block, so
     |d_hat_j - d_j| <= d_j * eps * (N + 6 + max_i (|L_ij - shift_i| + |shift_i - log_rows_i|)),
     eps = 2^-52, against the exact exp-mean of the same log values. The cap
     bounds d by e^700 whatever N is, and keeps it at least e^700 / N at a
     column where a capped row has its maximum, so such a measure never certifies.
     """
-    c = np.exp(np.minimum(shift - log_rows, _LOG_RATIO_CAP)) / E.shape[0]
+    c = np.exp(np.minimum(shift - log_rows, _LOG_RATIO_CAP)) / N
     return c @ E
 
 
 def _dir_derivs_from_rows(ds, points):
-    """Every scan's ``_slab``, one per ``_SCAN_BLOCK`` block; bench/tracer.py maps this name to ``scan``."""
-    for _, block in _point_blocks(points, _SCAN_BLOCK):
-        yield _slab(kernel_columns(ds, block))
+    """Every scan's row blocks (rows, E, shift) within ``_TABLE_BYTES``; bench/tracer.py maps this name to ``scan``."""
+    step = max(1, _TABLE_BYTES // (8 * max(1, len(points))))
+    for start in range(0, ds.N, step):
+        yield (slice(start, start + step), *_slab(kernel_columns(ds.row_slice(start, start + step), points)))
 
 
 def _certificate(values: np.ndarray, candidates: np.ndarray, grid_resolution: int) -> Certificate:
@@ -208,27 +212,27 @@ def _scan_grid(box_arr: np.ndarray, resolution: int) -> TensorGrid:
 
 @dataclass(frozen=True)
 class _ScanTable:
-    """Scan candidates: a dataset, its points (an array or a grid), and their kernel as ``_slab`` pairs (E, shift).
+    """Scan candidates: a dataset, its points (an array or a grid), and their kernel as row blocks (rows, E, shift).
 
-    The slabs are ``_dir_derivs_from_rows``': a tuple a fit keeps, or the generator that ``certify``
-    and ``directional_derivatives`` read once, so their memory does not grow with the points.
+    The blocks are ``_dir_derivs_from_rows``': a tuple a fit keeps, or the generator that ``certify``
+    and ``directional_derivatives`` read once, so their memory does not grow with N or the points.
     """
 
     ds: object
     atoms: Union[np.ndarray, TensorGrid]
-    slabs: Iterable[Tuple[np.ndarray, np.ndarray]]
+    blocks: Iterable[Tuple[slice, np.ndarray, np.ndarray]]
 
     def derivs(self, log_rows: np.ndarray) -> np.ndarray:
-        out, start = np.empty(len(self.atoms)), 0
-        for E, shift in self.slabs:
-            out[start : start + E.shape[1]] = _slab_derivs(E, shift, log_rows)
-            start += E.shape[1]
-            del E, shift  # a streamed slab is freed before the next one is built
+        """d at every candidate: each row block's ``_slab_derivs``, summed in row order into zeros."""
+        out = np.zeros(len(self.atoms))
+        for rows, E, shift in self.blocks:
+            out += _slab_derivs(E, shift, log_rows[rows], log_rows.shape[0])
+            del E, shift  # a streamed block is freed before the next one is built
         return out
 
 
 def _scan_table(ds, box_arr: np.ndarray, resolution: int) -> _ScanTable:
-    """The scan grid's (N, G) kernel, in slabs exponentiated in place of their log tables; built once per fit."""
+    """The scan grid's (N, G) kernel, in row blocks exponentiated in place of their log tables; built once per fit."""
     grid = _scan_grid(box_arr, resolution)
     return _ScanTable(ds, np.asarray(grid), tuple(_dir_derivs_from_rows(ds, grid)))
 
@@ -243,7 +247,7 @@ def _scan_certificate(
     none and scans its basis elements, the extreme points of the hull.
     """
     log_rows = row_log_mixture(km, w)
-    values, candidates = _slab_derivs(*km.shifted, log_rows), km.atoms
+    values, candidates = _slab_derivs(*km.shifted, log_rows, km.N), km.atoms
     if scan is not None:
         values, candidates = np.concatenate([scan.derivs(log_rows), values]), np.concatenate([scan.atoms, candidates])
     return _certificate(values, candidates, resolution), values
@@ -256,8 +260,9 @@ def certify(
     """Recompute the sup of a fit's directional derivative.
 
     For a discrete measure the fit's ``_scan_certificate`` covers a uniform grid
-    over the box, streamed from the fit's slab builder so memory does not grow
-    with the resolution, then the atoms from the measure's own table; the fit is optimal on the box
+    over the box, streamed in the fit's row blocks, so that its scan holds one
+    block of at most ``_TABLE_BYTES`` (or one row) whatever N and the resolution
+    are, then the atoms from the measure's own table; the fit is optimal on the box
     (up to the scan resolution) when the certificate holds at refine_tol. For a
     SieveDensity the scan covers the basis elements, with the kernel
     integrated at the fit's quadrature order; box and grid_resolution are

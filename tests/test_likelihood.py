@@ -307,7 +307,7 @@ class TestSieveRowBlocks:
         grid = basis.quadrature(quad_points)[0]
         rows = blocks * likelihood._SIEVE_ROW_BLOCK  # rows per block of the build
         calls, real = [], likelihood.kernel_columns
-        with mock.patch.object(likelihood, "_SIEVE_TABLE_BYTES", 8 * len(grid) * rows), mock.patch.object(
+        with mock.patch.object(likelihood, "_TABLE_BYTES", 8 * len(grid) * rows), mock.patch.object(
             likelihood, "kernel_columns", lambda ds_, points: calls.append((ds_, points)) or real(ds_, points)
         ):
             km = build_sieve_kernel_matrix(ds, basis, quad_points)
@@ -323,7 +323,7 @@ class TestSieveRowBlocks:
 
     def test_sieve_build_traces_a_fixed_budget(self):
         # the 2d-16 rule of the sieve-nested benchmark, 16,384 points at N = 400: its one (N, Q) table alone
-        # was 50 MiB, and the build traced 59.9 MiB; row blocks of 8 MiB keep it near 14 MiB
+        # was 50 MiB, and the build traced 59.9 MiB; row blocks of 4 MiB keep it near 10 MiB
         ds = sieve_case_dataset(2, "homoscedastic", 0.2, 400, seed=42)
         ds.mask_groups
         tracemalloc.start()
@@ -584,16 +584,36 @@ class TestGridColumns:
             tracemalloc.stop()
         assert traced <= 8.05 * table.nbytes
 
-    @pytest.mark.parametrize("shape", [(1,), (7,), (5000,), (5, 1), (3, 800), (2, 2500), (4, 3, 200), (2, 30, 160)])
-    def test_slabs_tile_the_grid_in_point_order(self, shape):
-        grid = TensorGrid([np.arange(k) + 1000.0 * a for a, k in enumerate(shape)])
-        points, size, covered = np.asarray(grid), solver._SCAN_BLOCK, 0
-        for start, slab in grid.slabs(size):
-            block = np.asarray(slab)
-            assert start == covered and 1 <= len(slab) == len(block) <= size
-            np.testing.assert_array_equal(block, points[start : start + len(block)])
-            covered += len(block)
-        assert covered == len(points)
+    @pytest.mark.parametrize(
+        "shape, rows, as_points",
+        [
+            ((0, 3), None, False),  # G = 0: one block of every row, with empty tables
+            ((1, 1), None, False),  # G = 1
+            ((1, 1), 1, False),
+            ((33, 33), None, False),
+            ((33, 33), 7, False),  # several blocks and a short last one
+            ((33, 33), 7, True),
+            ((33, 33), 1, False),
+            ((65, 65), 0, False),  # a budget below one row still takes one row per block
+        ],
+    )
+    def test_scan_row_blocks_tile_the_rows_in_order(self, shape, rows, as_points, monkeypatch):
+        build, box = GRID_CASES["pk-censored"]
+        ds = build(37, 0)
+        grid = TensorGrid([np.linspace(lo, hi, k) for (lo, hi), k in zip(box, shape)])
+        G = len(grid)
+        if rows is not None:
+            monkeypatch.setattr(solver, "_TABLE_BYTES", 8 * G * rows)
+        table, covered = likelihood.kernel_columns(ds, grid), 0
+        for block, E, shift in solver._dir_derivs_from_rows(ds, np.asarray(grid) if as_points else grid):
+            assert block.start == covered and E.shape == (len(shift), G) and shift.shape[0] >= 1
+            assert E.nbytes <= max(solver._TABLE_BYTES, 8 * G)
+            np.testing.assert_array_equal(shift, table[block].max(axis=1, initial=-np.inf))
+            np.testing.assert_array_equal(E, np.exp(table[block] - shift[:, None]))
+            covered += len(shift)
+        assert covered == ds.N
+        if rows is not None:
+            assert covered == 37 and block.stop - block.start == max(1, rows)
 
     def test_point_outside_domain_rejected_on_a_grid(self):
         ds = sieve_case_dataset(2, "homoscedastic", 0.2, 5, seed=6)

@@ -170,11 +170,28 @@ class TestDirectionalDerivative:
         d = directional_derivatives(ds, mu, np.empty((0, 2)))
         assert d.shape == (0,) and d.dtype == np.float64
 
-    def test_one_dimensional_points_are_a_column(self):
-        ds, mu, _ = two_to_one_dataset()
-        points = np.linspace(-0.5, 0.5, 2 * solver._SCAN_BLOCK + 3)  # three scan slabs
+    def test_one_dimensional_points_are_a_column(self, monkeypatch):
+        observations = tuple(Observation([y], [0.5]) for y in np.linspace(-1.0, 1.0, 7))
+        ds = Dataset(spec=location_model(0.5), observations=observations, seed=0)
+        mu = MixingMeasure(np.array([[-0.3], [0.4]]), [0.5, 0.5])
+        points = np.linspace(-0.5, 0.5, 101)
+        monkeypatch.setattr(solver, "_TABLE_BYTES", 8 * 101 * 3)  # three row blocks, of 3, 3 and 1 rows
         column = directional_derivatives(ds, mu, points[:, None])
         np.testing.assert_array_equal(directional_derivatives(ds, mu, points), column)
+
+
+def count_kernel_columns(monkeypatch) -> list:
+    """Patch both bindings of ``kernel_columns`` to record the (rows, points) shape of every table they build."""
+    original, shapes = likelihood.kernel_columns, []
+
+    def counting_columns(ds_, points):
+        out = original(ds_, points)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(likelihood, "kernel_columns", counting_columns)
+    monkeypatch.setattr(solver, "kernel_columns", counting_columns)
+    return shapes
 
 
 class TestCertify:
@@ -214,59 +231,60 @@ class TestCertify:
         ds = simulate_dataset(pk_spec, two_point_pk_truth, 40, seed=5)
         box = [(0.5, 2.5), (0.1, 1.2)]
         mu = new_uniform_grid_measure(box, [3, 3])
-        original, widths = likelihood.kernel_columns, []
-
-        def counting_columns(ds_, points):
-            widths.append(len(points))
-            return original(ds_, points)
-
-        monkeypatch.setattr(likelihood, "kernel_columns", counting_columns)
-        monkeypatch.setattr(solver, "kernel_columns", counting_columns)
+        shapes = count_kernel_columns(monkeypatch)
+        monkeypatch.setattr(solver, "_TABLE_BYTES", 8 * 64 * 64 * 16)  # 16 rows per block
         certify(ds, mu, box, 64)  # 4096 grid points
-        assert max(widths) <= solver._SCAN_BLOCK
-        # the atoms' own columns, then the grid in blocks
-        assert sum(widths) == 9 + 64 * 64
+        # the atoms' own columns at every row, then the grid in row blocks
+        assert shapes == [(40, 9), (16, 64 * 64), (16, 64 * 64), (8, 64 * 64)]
 
-    def test_streamed_certify_holds_one_slab(self, pk_spec, two_point_pk_truth):
-        # 65 x 65 points stream as slabs of 2048, 2048 and 129 columns; the next slab's kernel is built after
-        # the last one is freed, so the peak is one N x 2048 slab, the next slab's block temporaries and the
-        # atoms' table, where holding two slabs peaked at 2.5 slabs
+    @pytest.mark.parametrize("resolution", [65, 129])
+    def test_streamed_certify_holds_one_block(self, pk_spec, two_point_pk_truth, resolution):
+        # the grid streams in row blocks of at most _TABLE_BYTES; the next block's kernel is built after the
+        # last one is freed, so the peak is one block, the next block's temporaries and the atoms' table,
+        # whatever the resolution: 65 x 65 points are 124-row blocks at N = 1600, 129 x 129 are 31-row blocks
         ds = simulate_dataset(pk_spec, two_point_pk_truth, 1600, seed=0)
         mu = MixingMeasure(np.array([[1.0, 0.3], [2.0, 0.8], [1.5, 0.5]]), [0.4, 0.4, 0.2])
         ds.mask_groups
         tracemalloc.start()
         try:
-            certify(ds, mu, [(0.5, 2.5), (0.05, 1.2)], 65)
+            certify(ds, mu, [(0.5, 2.5), (0.05, 1.2)], resolution)
             traced = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert traced <= 1.5 * ds.N * solver._SCAN_BLOCK * 8
+        assert traced <= 1.5 * solver._TABLE_BYTES
+
+    def test_certify_peak_beyond_the_measure_table_does_not_grow_with_n(self, pk_spec, two_point_pk_truth):
+        # the grid's 65 x 65 kernel at N = 6400 would be 216 MiB; the streamed blocks stay within one budget
+        mu = MixingMeasure(np.array([[1.0, 0.3], [2.0, 0.8], [1.5, 0.5]]), [0.4, 0.4, 0.2])
+        peaks = []
+        for N in (400, 6400):
+            ds = simulate_dataset(pk_spec, two_point_pk_truth, N, seed=0)
+            ds.mask_groups  # built and cached outside the traced call
+            tracemalloc.start()
+            try:
+                certify(ds, mu, [(0.5, 2.5), (0.05, 1.2)], 65)
+                traced = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            peaks.append(traced - build_kernel_matrix(ds, mu).log_k.nbytes)
+        assert peaks[1] - peaks[0] <= 2**20
 
     def test_resolution_257_matches_the_point_scan(self, pk_spec, two_point_pk_truth, monkeypatch):
         ds = simulate_dataset(pk_spec, two_point_pk_truth, 30, seed=8)
         box = [(0.5, 2.5), (0.1, 1.2)]
         mu = new_uniform_grid_measure(box, [3, 3])
-        # the point scan over each of the grid's slabs: a slab's d depends on its row maxima
-        grid = solver._scan_grid(np.array(box), 257)
-        slabs = [np.asarray(slab) for _, slab in grid.slabs(solver._SCAN_BLOCK)]
-        assert len(slabs) > 1
+        # the point scan over the grid's points: its row blocks and their row maxima are the grid's
+        points = np.asarray(solver._scan_grid(np.array(box), 257))
         km = build_kernel_matrix(ds, mu)
-        values = [directional_derivatives(ds, mu, slab) for slab in slabs]
-        values.append(solver._slab_derivs(*km.shifted, row_log_mixture(km, mu.weights)))
-        points = np.concatenate(slabs + [mu.atoms])
-        expected = solver._certificate(np.concatenate(values), points, 257)
-        original, widths = likelihood.kernel_columns, []
-
-        def counting_columns(ds_, points_):
-            widths.append(len(points_))
-            return original(ds_, points_)
-
-        monkeypatch.setattr(likelihood, "kernel_columns", counting_columns)
-        monkeypatch.setattr(solver, "kernel_columns", counting_columns)
+        values = [directional_derivatives(ds, mu, points)]
+        values.append(solver._slab_derivs(*km.shifted, row_log_mixture(km, mu.weights), ds.N))
+        expected = solver._certificate(np.concatenate(values), np.concatenate([points, mu.atoms]), 257)
+        shapes = count_kernel_columns(monkeypatch)
         cert = certify(ds, mu, box, 257)
         assert cert.sup_dir_derivative == expected.sup_dir_derivative
         np.testing.assert_array_equal(cert.argmax_point, expected.argmax_point)
-        assert max(widths) <= solver._SCAN_BLOCK and sum(widths) == 9 + 257 * 257
+        # 66,049 points: 7 rows of them fit _TABLE_BYTES, so the 30 rows stream in 5 blocks
+        assert shapes == [(30, 9)] + [(7, 257 * 257)] * 4 + [(2, 257 * 257)]
 
 
 class TestNewtonStep:
@@ -456,28 +474,32 @@ class TestScanTable:
         return ds
 
     @pytest.mark.parametrize("variant", ["pk", "heteroscedastic", "censored", "laplace"])
-    def test_table_columns_equal_single_point_columns(self, pk_spec, two_point_pk_truth, variant):
+    def test_table_columns_equal_single_point_columns(self, pk_spec, two_point_pk_truth, variant, monkeypatch):
         ds = self.variant_dataset(pk_spec, two_point_pk_truth, variant, 40, 4)
-        # 48 x 48 = 2304 points: the table spans two slabs, each several of log_kernel_block's blocks
+        # 48 x 48 = 2304 points in row blocks of 16, 16 and 8, each several of log_kernel_block's blocks
+        monkeypatch.setattr(solver, "_TABLE_BYTES", 8 * 48 * 48 * 16)
         scan = _scan_table(ds, self.PK_BOX, 48)
-        assert len(scan.slabs) == 2
-        j = 0
-        for E, shift in scan.slabs:
-            for column in E.T:
-                expected = np.exp(kernel_columns(ds, scan.atoms[j][None, :])[:, 0] - shift)
-                np.testing.assert_array_equal(column, expected)
-                j += 1
-        assert j == len(scan.atoms) == 48 * 48
+        assert [rows for rows, _, _ in scan.blocks] == [slice(0, 16), slice(16, 32), slice(32, 48)]
+        shift = np.concatenate([s for _, _, s in scan.blocks])
+        np.testing.assert_array_equal(shift, kernel_columns(ds, scan.atoms).max(axis=1))
+        E = np.concatenate([E for _, E, _ in scan.blocks])
+        assert E.shape == (40, 48 * 48)
+        for j, column in enumerate(E.T):
+            expected = np.exp(kernel_columns(ds, scan.atoms[j][None, :])[:, 0] - shift)
+            np.testing.assert_array_equal(column, expected)
 
-    def test_derivs_match_a_long_double_exp_mean(self, pk_spec, two_point_pk_truth):
+    @pytest.mark.parametrize("rows", [300, 128, 7, 1])
+    def test_derivs_match_a_long_double_exp_mean(self, pk_spec, two_point_pk_truth, rows, monkeypatch):
         ds = simulate_dataset(pk_spec, two_point_pk_truth, 300, seed=7)
         mu = new_uniform_grid_measure(self.PK_BOX, [3, 3])
         km = build_kernel_matrix(ds, mu)
         log_rows = row_log_mixture(km, mu.weights)
-        # 64 x 64 = 4096 points: two slabs
+        # 64 x 64 = 4096 points in blocks of 300 rows (one block), 128 (the default budget's), 7 or 1
+        monkeypatch.setattr(solver, "_TABLE_BYTES", 8 * 64 * 64 * rows)
         scan = _scan_table(ds, self.PK_BOX, 64)
+        assert len(scan.blocks) == -(-300 // rows)
         L = kernel_columns(ds, scan.atoms)
-        shift = np.concatenate([np.broadcast_to(s[:, None], E.shape) for E, s in scan.slabs], axis=1)
+        shift = np.concatenate([s for _, _, s in scan.blocks])[:, None]
         exact = np.exp(L.astype(np.longdouble) - log_rows.astype(np.longdouble)[:, None]).mean(axis=0)
         d = scan.derivs(log_rows)
         # _slab_derivs' stated bound
@@ -508,7 +530,7 @@ class TestScanTable:
             return original(values, candidates, resolution)
 
         monkeypatch.setattr(solver, "_certificate", spy)
-        # at resolution 64 the grid spans two of certify's streaming slabs
+        # at resolution 64 the grid spans three of certify's streaming row blocks, of 128, 128 and 44 rows
         for resolution in (9, 64):
             seen.clear()
             scan = _scan_table(ds, self.PK_BOX, resolution)
@@ -530,6 +552,26 @@ class TestScanTable:
         assert cert.sup_dir_derivative == fit.certificate.sup_dir_derivative
         np.testing.assert_array_equal(cert.argmax_point, fit.certificate.argmax_point)
         assert cert.grid_resolution == fit.certificate.grid_resolution == resolution
+
+    @pytest.mark.parametrize("resolution", [9, 33])
+    @pytest.mark.parametrize("variant", ["pk", "heteroscedastic", "censored", "laplace"])
+    def test_fit_certificate_equals_certify_across_row_blocks(
+        self, pk_spec, two_point_pk_truth, variant, resolution, monkeypatch
+    ):
+        ds = self.variant_dataset(pk_spec, two_point_pk_truth, variant, 60, 9)
+        # 13 rows per scan block: the fit and certify each read 5 blocks, of 13, 13, 13, 13 and 8 rows
+        monkeypatch.setattr(solver, "_TABLE_BYTES", 8 * resolution**2 * 13)
+        for _, rows, _, _ in ds.mask_groups:
+            assert len(np.unique(rows // 13)) >= 3  # each censor-mask group straddles block edges
+        shapes = count_kernel_columns(monkeypatch)
+        opts = FitOptions(refine_grid=resolution, max_refinements=4)
+        fit = fit_npml(ds, self.PK_BOX, [3, 3], opts)
+        fit_blocks = [n for n, width in shapes if width == resolution**2]
+        shapes.clear()
+        cert = certify(ds, fit.measure, self.PK_BOX, resolution)
+        assert fit_blocks == [n for n, width in shapes if width == resolution**2] == [13, 13, 13, 13, 8]
+        assert cert.sup_dir_derivative == fit.certificate.sup_dir_derivative
+        np.testing.assert_array_equal(cert.argmax_point, fit.certificate.argmax_point)
 
     def test_em_after_prune_equals_em_on_fresh_kernel(self, pk_spec, two_point_pk_truth):
         # a fit's bits must not depend on whether its kernel came out of a drop
