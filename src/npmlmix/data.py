@@ -2,7 +2,9 @@
 
 Randomness uses one splittable generator family (PCG64 seeded through
 SeedSequence); individual i always draws from the substream keyed (seed, i),
-so enlarging N extends a sample without reshuffling earlier individuals.
+so enlarging N extends a sample without reshuffling earlier individuals. All
+N substreams are computed in one vectorized pass, bit-equal to numpy's
+``Generator(PCG64(SeedSequence(seed, spawn_key=(i,))))`` for each i.
 Normal and Laplace variates come from inverse-CDF transforms of uniforms,
 which are deterministic at double precision.
 """
@@ -10,6 +12,7 @@ which are deterministic at double precision.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Dict, Optional
@@ -140,10 +143,88 @@ class Dataset:
         return tuple(groups)
 
 
-def _substream(seed: int, index: int) -> np.random.Generator:
+# SeedSequence's hash constants, and PCG64's 128-bit multiplier as (high, low) words
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+_MASK32 = 0xFFFFFFFF
+
+
+def _mix(x, y):
+    """SeedSequence's pool mix of two words, on Python ints or uint32 arrays."""
+    r = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+    return r ^ r >> 16
+
+
+def _mulhi_lo(a: np.ndarray) -> np.ndarray:
+    """The high word of the 128-bit product of uint64 a and the multiplier's low word, from 32-bit limbs."""
+    a0, a1 = a & _MASK32, a >> 32
+    b0, b1 = _PCG_MULT_LO & _MASK32, _PCG_MULT_LO >> 32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def _substream_uniforms(seed: int, N: int, k: int) -> np.ndarray:
+    """(N, k) uniforms whose row i is ``Generator(PCG64(SeedSequence(seed, spawn_key=(i,)))).random(k)``, bit for bit.
+
+    All N substreams are computed together. The run-entropy words of the seed
+    are hashed once with Python ints, as SeedSequence.mix_entropy does; the
+    spawn-key word i is mixed into the pool, the state words generated, and
+    PCG64 seeded and stepped in uint64 (high, low) lanes of length N. Each
+    draw is the XSL-RR output of the stepped state, as a double in [0, 1).
+    """
+    seed = operator.index(seed)
     if seed < 0:
         raise InvalidArgumentError(f"seed must be non-negative, got {seed}")
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(index,))))
+    words = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    words += [0] * (4 - len(words))  # a spawned SeedSequence pads its run entropy to the pool size
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    # the remaining entropy: run-entropy words past the pool, then the spawn-key word, one lane per individual
+    for w in [*words[4:], np.arange(N, dtype=np.uint32)]:
+        pool = [_mix(pool[dst], hashmix(w)) for dst in range(4)]
+    # generate_state(4, uint64): eight hashed words, paired little-endian
+    state, hash_const = [], _INIT_B
+    for j in range(8):
+        word = pool[j % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        word = word * hash_const
+        state.append((word ^ word >> 16).astype(np.uint64))
+    init_hi, init_lo, seq_hi, seq_lo = (state[j] | state[j + 1] << 32 for j in range(0, 8, 2))
+    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+
+    def step(hi, lo):
+        """state * multiplier + inc (mod 2^128)."""
+        hi = _mulhi_lo(lo) + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO
+        lo = lo * _PCG_MULT_LO
+        lo_inc = lo + inc_lo
+        return hi + inc_hi + (lo_inc < lo), lo_inc
+
+    # pcg64_set_seed: from state 0, step, add the initial state, step
+    lo = inc_lo + init_lo
+    hi, lo = step(inc_hi + init_hi + (lo < inc_lo), lo)
+    out = np.empty((N, k))
+    for j in range(k):
+        hi, lo = step(hi, lo)
+        x, rot = hi ^ lo, hi >> 58
+        out[:, j] = ((x >> rot | x << (64 - rot & 63)) >> 11) * 2.0**-53
+    return out
 
 
 def _open_unit(u: np.ndarray) -> np.ndarray:
@@ -231,7 +312,7 @@ def simulate_dataset(spec: ModelSpec, mu_true: MixingMeasure, N: int, seed: int)
         raise InvalidArgumentError("truth dimension does not match the spec")
     n = spec.n
     bounds = spec.time_design.bounds()
-    u = np.stack([_substream(seed, i).random(1 + 2 * n) for i in range(N)])
+    u = _substream_uniforms(seed, N, 1 + 2 * n)
     idx = np.minimum(np.searchsorted(np.cumsum(mu_true.weights), u[:, 0], side="right"), mu_true.m - 1)
     T = bounds[:, 0] + (bounds[:, 1] - bounds[:, 0]) * u[:, 1 : 1 + n]
     F = np.empty((N, n))
@@ -249,22 +330,29 @@ def simulate_dataset(spec: ModelSpec, mu_true: MixingMeasure, N: int, seed: int)
 
 
 def apply_censoring(ds: Dataset, design: CensoringDesign, seed: int) -> Dataset:
-    """Censor each individual with an i.i.d. mask drawn from the design."""
+    """Censor each individual with an i.i.d. mask drawn from the design.
+
+    Individual i's mask is picked by the first uniform of substream (seed, i),
+    which is also the uniform that picks i's truth atom in a sample simulated
+    with this seed. So masks drawn with seed s are a function of the atom
+    labels of the sample simulated with seed s: a consistency experiment
+    censors replicate k with seed k + 2, and the CLI's default censor seed is
+    the simulation seed + 1, so their masks follow another replicate's atoms.
+    """
     if ds.is_censored:
         raise InvalidArgumentError("dataset is already censored")
     if design.n != ds.spec.n:
         raise InvalidArgumentError("censoring design does not match the spec's n")
     masks = [m for m, _ in design.mask_probabilities]
     cum = np.cumsum([p for _, p in design.mask_probabilities])
-    observations = []
-    for i, obs in enumerate(ds.observations):
-        rng = _substream(seed, i)
-        j = int(np.searchsorted(cum, rng.random(), side="right"))
-        mask = masks[min(j, len(masks) - 1)]
-        observations.append(CensoredObservation(project_mask(obs.y, mask), obs.t, mask))
+    picks = np.minimum(np.searchsorted(cum, _substream_uniforms(seed, ds.N, 1)[:, 0], side="right"), len(masks) - 1)
+    observations = tuple(
+        CensoredObservation(project_mask(obs.y, masks[j]), obs.t, masks[j])
+        for obs, j in zip(ds.observations, picks.tolist())
+    )
     return Dataset(
         spec=ds.spec,
-        observations=tuple(observations),
+        observations=observations,
         seed=ds.seed,
         truth=ds.truth,
         censoring=design,

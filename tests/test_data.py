@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -23,10 +24,10 @@ from npmlmix import (
     project_mask,
     simulate_dataset,
 )
-from npmlmix.data import _ndtri, _standard_noise, _substream
+from npmlmix.data import _ndtri, _standard_noise, _substream_uniforms
 from npmlmix.likelihood import kernel_columns, log_likelihood
 from npmlmix.model import _forward
-from npmlmix.serialize import dataset_to_dict, dumps
+from npmlmix.serialize import dataset_to_dict, dumps, simulation_from_dict
 
 
 class TestSimulateDataset:
@@ -170,6 +171,87 @@ class TestSimulateDataset:
             simulate_dataset(spec, truth, 5, seed=1)
 
 
+def _substream(seed, index):
+    """Reference: individual index's own generator, keyed (seed, index)."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(index,))))
+
+
+class TestSubstreamUniforms:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        # run entropy of 1, 2, 3 and 5 words; five words take SeedSequence's remaining-entropy pass
+        seed=st.one_of(
+            st.sampled_from([0, 2**32 - 1, 2**32]),
+            st.integers(0, 2**32 - 1),
+            st.integers(0, 2**64 - 1).map(lambda x: 2**64 + x),
+            st.integers(0, 2**64 - 1).map(lambda x: 2**128 + x),
+        ),
+        N=st.integers(1, 300),
+        k=st.integers(1, 9),
+    )
+    def test_bits_equal_numpys_generator(self, seed, N, k):
+        expected = np.array([_substream(seed, i).random(k) for i in range(N)])
+        np.testing.assert_array_equal(_substream_uniforms(seed, N, k).view(np.uint64), expected.view(np.uint64))
+
+    def test_numpy_integer_seeds_are_their_python_ints(self):
+        for seed in (np.int64(2**62 + 3), np.uint64(2**64 - 1), np.uint32(7)):
+            np.testing.assert_array_equal(
+                _substream_uniforms(seed, 20, 3).view(np.uint64), _substream_uniforms(int(seed), 20, 3).view(np.uint64)
+            )
+
+    def test_rejects_negative_seed(self):
+        for seed in (-1, np.int64(-3)):
+            with pytest.raises(InvalidArgumentError, match="seed must be non-negative"):
+                _substream_uniforms(seed, 4, 1)
+
+
+def _data_digest(ds, censored=None):
+    """sha256 of Y and T, then each row's mask as a bit set when a censored copy is given."""
+    h = hashlib.sha256()
+    h.update(np.array([o.y for o in ds.observations]).tobytes())
+    h.update(np.array([o.t for o in ds.observations]).tobytes())
+    if censored is not None:
+        bits = [sum(1 << i for i in o.mask.indices) for o in censored.observations]
+        h.update(np.array(bits, dtype=np.uint8).tobytes())
+    return h.hexdigest()
+
+
+class TestDataContract:
+    """Pinned digests of simulated and censored data, so a change in numpy's streams cannot pass unseen."""
+
+    PK1600 = {
+        0: "00fd946219a1843b71d46c60d36901936e62ed7c0f672b010151ef14616a89e0",
+        1: "808398d5a13eaedc45117034488864fc8eaa06705341d83d05db54e569e93c4d",
+        2: "2761ce070dc7a1bb5e94e3a96e638b4390a799d466f53344736878aede184c29",
+        3: "f465505a6aa6bf43126a0602bd9a9c30c5333c82ca1fc8229f726bec44b0cfb6",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PK1600))
+    def test_pk_at_n1600(self, seed):
+        spec, _, truth = MODELS["pk"]
+        assert _data_digest(simulate_dataset(spec, truth, 1600, seed)) == self.PK1600[seed]
+
+    def test_readme_config_with_its_default_censor_seed(self):
+        config = {
+            "model": {
+                "p": 2,
+                "n": 4,
+                "sigma": 0.2,
+                "f": {"kind": "pk_exp"},
+                "time_design": [[0.0, 0.75], [0.75, 1.5], [1.5, 2.25], [2.25, 3.0]],
+            },
+            "truth": {"atoms": [[1.0, 0.3], [2.0, 0.8]], "weights": [0.5, 0.5]},
+            "N": 300,
+            "seed": 11,
+            "censoring": {"n": 4, "masks": [[0, 2], [0, 1, 2, 3]], "probabilities": [0.4, 0.6]},
+        }
+        spec, truth, N, seed, design, censor_seed = simulation_from_dict(config)
+        assert censor_seed == 12
+        ds = simulate_dataset(spec, truth, N, seed)
+        censored = apply_censoring(ds, design, censor_seed)
+        assert _data_digest(ds, censored) == "775754e32122ea22df9e35667c555343ede3e531cb93a0c9a20723684ec564ef"
+
+
 def simulate_per_individual(spec, mu_true, N, seed):
     """Reference: (Y, T) drawn one individual at a time, three draws from each substream."""
     bounds = spec.time_design.bounds()
@@ -282,6 +364,25 @@ class TestApplyCensoring:
         a = apply_censoring(ds, design, seed=20)
         b = apply_censoring(ds, design, seed=20)
         assert dumps(dataset_to_dict(a)) == dumps(dataset_to_dict(b))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        subsets=st.lists(st.integers(0, 15), min_size=1, max_size=3, unique=True),
+        raw=st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3),
+        N=st.integers(1, 200),
+        seed=st.integers(0, 2**70),
+    )
+    def test_masks_equal_the_per_individual_draw(self, subsets, raw, N, seed):
+        spec, _, truth = MODELS["pk"]
+        masks = [CensorMask(4, tuple(i for i in range(4) if s >> i & 1)) for s in subsets]
+        probs = np.array(raw[: len(masks)]) / sum(raw[: len(masks)])
+        design = CensoringDesign(tuple(zip(masks, probs)))
+        censored = apply_censoring(simulate_dataset(spec, truth, N, 3), design, seed)
+        ordered = [m for m, _ in design.mask_probabilities]
+        cum = np.cumsum([p for _, p in design.mask_probabilities])
+        for i, obs in enumerate(censored.observations):
+            j = int(np.searchsorted(cum, _substream(seed, i).random(), side="right"))
+            assert obs.mask == ordered[min(j, len(ordered) - 1)]
 
     def test_rejects_censoring_twice(self, pk_spec, two_point_pk_truth):
         ds = simulate_dataset(pk_spec, two_point_pk_truth, 10, seed=21)
