@@ -20,8 +20,10 @@ builder, ``_dir_derivs_from_rows``, makes every scan's blocks, each table within
 blocks, ``certify`` and ``directional_derivatives`` stream them. One
 ``_scan_certificate``, over them and ``KernelMatrix.shifted``, computes every certificate.
 An inserted atom takes its column from ``kernel_columns`` at its point.
-A Newton step whose weights have a wide support reduces its least-squares
-problem once by QR, so its NNLS works on an (m + 1)-row triangle.
+A Newton step's NNLS starts from the support its weights already hold, except
+a fit's first, so it mostly makes one least-squares solve. A step whose weights
+have a wide support reduces that problem once by QR, so its NNLS works on an
+(m + 1)-row triangle.
 """
 
 from __future__ import annotations
@@ -280,12 +282,17 @@ def certify(
     return _scan_certificate(build_kernel_matrix(ds, mu), mu.weights, grid_resolution, scan)[0]
 
 
-def _nnls(A: np.ndarray, b: np.ndarray, reduce: bool = True) -> np.ndarray:
+def _nnls(A: np.ndarray, b: np.ndarray, reduce: bool = True, start: Optional[np.ndarray] = None) -> np.ndarray:
     """Lawson-Hanson active-set solution of min ||A x - b|| subject to x >= 0.
 
     With ``reduce``, [A | b] is first reduced to its triangular QR factor
     [R | r]: ||A x - b||^2 = ||R x - r||^2 + const, so each least-squares solve
     has at most m + 1 rows however tall A is. The tolerance is A's either way.
+    A nonempty boolean ``start`` warm-starts the active set: when the
+    least-squares solution on its columns is positive, the loop begins there
+    with passive set ``start``, else from zero. The result is the least-squares
+    solution on the final passive set's columns, taken in index order, so a
+    start that ends on the cold path's passive set returns its bits.
     """
     m = A.shape[1]
     x = np.zeros(m)
@@ -294,6 +301,11 @@ def _nnls(A: np.ndarray, b: np.ndarray, reduce: bool = True) -> np.ndarray:
     if reduce:
         Rb = np.linalg.qr(np.column_stack([A, b]), mode="r")
         A, b = Rb[:, :m], Rb[:, m]
+    if start is not None and start.any():
+        z = np.zeros(m)
+        z[start] = np.linalg.lstsq(A[:, start], b, rcond=None)[0]
+        if np.all(z[start] > 0):
+            x, passive = z, start.copy()
     for _ in range(3 * m):
         grad = A.T @ (b - A @ x)
         if not np.any(~passive & (grad > tol)):
@@ -315,25 +327,29 @@ def _nnls(A: np.ndarray, b: np.ndarray, reduce: bool = True) -> np.ndarray:
     return x
 
 
-def _newton_step(E: np.ndarray, w: np.ndarray, current: float) -> Tuple[np.ndarray, float]:
+def _newton_step(E: np.ndarray, w: np.ndarray, current: float, warm: bool = True) -> Tuple[np.ndarray, float]:
     """One constrained-Newton step on a fixed support: the new weights and ``_mean_log(E @ w)``.
 
     With S = E / (E w), the quadratic model of the log-likelihood is maximized
     over the simplex by min ||S v - 2|| (rows scaled by 1/sqrt(N)), v >= 0, with
     a heavy sum-to-one row. The step towards v backtracks until the
     log-likelihood rises by an Armijo fraction of the slope; when no step size
-    raises it, the weights come back unchanged.
+    raises it, the weights come back unchanged. With ``warm``, the NNLS starts
+    from the support of w, which rarely changes from one step to the next.
 
-    The NNLS reduces its system by QR when that costs less: the QR takes about
-    2 N m^2 flops, and the tall solves it saves about 2 N k^3 / 3 for an active
-    set that grows to k columns, taken as the support of w. A discrete fit's
-    atoms mostly carry weight; a sieve fit's basis mostly does not.
+    The NNLS reduces its system by QR when the support of w has k columns with
+    k^3 > 3 m^2: the QR takes about 2 N m^2 flops, and 2 N k^3 / 3 is what the
+    tall solves of an active set grown from empty to k columns would cost; a
+    discrete fit's atoms mostly carry weight, a sieve fit's basis mostly does
+    not. A warm start mostly makes one solve, so the rule now overstates the
+    saving; it is kept because reduced and tall solves differ in bits, and the
+    rule fixes which one each step makes.
     """
     N = E.shape[0]
     S = E / np.maximum(E @ w, 1e-300)[:, None]
     A = np.vstack([S / math.sqrt(N), np.full((1, w.size), _SUM_ROW)])
     b = np.concatenate([np.full(N, 2.0 / math.sqrt(N)), [_SUM_ROW]])
-    target = _nnls(A, b, reduce=np.count_nonzero(w) ** 3 > 3 * w.size**2)
+    target = _nnls(A, b, reduce=np.count_nonzero(w) ** 3 > 3 * w.size**2, start=w > 0 if warm else None)
     target /= target.sum()
     slope = float(S.mean(axis=0) @ (target - w))
     alpha = 1.0
@@ -394,7 +410,8 @@ def _cnm(km: KernelMatrix, w, opts: FitOptions, resolution: int, scan: Optional[
         E, shift = km.shifted
         start, current = w, _mean_log(np.maximum(E @ w, 1e-300))
         for _ in range(_STEPS_PER_ROUND):
-            w_new, current = _newton_step(E, w, current)
+            # a fit's first step starts from the start measure's weights, which no NNLS has solved
+            w_new, current = _newton_step(E, w, current, warm=len(trace) > 1)
             trace.append(current + float(shift.mean()))
             w, step = w_new, float(np.max(np.abs(w_new - w)))
             if step <= _STEP_MOVE_TOL:

@@ -297,19 +297,57 @@ class TestNewtonStep:
                 M = rng.exponential(size=N) * 10.0 ** rng.uniform(-300, 0)
                 assert _mean_log(M) == float(np.mean(np.log(M)))
 
+    START_KINDS = [None, "empty", "full", "random", "negative"]
+
+    @staticmethod
+    def start_mask(kind, A, b, rng):
+        """A warm start of the given kind, or None; "negative" is a mask whose least-squares solution on A has
+        an entry <= 0, or None when 50 random masks give none."""
+        m = A.shape[1]
+        if kind in (None, "empty", "full"):
+            return None if kind is None else np.full(m, kind == "full")
+        for _ in range(50 if kind == "negative" else 1):
+            mask = rng.random(m) < 0.5
+            if kind == "random" or (mask.any() and np.linalg.lstsq(A[:, mask], b, rcond=None)[0].min() <= 0):
+                return mask
+        return None
+
+    @staticmethod
+    def random_problem(rng, shape):
+        """(A, b) of one shape: "tall", "wide", "duplicate" columns, or a "newton" step's system."""
+        m = int(rng.integers(1, 12))
+        rows = {"tall": int(rng.integers(m + 1, 300)), "wide": int(rng.integers(1, m + 1))}.get(shape, 200)
+        A = rng.normal(size=(rows, m)) * rng.uniform(0.1, 10.0, size=m)
+        b = rng.normal(size=rows)
+        if shape == "duplicate":
+            A[:, rng.integers(m, size=m // 2)] = A[:, rng.integers(m, size=m // 2)]
+        elif shape == "newton":
+            # a Newton step's system: scaled kernel ratios and the heavy sum-to-one row
+            E = KernelMatrix(2.0 * rng.normal(size=(rows, m))).shifted[0]
+            w = rng.exponential(size=m)
+            S = E / (E @ (w / w.sum()))[:, None]
+            A = np.vstack([S / math.sqrt(rows), np.full((1, m), solver._SUM_ROW)])
+            b = np.concatenate([np.full(rows, 2.0 / math.sqrt(rows)), [solver._SUM_ROW]])
+        return A, b
+
     def test_nnls_satisfies_kkt(self):
-        rng = np.random.default_rng(22)
+        rng, mask_rng = np.random.default_rng(22), np.random.default_rng(26)
+        negative = 0
         for i in range(300):
             rows, m = int(rng.integers(1, 30)), int(rng.integers(1, 12))
             A = rng.normal(size=(rows, m)) * rng.uniform(0.1, 10.0, size=m)
             b = rng.normal(size=rows)
-            x = _nnls(A, b, reduce=i % 2 == 0)
-            # minus the gradient of ||A x - b||^2 / 2: no entry may grow, and the support is stationary
-            grad = A.T @ (b - A @ x)
-            tol = 1e-9 * (1.0 + np.abs(A).sum() * (np.abs(b).sum() + np.abs(A @ x).sum()))
-            assert np.all(x >= 0)
-            assert np.all(grad <= tol)
-            assert np.all(np.abs(grad[x > 0]) <= tol)
+            for kind in self.START_KINDS:
+                start = self.start_mask(kind, A, b, mask_rng)
+                negative += kind == "negative" and start is not None
+                x = _nnls(A, b, reduce=i % 2 == 0, start=start)
+                # minus the gradient of ||A x - b||^2 / 2: no entry may grow, and the support is stationary
+                grad = A.T @ (b - A @ x)
+                tol = 1e-9 * (1.0 + np.abs(A).sum() * (np.abs(b).sum() + np.abs(A @ x).sum()))
+                assert np.all(x >= 0)
+                assert np.all(grad <= tol)
+                assert np.all(np.abs(grad[x > 0]) <= tol)
+        assert negative >= 100
 
     @staticmethod
     def nnls_tall(A, b):
@@ -339,27 +377,69 @@ class TestNewtonStep:
 
     @pytest.mark.parametrize("shape", ["tall", "wide", "duplicate", "newton"])
     def test_nnls_matches_the_tall_form(self, shape):
-        rng = np.random.default_rng(24)
+        rng, mask_rng = np.random.default_rng(24), np.random.default_rng(27)
+        negative = 0
         for _ in range(200):
-            m = int(rng.integers(1, 12))
-            rows = {"tall": int(rng.integers(m + 1, 300)), "wide": int(rng.integers(1, m + 1))}.get(shape, 200)
-            A = rng.normal(size=(rows, m)) * rng.uniform(0.1, 10.0, size=m)
-            b = rng.normal(size=rows)
-            if shape == "duplicate":
-                A[:, rng.integers(m, size=m // 2)] = A[:, rng.integers(m, size=m // 2)]
-            elif shape == "newton":
-                # a Newton step's system: scaled kernel ratios and the heavy sum-to-one row
-                E = KernelMatrix(2.0 * rng.normal(size=(rows, m))).shifted[0]
-                w = rng.exponential(size=m)
-                S = E / (E @ (w / w.sum()))[:, None]
-                A = np.vstack([S / math.sqrt(rows), np.full((1, m), solver._SUM_ROW)])
-                b = np.concatenate([np.full(rows, 2.0 / math.sqrt(rows)), [solver._SUM_ROW]])
-            x, x_ref = _nnls(A, b), self.nnls_tall(A, b)
-            assert np.all(x >= 0)
+            A, b = self.random_problem(rng, shape)
+            x_ref = self.nnls_tall(A, b)
             scale = np.linalg.norm(b) + np.abs(A).sum()
-            # duplicate columns leave x free to split; the fitted values and the residual are unique
-            np.testing.assert_allclose(A @ x, A @ x_ref, rtol=0, atol=1e-9 * scale)
-            assert np.linalg.norm(A @ x - b) <= np.linalg.norm(A @ x_ref - b) + 1e-12 * scale
+            for kind in self.START_KINDS:
+                start = self.start_mask(kind, A, b, mask_rng)
+                negative += kind == "negative" and start is not None
+                x = _nnls(A, b, start=start)
+                assert np.all(x >= 0)
+                # duplicate columns leave x free to split; the fitted values and the residual are unique
+                np.testing.assert_allclose(A @ x, A @ x_ref, rtol=0, atol=1e-9 * scale)
+                assert np.linalg.norm(A @ x - b) <= np.linalg.norm(A @ x_ref - b) + 1e-12 * scale
+        # a Newton system's least-squares solution is positive on almost every mask
+        assert negative >= 150 or shape == "newton"
+
+    @pytest.mark.parametrize("reduce", [True, False])
+    @pytest.mark.parametrize("shape", ["tall", "wide", "newton"])
+    def test_nnls_started_on_its_support_has_the_cold_bits(self, shape, reduce):
+        rng = np.random.default_rng(25)
+        for _ in range(200):
+            A, b = self.random_problem(rng, shape)
+            x = _nnls(A, b, reduce=reduce)
+            assert _nnls(A, b, reduce=reduce, start=x > 0).tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("case", ["pk", "censored", "heteroscedastic", "laplace", "location", "sieve-2d"])
+    def test_warm_start_keeps_the_fit_bits(
+        self, pk_spec, two_point_pk_truth, location_spec, two_point_location_truth, case, monkeypatch
+    ):
+        """Every fit is bit-equal to one whose NNLS starts from empty, with fewer least-squares solves."""
+        box = [(0.5, 2.5), (0.05, 1.2)]
+        if case == "location":
+            ds = simulate_dataset(location_spec, two_point_location_truth, 200, seed=5)
+            run = lambda: fit_npml(ds, [(0.0, 2.5)], [6], FitOptions(refine_grid=33))
+        elif case == "sieve-2d":
+            ds = simulate_dataset(pk_spec, two_point_pk_truth, 100, seed=5)
+            run = lambda: fit_sieve(ds, SieveBasis(box, [9, 9]), FitOptions(), 4)
+        else:
+            ds = TestScanTable.variant_dataset(pk_spec, two_point_pk_truth, case, 200, 5)
+            run = lambda: fit_npml(ds, box, (5, 5), FitOptions(refine_grid=17, max_refinements=12))
+        calls, lstsq, nnls = [0], np.linalg.lstsq, solver._nnls
+
+        def counting_lstsq(*args, **kwargs):
+            calls[0] += 1
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        fits = []
+        for cold in (False, True):
+            if cold:
+                monkeypatch.setattr(solver, "_nnls", lambda A, b, reduce=True, start=None: nnls(A, b, reduce))
+            calls[0] = 0
+            fit = run()
+            mu = fit.measure
+            parts = (mu.coefficients,) if case == "sieve-2d" else (mu.atoms, mu.weights)
+            parts += (fit.loglik_trace, fit.certificate.sup_dir_derivative, fit.certificate.argmax_point)
+            fits.append(([np.asarray(part).tobytes() for part in parts], fit.status, calls[0]))
+        (warm, warm_status, warm_calls), (cold, cold_status, cold_calls) = fits
+        assert warm == cold and warm_status == cold_status
+        assert 0 < warm_calls < cold_calls
+        if case != "sieve-2d":
+            assert 2 * warm_calls < cold_calls
 
     def test_weights_match_brute_force_oracle(self):
         rng = np.random.default_rng(10)
