@@ -7,10 +7,8 @@ support refinement) and over finite-dimensional hat-density sieves.
 """
 
 from .data import (
-    CensoredObservation,
     CensoringDesign,
     Dataset,
-    Observation,
     apply_censoring,
     simulate_dataset,
 )

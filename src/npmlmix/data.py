@@ -1,4 +1,7 @@
-"""Sample simulation, censoring and dataset containers.
+"""Sample simulation, censoring and the dataset container.
+
+A sample is two (N, n) arrays, one row per individual, and one censor mask
+per row when censored; ``Dataset.mask_groups`` gathers each mask's rows.
 
 Randomness uses one splittable generator family (PCG64 seeded through
 SeedSequence); individual i always draws from the substream keyed (seed, i),
@@ -15,48 +18,13 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import InvalidArgumentError
 from .measures import MixingMeasure, _checked_weights
-from .model import GAUSSIAN, CensorMask, ModelSpec, _forward, _scale, project_mask
-
-
-@dataclass(frozen=True)
-class Observation:
-    """One individual's full measurement vector and measuring times."""
-
-    y: np.ndarray
-    t: np.ndarray
-
-    def __post_init__(self):
-        y = np.asarray(self.y, dtype=float).reshape(-1)
-        t = np.asarray(self.t, dtype=float).reshape(-1)
-        if y.shape[0] != t.shape[0]:
-            raise InvalidArgumentError("y and t must have equal length")
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "t", t)
-
-
-@dataclass(frozen=True)
-class CensoredObservation:
-    """One individual's observed components, full times, and censor mask."""
-
-    z: np.ndarray
-    t: np.ndarray
-    mask: CensorMask
-
-    def __post_init__(self):
-        z = np.asarray(self.z, dtype=float).reshape(-1)
-        t = np.asarray(self.t, dtype=float).reshape(-1)
-        if t.shape[0] != self.mask.n:
-            raise InvalidArgumentError("t length does not match the mask's n")
-        if z.shape[0] != self.mask.cardinality:
-            raise InvalidArgumentError("z length does not match the mask cardinality")
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "t", t)
+from .model import GAUSSIAN, CensorMask, ModelSpec, _forward, _scale
 
 
 @dataclass(frozen=True)
@@ -84,62 +52,84 @@ class CensoringDesign:
         return self.mask_probabilities[0][0].n
 
 
+def _keep_table(masks, n: int) -> np.ndarray:
+    """(len(masks), n) booleans: row j marks the components mask j keeps."""
+    return np.array([[j in m.indices for j in range(n)] for m in masks], dtype=bool)
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """The observed sample, plus simulation provenance when available."""
+    """The observed sample, plus simulation provenance when available.
+
+    ``Y`` and ``T`` are read-only (N, n) arrays of measurements and times. A censored sample has
+    a tuple of one ``CensorMask`` per row, and NaN in ``Y`` exactly where its row's mask drops a component.
+    """
 
     spec: ModelSpec
-    observations: tuple
+    Y: np.ndarray
+    T: np.ndarray
     seed: int
     truth: Optional[MixingMeasure] = None
     censoring: Optional[CensoringDesign] = None
+    masks: Optional[tuple] = None
 
     def __post_init__(self):
-        obs = tuple(self.observations)
-        if not obs:
-            raise InvalidArgumentError("a dataset needs at least one observation")
-        kinds = {type(o) for o in obs}
-        if len(kinds) != 1:
-            raise InvalidArgumentError("observations must all be censored or all uncensored")
-        for o in obs:
-            if o.t.shape[0] != self.spec.n:
-                raise InvalidArgumentError("an observation's length disagrees with the spec")
-        object.__setattr__(self, "observations", obs)
+        for name in ("Y", "T"):
+            view = np.asarray(getattr(self, name), dtype=float).view()  # read-only; the caller's array is not
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
+        n, shapes = self.spec.n, (self.Y.shape, self.T.shape)
+        if self.Y.ndim != 2 or shapes[0] != shapes[1] or shapes[0][1] != n or not self.N:
+            raise InvalidArgumentError(f"Y and T must be (N, {n}) arrays with N >= 1, got shapes {shapes}")
+        keep = True
+        if self.masks is not None:
+            table, codes = self._mask_codes
+            if len(codes) != self.N or any(not isinstance(m, CensorMask) or m.n != n for m in table):
+                raise InvalidArgumentError(f"masks must hold one CensorMask with n = {n} per row of Y")
+            keep = _keep_table(table, n)[codes]
+        wrong = np.flatnonzero((np.isnan(self.Y) == keep).any(axis=1))
+        if wrong.size:
+            raise InvalidArgumentError(f"row {wrong[0]} of Y is not NaN exactly where its mask drops a component")
 
     @property
     def N(self) -> int:
-        return len(self.observations)
+        return self.Y.shape[0]
 
     def row_slice(self, start: int, stop: int) -> "Dataset":
         """Rows start to stop, in order, with this dataset's spec and provenance: the dataset itself if they are all."""
         if start <= 0 and stop >= self.N:
             return self
-        return replace(self, observations=self.observations[start:stop])
+        masks = None if self.masks is None else self.masks[start:stop]
+        return replace(self, Y=self.Y[start:stop], T=self.T[start:stop], masks=masks)
 
     @property
     def is_censored(self) -> bool:
-        return isinstance(self.observations[0], CensoredObservation)
+        return self.masks is not None
+
+    @cached_property
+    def _mask_codes(self) -> tuple:
+        """The distinct masks in order of first appearance, and each row's index into them."""
+        index = {}
+        codes = np.fromiter((index.setdefault(m, len(index)) for m in self.masks), np.intp, len(self.masks))
+        return tuple(index), codes
 
     @cached_property
     def mask_groups(self) -> tuple:
-        """Rows grouped by censor mask and stacked once: a tuple of read-only (mask, rows, Z, T).
+        """Rows grouped by censor mask: a tuple of read-only (mask, rows, Z, T), Z = Y[rows][:, mask.indices].
 
-        An uncensored dataset is one group, (None, all rows, Y, T). Censored
-        groups follow the masks' order by cardinality, then indices.
+        An uncensored dataset is one group, (None, all rows, Y, T), sharing the memory of ``Y`` and
+        ``T``. Censored groups follow the masks' order by cardinality, then indices.
         """
-        censored = self.is_censored
-        rows_of: Dict[Optional[CensorMask], list] = {}
-        for i, o in enumerate(self.observations):
-            rows_of.setdefault(o.mask if censored else None, []).append(i)
-        masks = sorted(rows_of, key=lambda m: (m.cardinality, m.indices)) if censored else [None]
-        groups = []
-        for mask in masks:
-            obs = [self.observations[i] for i in rows_of[mask]]
-            Z = np.stack([o.z if censored else o.y for o in obs])
-            arrays = (np.asarray(rows_of[mask]), Z, np.stack([o.t for o in obs]))
+        if self.masks is None:
+            groups = [(None, np.arange(self.N), self.Y, self.T)]
+        else:
+            table, codes = self._mask_codes
+            order = sorted(range(len(table)), key=lambda j: (table[j].cardinality, table[j].indices))
+            rows = [np.flatnonzero(codes == j) for j in order]
+            groups = [(table[j], r, self.Y[np.ix_(r, table[j].indices)], self.T[r]) for j, r in zip(order, rows)]
+        for _, *arrays in groups:
             for a in arrays:
                 a.setflags(write=False)
-            groups.append((mask, *arrays))
         return tuple(groups)
 
 
@@ -325,8 +315,7 @@ def simulate_dataset(spec: ModelSpec, mu_true: MixingMeasure, N: int, seed: int)
     else:
         sd = spec.sigma
     Y = F + sd * _standard_noise(u[:, 1 + n :], spec.noise)
-    observations = tuple(Observation(y, t) for y, t in zip(Y, T))
-    return Dataset(spec=spec, observations=observations, seed=seed, truth=mu_true)
+    return Dataset(spec, Y, T, seed, truth=mu_true)
 
 
 def apply_censoring(ds: Dataset, design: CensoringDesign, seed: int) -> Dataset:
@@ -346,14 +335,5 @@ def apply_censoring(ds: Dataset, design: CensoringDesign, seed: int) -> Dataset:
     masks = [m for m, _ in design.mask_probabilities]
     cum = np.cumsum([p for _, p in design.mask_probabilities])
     picks = np.minimum(np.searchsorted(cum, _substream_uniforms(seed, ds.N, 1)[:, 0], side="right"), len(masks) - 1)
-    observations = tuple(
-        CensoredObservation(project_mask(obs.y, masks[j]), obs.t, masks[j])
-        for obs, j in zip(ds.observations, picks.tolist())
-    )
-    return Dataset(
-        spec=ds.spec,
-        observations=observations,
-        seed=ds.seed,
-        truth=ds.truth,
-        censoring=design,
-    )
+    Y = np.where(_keep_table(masks, design.n)[picks], ds.Y, np.nan)
+    return Dataset(ds.spec, Y, ds.T, ds.seed, ds.truth, design, tuple(masks[j] for j in picks.tolist()))

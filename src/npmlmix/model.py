@@ -438,20 +438,11 @@ def log_kernel_block(
 
 
 def conditional_log_density(spec: ModelSpec, s, x) -> float:
-    """log k_x(s) for a single observation x = (y, t) or (z, t, mask)."""
-    if hasattr(x, "mask"):
-        y, t, mask = x.z, x.t, x.mask
-    elif hasattr(x, "y"):
-        y, t, mask = x.y, x.t, None
-    elif len(x) == 3:
-        y, t, mask = x
-    else:
-        y, t = x
-        mask = None
+    """log k_x(s) for one individual x: a pair (y, t), or a triple (z, t, mask) whose z holds the kept components."""
+    y, t, mask = x if len(x) == 3 else (*x, None)
     s, t = _point(spec, s, t)
     y = np.asarray(y, dtype=float).reshape(-1)
     expected = spec.n if mask is None else mask.cardinality
     if y.shape[0] != expected:
         raise InvalidArgumentError(f"observation has {y.shape[0]} components, expected {expected}")
-    block = log_kernel_block(spec, s[None, :], y[None, :], t[None, :], mask)
-    return float(block[0, 0])
+    return float(log_kernel_block(spec, s[None, :], y[None, :], t[None, :], mask)[0, 0])

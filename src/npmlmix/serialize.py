@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import CensoredObservation, CensoringDesign, Dataset, Observation
+from .data import CensoringDesign, Dataset
 from .errors import InvalidArgumentError
 from .experiments import ExperimentConfig
 from .likelihood import DEFAULT_QUAD_POINTS
@@ -147,15 +147,15 @@ def censoring_from_dict(obj: dict) -> CensoringDesign:
 
 
 def dataset_to_dict(ds: Dataset) -> dict:
+    """A data file: one row per individual, a censored row's y holding only the components its mask keeps."""
     out = spec_to_dict(ds.spec)
     out["seed"] = ds.seed
-    rows = []
-    for o in ds.observations:
-        if isinstance(o, CensoredObservation):
-            rows.append({"y": _listify(o.z), "t": _listify(o.t), "mask": list(o.mask.indices)})
-        else:
-            rows.append({"y": _listify(o.y), "t": _listify(o.t)})
-    out["observations"] = rows
+    rows = zip(ds.Y.tolist(), ds.T.tolist())
+    if ds.masks is None:
+        out["observations"] = [{"y": y, "t": t} for y, t in rows]
+    else:
+        keeps = (m.indices for m in ds.masks)
+        out["observations"] = [{"y": [y[j] for j in k], "t": t, "mask": list(k)} for (y, t), k in zip(rows, keeps)]
     if ds.truth is not None:
         out["truth"] = measure_to_dict(ds.truth)
     if ds.censoring is not None:
@@ -164,21 +164,37 @@ def dataset_to_dict(ds: Dataset) -> dict:
 
 
 def dataset_from_dict(obj: dict) -> Dataset:
+    """The dataset of a data file; an error in a row names the row, as observations[i]."""
     spec = spec_from_dict(obj)
     rows = _require(obj, "observations")
     if not isinstance(rows, list) or not rows:
         raise InvalidArgumentError("observations must be a nonempty array")
-    observations = []
-    for r in rows:
-        t, y = _number(r, "t", float), _number(r, "y", float)
-        if "mask" in r:
-            mask = CensorMask(spec.n, tuple(_number(r, "mask")))
-            observations.append(CensoredObservation(y, t, mask))
-        else:
-            observations.append(Observation(y, t))
+    n, censored = spec.n, "mask" in rows[0]
+    Y, T, masks, known = [], [], [], {}
+    for i, r in enumerate(rows):
+        try:
+            if ("mask" in r) != censored:
+                raise InvalidArgumentError(f"{'no' if censored else 'a'} mask, unlike observations[0]")
+            y, t = _number(r, "y", float), _number(r, "t", float)
+            if len(t) != n:
+                raise InvalidArgumentError(f"t has {len(t)} entries, the model's n is {n}")
+            if censored:
+                key = tuple(_number(r, "mask"))
+                masks.append(known.get(key) or known.setdefault(key, CensorMask(n, key)))
+                if len(y) != len(key):
+                    raise InvalidArgumentError(f"y has {len(y)} entries, its mask keeps {len(key)}")
+                kept = dict(zip(key, y))
+                y = [kept.get(j, math.nan) for j in range(n)]
+            elif len(y) != n:
+                raise InvalidArgumentError(f"y has {len(y)} entries, the model's n is {n}")
+        except InvalidArgumentError as exc:
+            raise InvalidArgumentError(f"observations[{i}]: {exc}") from None
+        Y.append(y)
+        T.append(t)
     truth = measure_from_dict(obj["truth"]) if "truth" in obj else None
     censoring = censoring_from_dict(obj["censoring"]) if "censoring" in obj else None
-    return Dataset(spec, tuple(observations), _number(obj, "seed", default=0), truth, censoring)
+    seed = _number(obj, "seed", default=0)
+    return Dataset(spec, np.array(Y), np.array(T), seed, truth, censoring, tuple(masks) if censored else None)
 
 
 # ------------------------------ fit results --------------------------------

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from npmlmix import (
     CensorMask,
     CensoringDesign,
+    Dataset,
     IdentityLocation,
     InvalidArgumentError,
     LinearInS,
@@ -34,9 +35,9 @@ class TestSimulateDataset:
     def test_zero_noise_is_exact(self, pk_spec, two_point_pk_truth):
         spec = ModelSpec(p=2, n=4, sigma=0.0, f=PkExp(), time_design=pk_spec.time_design)
         ds = simulate_dataset(spec, two_point_pk_truth, 40, seed=1)
-        for obs in ds.observations:
-            candidates = [eval_f(spec, atom, obs.t) for atom in two_point_pk_truth.atoms]
-            assert any(np.allclose(obs.y, c, atol=1e-14) for c in candidates)
+        for y, t in zip(ds.Y, ds.T):
+            candidates = [eval_f(spec, atom, t) for atom in two_point_pk_truth.atoms]
+            assert any(np.allclose(y, c, atol=1e-14) for c in candidates)
 
     def test_same_seed_byte_identical(self, pk_spec, two_point_pk_truth):
         a = simulate_dataset(pk_spec, two_point_pk_truth, 25, seed=9)
@@ -46,9 +47,8 @@ class TestSimulateDataset:
     def test_growing_n_extends_sample(self, pk_spec, two_point_pk_truth):
         small = simulate_dataset(pk_spec, two_point_pk_truth, 10, seed=5)
         large = simulate_dataset(pk_spec, two_point_pk_truth, 30, seed=5)
-        for o_small, o_large in zip(small.observations, large.observations):
-            np.testing.assert_array_equal(o_small.y, o_large.y)
-            np.testing.assert_array_equal(o_small.t, o_large.t)
+        np.testing.assert_array_equal(small.Y, large.Y[:10])
+        np.testing.assert_array_equal(small.T, large.T[:10])
 
     def test_sample_mean_clt_band(self):
         # flat curve: A=1, rate=0 makes every measurement 1 + noise
@@ -80,7 +80,7 @@ class TestSimulateDataset:
         truth = MixingMeasure(np.array([[0.0], [1.0]]), [0.3, 0.7])
         N = 4000
         ds = simulate_dataset(spec, truth, N, seed=4)
-        freq = np.mean([obs.y[0] > 0.5 for obs in ds.observations])
+        freq = np.mean(ds.Y[:, 0] > 0.5)
         assert abs(freq - 0.7) <= 4 / math.sqrt(N)
 
     def test_mean_of_draws_tracks_truth(self, pk_spec, two_point_pk_truth):
@@ -90,12 +90,12 @@ class TestSimulateDataset:
         N = 4000
         ds = simulate_dataset(spec, two_point_pk_truth, N, seed=6)
         diffs = []
-        for obs in ds.observations:
+        for y, t in zip(ds.Y, ds.T):
             mix = sum(
-                w * eval_f(spec, atom, obs.t)
+                w * eval_f(spec, atom, t)
                 for atom, w in zip(two_point_pk_truth.atoms, two_point_pk_truth.weights)
             )
-            diffs.append(obs.y - mix)
+            diffs.append(y - mix)
         spread = np.std(np.asarray(diffs).ravel())
         assert np.abs(np.mean(diffs)) <= 4 * spread / math.sqrt(N)
 
@@ -208,10 +208,10 @@ class TestSubstreamUniforms:
 def _data_digest(ds, censored=None):
     """sha256 of Y and T, then each row's mask as a bit set when a censored copy is given."""
     h = hashlib.sha256()
-    h.update(np.array([o.y for o in ds.observations]).tobytes())
-    h.update(np.array([o.t for o in ds.observations]).tobytes())
+    h.update(ds.Y.tobytes())
+    h.update(ds.T.tobytes())
     if censored is not None:
-        bits = [sum(1 << i for i in o.mask.indices) for o in censored.observations]
+        bits = [sum(1 << i for i in mask.indices) for mask in censored.masks]
         h.update(np.array(bits, dtype=np.uint8).tobytes())
     return h.hexdigest()
 
@@ -294,8 +294,8 @@ class TestVectorizedSimulation:
         truth = MixingMeasure(lo + (hi - lo) * unit[:, : spec.p], unit[:, -1] / unit[:, -1].sum())
         ds = simulate_dataset(spec, truth, N, seed)
         Y, T = simulate_per_individual(spec, truth, N, seed)
-        np.testing.assert_array_equal(np.array([o.y for o in ds.observations]), Y)
-        np.testing.assert_array_equal(np.array([o.t for o in ds.observations]), T)
+        np.testing.assert_array_equal(ds.Y, Y)
+        np.testing.assert_array_equal(ds.T, T)
 
 
 
@@ -328,15 +328,18 @@ class TestApplyCensoring:
         ds = simulate_dataset(pk_spec, two_point_pk_truth, 30, seed=11)
         design = CensoringDesign(((CensorMask.full(4), 1.0),))
         censored = apply_censoring(ds, design, seed=12)
-        for plain, cens in zip(ds.observations, censored.observations):
-            np.testing.assert_array_equal(cens.z, plain.y)
-            np.testing.assert_array_equal(cens.t, plain.t)
+        assert all(mask.is_full for mask in censored.masks)
+        np.testing.assert_array_equal(censored.Y, ds.Y)
+        np.testing.assert_array_equal(censored.T, ds.T)
 
     def test_empty_design_drops_everything(self, pk_spec, two_point_pk_truth):
         ds = simulate_dataset(pk_spec, two_point_pk_truth, 10, seed=13)
         design = CensoringDesign(((CensorMask.empty(4), 1.0),))
         censored = apply_censoring(ds, design, seed=14)
-        assert all(obs.z.shape == (0,) for obs in censored.observations)
+        assert all(mask.cardinality == 0 for mask in censored.masks)
+        assert np.isnan(censored.Y).all()
+        [(_, _, Z, _)] = censored.mask_groups
+        assert Z.shape == (10, 0)
 
     def test_mask_frequencies(self, pk_spec, two_point_pk_truth):
         ds = simulate_dataset(pk_spec, two_point_pk_truth, 4000, seed=15)
@@ -344,7 +347,7 @@ class TestApplyCensoring:
             ((CensorMask(4, (0,)), 0.5), (CensorMask.full(4), 0.5))
         )
         censored = apply_censoring(ds, design, seed=16)
-        frac_full = np.mean([obs.mask.is_full for obs in censored.observations])
+        frac_full = np.mean([mask.is_full for mask in censored.masks])
         assert abs(frac_full - 0.5) <= 3 * math.sqrt(0.25 / 4000)
 
     def test_projection_consistency(self, pk_spec, two_point_pk_truth):
@@ -353,8 +356,8 @@ class TestApplyCensoring:
             ((CensorMask(4, (0, 2)), 0.5), (CensorMask(4, (1, 3)), 0.5))
         )
         censored = apply_censoring(ds, design, seed=18)
-        for plain, cens in zip(ds.observations, censored.observations):
-            np.testing.assert_array_equal(cens.z, project_mask(plain.y, cens.mask))
+        for y, y_cens, mask in zip(ds.Y, censored.Y, censored.masks):
+            np.testing.assert_array_equal(y_cens[list(mask.indices)], project_mask(y, mask))
 
     def test_deterministic(self, pk_spec, two_point_pk_truth):
         ds = simulate_dataset(pk_spec, two_point_pk_truth, 40, seed=19)
@@ -380,9 +383,9 @@ class TestApplyCensoring:
         censored = apply_censoring(simulate_dataset(spec, truth, N, 3), design, seed)
         ordered = [m for m, _ in design.mask_probabilities]
         cum = np.cumsum([p for _, p in design.mask_probabilities])
-        for i, obs in enumerate(censored.observations):
+        for i, mask in enumerate(censored.masks):
             j = int(np.searchsorted(cum, _substream(seed, i).random(), side="right"))
-            assert obs.mask == ordered[min(j, len(ordered) - 1)]
+            assert mask == ordered[min(j, len(ordered) - 1)]
 
     def test_rejects_censoring_twice(self, pk_spec, two_point_pk_truth):
         ds = simulate_dataset(pk_spec, two_point_pk_truth, 10, seed=21)
@@ -453,10 +456,9 @@ class TestMaskGroups:
             assert sorted(rows.tolist()) == list(range(N))
             for mask, rows, Z, T in d.mask_groups:
                 for i, z, t in zip(rows, Z, T):
-                    obs = d.observations[i]
-                    assert mask == getattr(obs, "mask", None)
-                    np.testing.assert_array_equal(z, obs.y if mask is None else obs.z)
-                    np.testing.assert_array_equal(t, obs.t)
+                    assert mask == (None if d.masks is None else d.masks[i])
+                    np.testing.assert_array_equal(z, d.Y[i] if mask is None else d.Y[i, list(mask.indices)])
+                    np.testing.assert_array_equal(t, d.T[i])
 
     def test_groups_are_stacked_once(self, pk_spec, two_point_pk_truth, monkeypatch):
         ds = simulate_dataset(pk_spec, two_point_pk_truth, 20, seed=3)
@@ -476,3 +478,86 @@ class TestMaskGroups:
                 for array in (rows, Z, T):
                     with pytest.raises(ValueError):
                         array[0] = 0
+
+    def test_uncensored_group_shares_the_arrays(self, pk_spec, two_point_pk_truth):
+        ds = simulate_dataset(pk_spec, two_point_pk_truth, 20, seed=3)
+        [(mask, rows, Y, T)] = ds.mask_groups
+        assert mask is None and Y is ds.Y and T is ds.T
+        np.testing.assert_array_equal(rows, np.arange(20))
+        [(_, _, Y, T)] = ds.row_slice(5, 12).mask_groups
+        assert np.shares_memory(Y, ds.Y) and np.shares_memory(T, ds.T)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        model=st.sampled_from(sorted(MODELS)),
+        N=st.integers(1, 60),
+        seed=st.integers(0, 10**6),
+        # each subset s keeps the components i with bit i of s set; None leaves the sample uncensored
+        subsets=st.none() | st.lists(st.integers(0, 15), min_size=1, max_size=4, unique=True),
+        cut=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+    )
+    def test_row_slice_is_the_sliced_arrays_and_groups(self, model, N, seed, subsets, cut):
+        spec, _, truth = MODELS[model]
+        ds = simulate_dataset(spec, truth, N, seed)
+        if subsets is not None:
+            masks = sorted({tuple(i for i in range(spec.n) if s >> i & 1) for s in subsets})
+            design = CensoringDesign(tuple((CensorMask(spec.n, idx), 1.0 / len(masks)) for idx in masks))
+            ds = apply_censoring(ds, design, seed + 1)
+        a = cut[0] % N
+        b = a + 1 + cut[1] % (N - a)
+        part = ds.row_slice(a, b)
+        assert part.N == b - a and (part.spec, part.seed, part.truth, part.censoring) == (
+            ds.spec, ds.seed, ds.truth, ds.censoring
+        )
+        assert part.Y.tobytes() == ds.Y[a:b].tobytes() and part.T.tobytes() == ds.T[a:b].tobytes()
+        assert part.masks == (None if ds.masks is None else ds.masks[a:b])
+        expected = []
+        for mask, rows, Z, T in ds.mask_groups:
+            inside = (rows >= a) & (rows < b)
+            if inside.any():
+                expected.append((mask, rows[inside] - a, Z[inside], T[inside]))
+        assert len(part.mask_groups) == len(expected)
+        keys = [(mask.cardinality, mask.indices) for mask, *_ in ds.mask_groups if mask is not None]
+        assert keys == sorted(keys)
+        for (mask, *got), (want_mask, *want) in zip(part.mask_groups, expected):
+            assert mask == want_mask
+            for x, y in zip(got, want):
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+
+
+class TestDatasetArrays:
+    KEEP_FIRST = CensorMask(2, (0,))
+
+    @pytest.mark.parametrize(
+        "Y, T, masks, message",
+        [
+            ([[1.0, np.nan]], [[0.5, 1.5]], None, "row 0 of Y is not NaN exactly where its mask drops a component"),
+            ([[1.0, np.nan], [np.nan, np.nan]], [[0.5, 1.5]] * 2, (KEEP_FIRST, KEEP_FIRST), "row 1 of Y is not NaN"),
+            ([[1.0, 2.0]], [[0.5, 1.5]], (KEEP_FIRST,), "row 0 of Y is not NaN"),
+            ([[1.0, np.nan], [1.0, 2.0]], [[0.5, 1.5]] * 2, (KEEP_FIRST, KEEP_FIRST), "row 1 of Y is not NaN"),
+            ([[1.0, 2.0, 3.0]], [[0.5, 1.5, 2.5]], None, r"must be \(N, 2\) arrays"),
+            ([[1.0, 2.0]], [[0.5, 1.5], [0.5, 1.5]], None, r"must be \(N, 2\) arrays"),
+            ([1.0, 2.0], [0.5, 1.5], None, r"must be \(N, 2\) arrays"),
+            (np.empty((0, 2)), np.empty((0, 2)), None, "N >= 1"),
+            ([[1.0, np.nan]] * 2, [[0.5, 1.5]] * 2, (KEEP_FIRST,), "one CensorMask with n = 2 per row"),
+            ([[1.0, np.nan]], [[0.5, 1.5]], (CensorMask(3, (0,)),), "one CensorMask with n = 2 per row"),
+            ([[1.0, np.nan]], [[0.5, 1.5]], ((0,),), "one CensorMask with n = 2 per row"),
+        ],
+        ids=[
+            "uncensored-nan", "nan-where-kept", "finite-where-dropped", "finite-where-dropped-second-row",
+            "wrong-n", "Y-T-shapes-differ", "one-dimensional", "no-rows", "too-few-masks", "mask-of-other-n",
+            "not-a-mask",
+        ],
+    )  # fmt: skip
+    def test_refuses(self, location_spec, Y, T, masks, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            Dataset(location_spec, np.array(Y), np.array(T), 0, masks=masks)
+
+    def test_arrays_are_read_only(self, location_spec):
+        Y, T = np.array([[1.0, np.nan]]), np.array([[0.5, 1.5]])
+        ds = Dataset(location_spec, Y, T, 0, masks=(self.KEEP_FIRST,))
+        for array in (ds.Y, ds.T):
+            with pytest.raises(ValueError):
+                array[0, 0] = 0.0
+        [(mask, rows, Z, T_group)] = ds.mask_groups
+        assert mask == self.KEEP_FIRST and Z.tolist() == [[1.0]] and T_group.tolist() == [[0.5, 1.5]]

@@ -166,9 +166,41 @@ class TestSchemas:
         again = dataset_from_dict(json.loads(dumps(dataset_to_dict(censored))))
         assert again.is_censored
         assert again.censoring == censored.censoring
-        for a, b in zip(again.observations, censored.observations):
-            np.testing.assert_array_equal(a.z, b.z)
-            assert a.mask == b.mask
+        assert again.masks == censored.masks
+        np.testing.assert_array_equal(again.Y, censored.Y)
+        np.testing.assert_array_equal(again.T, censored.T)
+
+    @pytest.mark.parametrize("censored", [False, True], ids=["uncensored", "censored"])
+    def test_data_file_rewrites_its_bytes(self, pk_spec, two_point_pk_truth, censored):
+        ds = simulate_dataset(pk_spec, two_point_pk_truth, 40, seed=6)
+        if censored:
+            masks = (CensorMask.empty(4), CensorMask(4, (1,)), CensorMask(4, (0, 3)), CensorMask.full(4))
+            ds = apply_censoring(ds, CensoringDesign(tuple((m, 0.25) for m in masks)), seed=7)
+            assert len(ds.mask_groups) == 4
+        text = dumps(dataset_to_dict(ds))
+        again = dataset_from_dict(json.loads(text))
+        assert dumps(dataset_to_dict(again)) == text
+        assert again.Y.tobytes() == ds.Y.tobytes() and again.T.tobytes() == ds.T.tobytes()
+        assert again.masks == ds.masks
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda row: row.update(y=[1.0, 2.0]), "observations[3]: y has 2 entries, its mask keeps 1"),
+            (lambda row: row.update(t=[0.1, 0.6, 1.1]), "observations[3]: t has 3 entries, the model's n is 4"),
+            (lambda row: row.update(mask=[0, 9]), "observations[3]: mask indices must lie in [0, 4)"),
+            (lambda row: row.update(y=[float("nan")]), "observations[3]: y must hold only finite numbers, got nan"),
+            (lambda row: row.pop("mask"), "observations[3]: no mask, unlike observations[0]"),
+        ],
+        ids=["y-longer-than-mask", "t-length", "mask-index", "non-finite-y", "no-mask"],
+    )
+    def test_row_errors_name_the_row_and_its_key(self, pk_spec, two_point_pk_truth, edit, message):
+        design = CensoringDesign(((CensorMask(4, (2,)), 1.0),))
+        doc = dataset_to_dict(apply_censoring(simulate_dataset(pk_spec, two_point_pk_truth, 6, seed=1), design, seed=2))
+        edit(doc["observations"][3])
+        with pytest.raises(InvalidArgumentError) as exc:
+            dataset_from_dict(doc)
+        assert str(exc.value) == message
 
     def test_dataset_rejects_schema_violations(self):
         with pytest.raises(Exception):
@@ -793,9 +825,9 @@ class TestCliErrors:
             ("simulate", ("censoring",), {"n": 3, "masks": [], "probabilities": []}, "censoring design needs at least one mask"),
             ("simulate", ("censoring",), {"n": 3, "masks": [[0, 2]], "probabilities": [0.5, 0.5]}, "masks and probabilities must have equal length"),
             ("simulate", ("censoring",), {"n": 2, "masks": [[0, 1]], "probabilities": [1.0]}, "censoring design does not match the spec's n"),
-            ("fit", ("observations", 0, "y"), [1.0, 2.0], "y and t must have equal length"),
-            ("fit", ("observations", 0, "mask"), [0, 1, 2], "observations must all be censored or all uncensored"),
-            ("fit", ("observations", 0), {"y": [1.0, 2.0], "t": [0.1, 0.6]}, "an observation's length disagrees with the spec"),
+            ("fit", ("observations", 0, "y"), [1.0, 2.0], "observations[0]: y has 2 entries, the model's n is 3"),
+            ("fit", ("observations", 0, "mask"), [0, 1, 2], "observations[1]: no mask, unlike observations[0]"),
+            ("fit", ("observations", 0), {"y": [1.0, 2.0], "t": [0.1, 0.6]}, "observations[0]: t has 2 entries, the model's n is 3"),
             ("fit", ("observations",), [], "observations must be a nonempty array"),
             ("fit", None, None, "cannot parse box 'abc'"),
             ("certify", ("iterations",), -7, "iterations must be at least 0, got -7"),

@@ -23,7 +23,6 @@ from npmlmix import (
     MixingMeasure,
     ModelSpec,
     NumericDomainError,
-    Observation,
     PkExp,
     SieveBasis,
     TimeDesign,
@@ -43,7 +42,7 @@ MiB = 2**20
 
 
 def single_obs_dataset(spec, y, t):
-    return Dataset(spec=spec, observations=(Observation(y, t),), seed=0)
+    return Dataset(spec, np.reshape(y, (1, -1)), np.reshape(t, (1, -1)), seed=0)
 
 
 def per_column_sieve_kernel(ds, basis, quad_points_per_cell):
@@ -102,10 +101,10 @@ class TestBuildKernelMatrix:
     def test_matches_scalar_operation(self, pk_spec, two_point_pk_truth):
         ds = simulate_dataset(pk_spec, two_point_pk_truth, 7, seed=2)
         km = build_kernel_matrix(ds, two_point_pk_truth)
-        for i, obs in enumerate(ds.observations):
+        for i, (y, t) in enumerate(zip(ds.Y, ds.T)):
             for j, atom in enumerate(two_point_pk_truth.atoms):
                 assert km.log_k[i, j] == pytest.approx(
-                    conditional_log_density(pk_spec, atom, obs), rel=1e-12
+                    conditional_log_density(pk_spec, atom, (y, t)), rel=1e-12
                 )
 
     def test_censored_matches_scalar_operation(self, pk_spec, two_point_pk_truth):
@@ -115,10 +114,10 @@ class TestBuildKernelMatrix:
         )
         censored = apply_censoring(ds, design, seed=4)
         km = build_kernel_matrix(censored, two_point_pk_truth)
-        for i, obs in enumerate(censored.observations):
+        for i, (y, t, mask) in enumerate(zip(censored.Y, censored.T, censored.masks)):
             for j, atom in enumerate(two_point_pk_truth.atoms):
                 assert km.log_k[i, j] == pytest.approx(
-                    conditional_log_density(pk_spec, atom, obs), rel=1e-12
+                    conditional_log_density(pk_spec, atom, (y[list(mask.indices)], t, mask)), rel=1e-12
                 )
 
     def test_full_mask_censoring_equals_uncensored_exactly(self, pk_spec, two_point_pk_truth):
@@ -316,8 +315,11 @@ class TestSieveRowBlocks:
         for part, points in calls:
             assert isinstance(points, TensorGrid)
             np.testing.assert_array_equal(np.asarray(points), np.asarray(grid))
-        tiled = [o for part, _ in calls for o in part.observations]
-        assert len(tiled) == N and all(a is b for a, b in zip(tiled, ds.observations))
+        # the blocks tile the rows in order, as views of the dataset's own arrays
+        for name in ("Y", "T"):
+            parts = [getattr(part, name) for part, _ in calls]
+            assert all(np.shares_memory(a, getattr(ds, name)) for a in parts)
+            np.testing.assert_array_equal(np.concatenate(parts), getattr(ds, name))
         if (p, variant, sigma, N) == (1, "homoscedastic", 0.005, 97):
             assert fixed > 0  # this example reaches the log-sum-exp fix-up in several row blocks
 

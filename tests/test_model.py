@@ -5,13 +5,11 @@ import pytest
 
 from npmlmix import (
     CensorMask,
-    CensoredObservation,
     IdentityLocation,
     InvalidArgumentError,
     LinearInS,
     ModelSpec,
     ModelViolationError,
-    Observation,
     PkExp,
     TimeDesign,
     conditional_log_density,
@@ -189,15 +187,13 @@ class TestConditionalLogDensity:
         s = np.array([1.2, 0.4])
         t = np.array([0.3, 0.8, 1.3, 1.8])
         y = eval_f(pk_spec, s, t) + rng.normal(size=4)
-        plain = conditional_log_density(pk_spec, s, Observation(y, t))
-        censored = conditional_log_density(
-            pk_spec, s, CensoredObservation(y, t, CensorMask.full(4))
-        )
+        plain = conditional_log_density(pk_spec, s, (y, t))
+        censored = conditional_log_density(pk_spec, s, (y, t, CensorMask.full(4)))
         assert plain == censored
 
     def test_empty_mask_contributes_zero(self, pk_spec):
         t = np.array([0.3, 0.8, 1.3, 1.8])
-        obs = CensoredObservation(np.empty(0), t, CensorMask.empty(4))
+        obs = (np.empty(0), t, CensorMask.empty(4))
         assert conditional_log_density(pk_spec, [1.0, 0.5], obs) == 0.0
 
     def test_matches_gaussian_density_oracle(self, location_spec):

@@ -23,7 +23,6 @@ from npmlmix import (
     KernelMatrix,
     MixingMeasure,
     ModelSpec,
-    Observation,
     PkExp,
     TimeDesign,
     apply_censoring,
@@ -59,7 +58,7 @@ def two_to_one_dataset():
     sigma = 1.0 / (2.0 * math.sqrt(2.0 * math.pi))  # peak density = 2
     spec = location_model(sigma)
     u = sigma * math.sqrt(2.0 * math.log(2.0))  # density falls to 1 there
-    ds = Dataset(spec=spec, observations=(Observation([0.0], [0.5]),), seed=0)
+    ds = Dataset(spec, np.array([[0.0]]), np.array([[0.5]]), seed=0)
     mu = MixingMeasure(np.array([[0.0], [u]]), [0.5, 0.5])
     return ds, mu, u
 
@@ -144,7 +143,7 @@ class TestEmFit:
 class TestDirectionalDerivative:
     def test_delta_at_own_point(self):
         spec = location_model(0.5)
-        ds = Dataset(spec=spec, observations=(Observation([0.4], [0.5]),), seed=0)
+        ds = Dataset(spec, np.array([[0.4]]), np.array([[0.5]]), seed=0)
         mu = MixingMeasure(np.array([[1.1]]), [1.0])
         (d,) = directional_derivatives(ds, mu, np.array([[1.1]]))
         assert d == pytest.approx(1.0, abs=1e-12)
@@ -171,8 +170,7 @@ class TestDirectionalDerivative:
         assert d.shape == (0,) and d.dtype == np.float64
 
     def test_one_dimensional_points_are_a_column(self, monkeypatch):
-        observations = tuple(Observation([y], [0.5]) for y in np.linspace(-1.0, 1.0, 7))
-        ds = Dataset(spec=location_model(0.5), observations=observations, seed=0)
+        ds = Dataset(location_model(0.5), np.linspace(-1.0, 1.0, 7)[:, None], np.full((7, 1), 0.5), seed=0)
         mu = MixingMeasure(np.array([[-0.3], [0.4]]), [0.5, 0.5])
         points = np.linspace(-0.5, 0.5, 101)
         monkeypatch.setattr(solver, "_TABLE_BYTES", 8 * 101 * 3)  # three row blocks, of 3, 3 and 1 rows
@@ -197,7 +195,7 @@ def count_kernel_columns(monkeypatch) -> list:
 class TestCertify:
     def test_sup_one_at_concentrated_fit(self):
         spec = location_model(0.5)
-        ds = Dataset(spec=spec, observations=(Observation([0.8], [0.5]),), seed=0)
+        ds = Dataset(spec, np.array([[0.8]]), np.array([[0.5]]), seed=0)
         mu = MixingMeasure(np.array([[0.8]]), [1.0])  # the single-observation optimum
         cert = certify(ds, mu, [(0.0, 2.0)], grid_resolution=101)
         assert cert.sup_dir_derivative == pytest.approx(1.0, abs=1e-9)
@@ -210,18 +208,14 @@ class TestCertify:
 
     def test_grid_of_support_atoms_only(self):
         spec = location_model(0.4)
-        ds = Dataset(spec=spec, observations=(Observation([1.2], [0.5]),), seed=0)
+        ds = Dataset(spec, np.array([[1.2]]), np.array([[0.5]]), seed=0)
         mu = MixingMeasure(np.array([[1.2]]), [1.0])
         cert = certify(ds, mu, [(1.2, 2.0)], grid_resolution=1)  # grid = {1.2} = the atom
         assert cert.sup_dir_derivative == pytest.approx(1.0, abs=1e-6)
 
     def test_deterministic_argmax_tie_break(self):
         spec = location_model(0.5, n=1)
-        ds = Dataset(
-            spec=spec,
-            observations=(Observation([0.0], [0.5]), Observation([2.0], [0.5])),
-            seed=0,
-        )
+        ds = Dataset(spec, np.array([[0.0], [2.0]]), np.array([[0.5], [0.5]]), seed=0)
         mu = MixingMeasure(np.array([[1.0]]), [1.0])
         # symmetric problem: d(0+x) = d(2-x); argmax must take the first grid point
         cert = certify(ds, mu, [(0.0, 2.0)], grid_resolution=21)
@@ -486,7 +480,7 @@ assert "scipy.optimize" not in sys.modules, "a fit imported scipy.optimize"
 class TestRefineSupport:
     def test_certified_measure_unchanged(self):
         spec = location_model(0.5)
-        ds = Dataset(spec=spec, observations=(Observation([0.8], [0.5]),), seed=0)
+        ds = Dataset(spec, np.array([[0.8]]), np.array([[0.5]]), seed=0)
         # a single start node sits at the box midpoint, here the optimum 0.8
         out = fit_npml(ds, [(0.0, 1.6)], [1], TIGHT).measure
         np.testing.assert_allclose(out.atoms, [[0.8]])
@@ -700,7 +694,7 @@ class TestFitOptions:
 class TestFitNpml:
     def test_single_observation_single_atom(self):
         spec = location_model(0.5)
-        ds = Dataset(spec=spec, observations=(Observation([0.9], [0.5]),), seed=0)
+        ds = Dataset(spec, np.array([[0.9]]), np.array([[0.5]]), seed=0)
         fit = fit_npml(ds, [(0.0, 2.0)], [5], TIGHT)
         assert fit.status == "converged"
         assert fit.measure.m == 1
@@ -928,12 +922,13 @@ def test_only_the_fit_epilogue_and_the_file_reader_build_a_fit_result():
 
 
 def test_only_data_and_serialize_read_a_datasets_observations():
-    # a Dataset stacks its rows once, in mask_groups; serialize writes the per-row file format
-    def reads_observations(node):
-        return isinstance(node, ast.Attribute) and node.attr == "observations"
+    # the layout of a sample is data's: the likelihood reads a Dataset's rows through mask_groups alone, and
+    # serialize writes the per-row file format; no module reads row objects, which no longer exist
+    def reads_rows(node):
+        return isinstance(node, ast.Attribute) and node.attr in ("observations", "masks")
 
-    sites = [s for s in _offending_sites(set(), reads_observations) if s.split(":")[0] not in ("data.py", "serialize.py")]
-    assert not sites, f"observations read outside data and serialize: {sites}"
+    sites = [s for s in _offending_sites(set(), reads_rows) if s.split(":")[0] not in ("data.py", "serialize.py")]
+    assert not sites, f"a dataset's rows read outside data and serialize: {sites}"
 
 
 class TestBruteForceOracle:
