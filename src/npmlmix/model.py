@@ -313,7 +313,7 @@ def laplace_log_density(u, sigma: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-_BLOCK_BYTES = 2**18  # bytes per (rows, B) or (rows, B, k) temporary of a row block of ``log_kernel_block``
+_BLOCK_BYTES = 2**18  # bytes per (rows, B) temporary of a row block of ``log_kernel_block``
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -327,16 +327,18 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _terms(spec: ModelSpec, S, Y: np.ndarray, T: np.ndarray, cols, gaussian: bool):
     """One row block's terms for ``_block_table``: the pair (y . f, ||f||^2) with Gaussian noise, else f.
 
+    Other noise gets f one observed component at a time, a (rows, B) table each, in component order.
     ``PkExp`` takes e = exp(-rate * t) once per rate: over a grid's rate axis, where column (a, r) is
     amps[a] * e_r, or, for Gaussian noise only, at each point's rate: amps[b] * e_b. With Gaussian noise
     y . f and ||f||^2 come as A (y . e) and A^2 (e . e) from (rows, R) tables, so no (rows, B, n) table is
-    formed. |A| max(e), the largest entry of f per column, must be finite. Other candidates go through
-    ``_forward``.
+    formed; with other noise component j of f is amps times e's column j. |A| max(e), the largest entry
+    of f per column, must be finite. Other candidates go through ``_forward``, whose (rows, B, n) table
+    gives its components as views.
     """
     grid = isinstance(S, TensorGrid)
     if not isinstance(spec.f, PkExp) or not (grid or gaussian):
         F = _forward(spec, S, T)[:, :, cols]
-        return (_dot(Y[:, None, :], F), _dot(F, F)) if gaussian else F
+        return (_dot(Y[:, None, :], F), _dot(F, F)) if gaussian else (F[:, :, j] for j in range(F.shape[2]))
     amps, rates = S.axes if grid else S.T
 
     def scale(a, table):  # columns a * table: each amplitude by each rate on a grid, pairwise on points
@@ -351,16 +353,21 @@ def _terms(spec: ModelSpec, S, Y: np.ndarray, T: np.ndarray, cols, gaussian: boo
         _require_domain((np.max(np.abs(amps), initial=0.0) if grid else np.abs(amps)) * peak)
         e = e[:, :, cols]
         if not gaussian:
-            return scale(amps, e)
+            return (scale(amps, e[:, :, j]) for j in range(e.shape[2]))
         yf, ff = _dot(Y[:, None, :], e), _dot(e, e)
         del e
         return scale(amps, yf), scale(amps * amps, ff)
 
 
 def _block_table(spec: ModelSpec, Y: np.ndarray, F, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """One row block's (rows, B) table of log k_x(s) from its terms F: the pair (y . f, ||f||^2), or f for other noise.
+    """One row block's (rows, B) table of log k_x(s) from its terms F: the pair (y . f, ||f||^2), or f's components.
 
-    The last step writes into ``out`` when given, a view of the caller's table, so no second table is built.
+    Other noise takes f one component at a time, each a (rows, B) table whose terms are formed in place,
+    and adds the components' terms up in component order, so no (rows, B, k) table is built. numpy sums
+    a last axis shorter than 8 left to right, so for k <= 7 this has the bits of the sum over such a
+    table; from k = 8 numpy sums in 8-lane pairwise order, and the two differ by at most about
+    k eps sum_j |c_j|, c_j the summed terms. The last step writes into ``out`` when given, a view of the
+    caller's table, so no second table is built.
     """
     k, sigma = Y.shape[1], spec.sigma
     if isinstance(F, tuple):
@@ -372,19 +379,38 @@ def _block_table(spec: ModelSpec, Y: np.ndarray, F, out: Optional[np.ndarray] = 
         sq /= -2.0 * sigma * sigma
         out = np.add(sq, -0.5 * k * np.log(2.0 * math.pi * sigma * sigma), out=sq if out is None else out)
     else:
-        U = Y[:, None, :] - F
+        total = None
+        for y, f in zip(Y.T, F):  # one (rows, B) table per component, each step in place
+            u = np.subtract(y[:, None], f)
+            if not spec.heteroscedastic:
+                term = np.abs(u, out=u)
+            else:
+                var = _scale(spec, f)
+                var *= var
+                var += sigma * sigma
+                if spec.noise == GAUSSIAN:  # -0.5 log(2 pi var) - u^2 / (2 var)
+                    term = np.multiply(2.0 * math.pi, var)
+                    np.log(term, out=term)
+                    term *= -0.5
+                    u *= u
+                    var *= 2.0
+                else:  # -log(2 b) - |u| / b, b = sqrt(var / 2)
+                    var /= 2.0
+                    np.sqrt(var, out=var)
+                    term = np.multiply(2.0, var)
+                    np.negative(np.log(term, out=term), out=term)
+                    np.abs(u, out=u)
+                u /= var
+                term -= u
+            total = term if total is None else np.add(total, term, out=total)
         if not spec.heteroscedastic:
             b = sigma / math.sqrt(2.0)
-            out = np.subtract(-k * np.log(2.0 * b), np.abs(U).sum(axis=2) / b, out=out)
+            total /= b
+            out = np.subtract(-k * np.log(2.0 * b), total, out=out)
+        elif out is None:
+            out = total
         else:
-            g = _scale(spec, F)
-            var = sigma * sigma + g * g
-            if spec.noise == GAUSSIAN:
-                comp = -0.5 * np.log(2.0 * math.pi * var) - (U * U) / (2.0 * var)
-            else:
-                b = np.sqrt(var / 2.0)
-                comp = -np.log(2.0 * b) - np.abs(U) / b
-            out = comp.sum(axis=2, out=out)
+            out[...] = total
     if not np.all(np.isfinite(out)):
         raise InvalidArgumentError("conditional log-density is not finite for some atom")
     return out
@@ -400,9 +426,11 @@ def log_kernel_block(
     Fills the (N, B) table of log k_x(s), or the rows ``rows`` (one per individual) of a
     caller's table ``out``, leaving its other rows, and returns the table. It works in row
     blocks, each of every candidate and of as many rows as fit ``_BLOCK_BYTES`` (at least one):
-    a row costs 8 B bytes in the (rows, B) tables of homoscedastic Gaussian noise (n times that
-    in the forward table of a model other than ``PkExp``) and 8 B k in the (rows, B, k) tables
-    of other noise, so no block temporary, a ``PkExp`` decay table included, grows with N.
+    a row costs 8 B bytes in its (rows, B) tables, for every noise family (n times that in the
+    forward table of a model other than ``PkExp``), so no block temporary, a ``PkExp`` decay
+    table included, grows with N. Noise other than homoscedastic Gaussian sums its k observed
+    components' terms in component order: the bits of a sum over a (rows, B, k) table for
+    k <= 7, within about k eps sum_j |c_j| of it from k = 8 (see ``_block_table``).
     Entry (i, j) depends only on row i and column j, so the block size moves no bits. Raises
     when a candidate point drives the model out of its numeric domain.
 
@@ -427,7 +455,7 @@ def log_kernel_block(
         S = np.asarray(S, dtype=float)
     if not isinstance(rows, slice) and np.array_equal(rows, np.arange(out.shape[0])):
         rows = slice(None)  # every row in order: each block is written into its view of out
-    size = max(1, _BLOCK_BYTES // (8 * max(1, len(S)) * (1 if gaussian else Y.shape[1])))
+    size = max(1, _BLOCK_BYTES // (8 * max(1, len(S))))
     for start in range(0, T.shape[0], size):
         block = slice(start, start + size)
         if isinstance(rows, slice):

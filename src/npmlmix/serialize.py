@@ -46,8 +46,11 @@ def _number(obj: dict, key: str, kind: type = int, default=None, least=None):
     def read(v):
         if isinstance(v, list):
             return [read(u) for u in v]
-        integral = isinstance(v, numbers.Integral)
-        real = isinstance(v, numbers.Real) and not isinstance(v, bool)
+        if type(v) in (float, int):  # what the JSON reader gives: no ABC check
+            integral, real = type(v) is int, True
+        else:
+            integral = isinstance(v, numbers.Integral)
+            real = isinstance(v, numbers.Real) and not isinstance(v, bool)
         if not real or not (integral or math.isfinite(v)) or (kind is int and not (integral or v.is_integer())):
             raise InvalidArgumentError(f"{rule}, got {v!r}")
         if least is not None and v < least:

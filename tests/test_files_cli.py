@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from npmlmix import cli, experiments
 from npmlmix.cli import main
 from npmlmix.experiments import atom_count
 from npmlmix.serialize import (
+    _number,
     dataset_from_dict,
     dataset_to_dict,
     dumps,
@@ -996,6 +998,29 @@ class TestEveryDocumentField:
                 if not (code == 1 and err.startswith("error: ") and err.count("\n") == 1 and str(bad) in err):
                     accepted.append((path, replacement, code, err))
         assert not accepted, accepted[:5]
+
+
+@pytest.mark.parametrize(
+    "value, kind, expected",
+    [
+        (np.float64(2.5), float, 2.5),
+        (Fraction(1, 2), float, 0.5),
+        (np.int64(3), int, 3),
+        (np.float64(3.0), int, 3),
+        (np.float64("inf"), float, None),
+        (np.float64(2.5), int, None),
+        (np.bool_(True), float, None),
+        (True, int, None),
+    ],
+)
+def test_numbers_of_other_types_follow_the_rule(value, kind, expected):
+    # the JSON reader's plain float and int skip the ABC checks; every other type still takes them
+    if expected is None:
+        with pytest.raises(InvalidArgumentError, match="^x must hold only"):
+            _number({"x": [value]}, "x", kind)
+    else:
+        got = _number({"x": [value]}, "x", kind)
+        assert got == [expected] and type(got[0]) is kind
 
 
 class TestCliExitCodes:

@@ -571,6 +571,15 @@ class TestGridColumns:
         small, large = (peak_beyond_the_table(build(N, 0), grid) for N in (400, 6400))
         assert large - small <= MiB
 
+    @pytest.mark.parametrize("case", ["pk-heteroscedastic", "pk-laplace"])
+    def test_component_tables_keep_a_65_grid_peak_below_2_mib(self, case):
+        # Laplace and heteroscedastic blocks hold a few (rows, B) tables, one component at a time: at
+        # 8 B bytes a row, 7 rows of the 4225 columns, whatever N
+        build, box = GRID_CASES[case]
+        grid = TensorGrid([np.linspace(lo, hi, 65) for lo, hi in box])
+        small, large = (peak_beyond_the_table(build(N, 0), grid) for N in (400, 6400))
+        assert abs(large - small) <= MiB / 16 and max(small, large) < 2 * MiB
+
     def test_start_grid_points_peak_at_eight_tables(self):
         # a 7 x 7 start grid at N = 1600 as points: exp(-rate * t) is four tables, taken in place,
         # then the result and the three products of y . e and e . e; 8.05 tables is 4.81 MiB
@@ -696,7 +705,7 @@ class TestRowBlocks:
         candidates = np.asarray(grid) if as_points else grid
         expected = likelihood.kernel_columns(ds, candidates)
         assert 8 * len(candidates) * ds.spec.n * ds.N <= model._BLOCK_BYTES  # the default is one block
-        # "few": 2n rows a block with homoscedastic Gaussian noise, 2n / k with k observed components of other noise
+        # "few": 2n rows a block, whatever the noise
         budget = 1 if rows == "one" else 2 * 8 * len(candidates) * ds.spec.n
         monkeypatch.setattr(model, "_BLOCK_BYTES", budget)
         np.testing.assert_array_equal(likelihood.kernel_columns(ds, candidates), expected)

@@ -18,6 +18,9 @@ from npmlmix import (
     laplace_log_density,
     project_mask,
 )
+from npmlmix import model
+from npmlmix.measures import TensorGrid
+from npmlmix.model import _forward, log_kernel_block
 
 
 def midpoint_density_mass(log_density, sigma, n, points_per_axis=400, half_width=8.0):
@@ -90,6 +93,27 @@ class TestEvalG:
         )
         with pytest.raises(ModelViolationError):
             conditional_log_density(spec, [-1.0], ([0.0], [0.5]))
+
+    @pytest.mark.parametrize("noise", ["gaussian", "laplace"])
+    @pytest.mark.parametrize(
+        "f, S",
+        [
+            (LinearInS(((1.0, -1.0),)), np.array([[0.5], [2.0]])),  # f = s (1 - t) < 0 on the last two windows only
+            (PkExp(), TensorGrid([[1.0, -1.0], [0.5, 0.8]])),  # a negative amplitude
+            (PkExp(), np.array([[1.0, 0.5], [-1.0, 0.8]])),
+        ],
+        ids=["linear", "pk-grid", "pk-points"],
+    )
+    def test_negative_scale_raises_the_stacked_forms_error(self, noise, f, S):
+        design = TimeDesign(((0.0, 0.5), (0.5, 1.0), (1.0, 1.5), (1.5, 2.0)))
+        spec = ModelSpec(p=f.dim, n=4, sigma=0.2, f=f, time_design=design, sigma_prime=0.3, noise=noise)
+        T = np.tile([0.25, 0.75, 1.25, 1.75], (3, 1))
+        Y = np.ones((3, 4))
+        with pytest.raises(ModelViolationError) as stacked:
+            stacked_log_kernel(spec, S, Y, T)
+        with pytest.raises(ModelViolationError) as split:
+            log_kernel_block(spec, S, Y, T)
+        assert str(split.value) == str(stacked.value) == "heteroscedastic scale has a negative component"
 
 
 class TestGaussianLogDensity:
@@ -243,3 +267,94 @@ class TestConditionalLogDensity:
         )
         with pytest.raises(InvalidArgumentError):
             conditional_log_density(spec, [1.0], ([1.0, 1.0], [0.5, 1.5]))
+
+
+# ---------------------------------------------------------------------------
+# Laplace and heteroscedastic kernel blocks, one component at a time
+# ---------------------------------------------------------------------------
+
+OTHER_NOISE = {
+    "heteroscedastic-gaussian": {"sigma_prime": 0.3},
+    "heteroscedastic-laplace": {"sigma_prime": 0.3, "noise": "laplace"},
+    "laplace": {"noise": "laplace"},
+}
+# candidate sets: a PkExp grid, that grid's points, and points of two other model functions; all give f > 0
+BLOCK_MODELS = {
+    "pk-grid": (PkExp(), [(0.5, 2.5), (0.05, 1.2)]),
+    "pk-points": (PkExp(), [(0.5, 2.5), (0.05, 1.2)]),
+    "identity": (IdentityLocation(), [(0.5, 2.5)]),
+    "linear": (LinearInS(((1.0, 0.5), (0.3, 0.2))), [(0.5, 2.5), (0.0, 1.0)]),
+}
+
+
+def stacked_log_kernel(spec, S, Y, T, mask=None):
+    """Reference: log k_x(s) of Laplace or heteroscedastic noise as the sum of a (rows, B, k) table.
+
+    Returns the table and the terms c_j it sums over its last axis: |y_j - f_j| / b for
+    homoscedastic Laplace noise, else each component's log density.
+    """
+    F = _forward(spec, np.asarray(S, dtype=float), T)
+    if mask is not None:
+        F = F[:, :, list(mask.indices)]
+    U = Y[:, None, :] - F
+    sigma, k = spec.sigma, Y.shape[1]
+    if not spec.heteroscedastic:
+        b = sigma / math.sqrt(2.0)
+        return np.subtract(-k * np.log(2.0 * b), np.abs(U).sum(axis=2) / b), np.abs(U) / b
+    g = spec.sigma_prime * F
+    if np.any(g < 0):
+        raise ModelViolationError("heteroscedastic scale has a negative component")
+    var = sigma * sigma + g * g
+    if spec.noise == "gaussian":
+        comp = -0.5 * np.log(2.0 * math.pi * var) - (U * U) / (2.0 * var)
+    else:
+        b = np.sqrt(var / 2.0)
+        comp = -np.log(2.0 * b) - np.abs(U) / b
+    return comp.sum(axis=2), comp
+
+
+def block_case(noise, name, k, censored, seed, rows=30):
+    """(spec, candidates, kept components Z, times T, mask) with k observed components of n = k, or k + 2 censored."""
+    rng = np.random.default_rng(seed)
+    n = k + 2 if censored else k
+    f, box = BLOCK_MODELS[name]
+    design = TimeDesign(tuple((0.5 * j, 0.5 * j + 0.5) for j in range(n)))
+    spec = ModelSpec(p=len(box), n=n, sigma=0.2, f=f, time_design=design, **OTHER_NOISE[noise])
+    grid = TensorGrid([rng.uniform(lo, hi, size) for (lo, hi), size in zip(box, (6, 7))])
+    T = 0.5 * (np.arange(n) + rng.uniform(size=(rows, n)))
+    mask = CensorMask(n, tuple(sorted(rng.choice(n, k, replace=False)))) if censored else None
+    Y = rng.uniform(0.0, 2.5, size=(rows, k))
+    return spec, grid if name == "pk-grid" else np.asarray(grid), Y, T, mask
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_MODELS))
+@pytest.mark.parametrize("noise", sorted(OTHER_NOISE))
+class TestComponentTables:
+    """Laplace and heteroscedastic blocks add one (rows, B) table per component, in component order."""
+
+    @pytest.mark.parametrize("censored", [False, True], ids=["full", "censored"])
+    def test_up_to_seven_components_have_the_bits_of_the_stacked_sum(self, noise, name, censored):
+        # numpy sums a last axis shorter than 8 left to right
+        for k in range(1, 8):
+            spec, S, Y, T, mask = block_case(noise, name, k, censored, seed=k)
+            expected, _ = stacked_log_kernel(spec, S, Y, T, mask)
+            np.testing.assert_array_equal(log_kernel_block(spec, S, Y, T, mask), expected, err_msg=f"k = {k}")
+
+    @pytest.mark.parametrize("k", [8, 12])
+    def test_eight_or_more_components_are_within_the_summation_bound(self, noise, name, k):
+        # from k = 8 numpy's sum runs in 8-lane pairwise order; each order is within (k - 1) eps / 2 sum |c_j|
+        eps = np.finfo(float).eps
+        for censored in (False, True):
+            spec, S, Y, T, mask = block_case(noise, name, k, censored, seed=k)
+            expected, terms = stacked_log_kernel(spec, S, Y, T, mask)
+            bound = k * eps * np.abs(terms).sum(axis=2) + eps * np.abs(expected)  # and the result's rounding
+            assert np.all(np.abs(log_kernel_block(spec, S, Y, T, mask) - expected) <= bound)
+
+    @pytest.mark.parametrize("rows_per_block", [0, 1, 2, 7])
+    def test_block_budget_moves_no_bit(self, monkeypatch, noise, name, rows_per_block):
+        for censored in (False, True):
+            spec, S, Y, T, mask = block_case(noise, name, 4, censored, seed=5, rows=23)
+            expected = log_kernel_block(spec, S, Y, T, mask)
+            monkeypatch.setattr(model, "_BLOCK_BYTES", 8 * len(S) * rows_per_block)
+            np.testing.assert_array_equal(log_kernel_block(spec, S, Y, T, mask), expected)
+            monkeypatch.undo()
