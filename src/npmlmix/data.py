@@ -3,11 +3,12 @@
 A sample is two (N, n) arrays, one row per individual, and one censor mask
 per row when censored; ``Dataset.mask_groups`` gathers each mask's rows.
 
-Randomness uses one splittable generator family (PCG64 seeded through
-SeedSequence); individual i always draws from the substream keyed (seed, i),
-so enlarging N extends a sample without reshuffling earlier individuals. All
-N substreams are computed in one vectorized pass, bit-equal to numpy's
-``Generator(PCG64(SeedSequence(seed, spawn_key=(i,))))`` for each i.
+Randomness comes from numpy's PCG64 seeded through SeedSequence, one stream
+per purpose: ``spawn_key=(0,)`` for simulation and ``(1,)`` for censoring.
+Each stream is read in individual order, k draws per individual, so
+individual i's draws depend on (seed, i) alone and enlarging N extends a
+sample without reshuffling earlier individuals. The two streams are
+disjoint, so the censor masks are independent of the data.
 Normal and Laplace variates come from inverse-CDF transforms of uniforms,
 which are deterministic at double precision.
 """
@@ -133,88 +134,17 @@ class Dataset:
         return tuple(groups)
 
 
-# SeedSequence's hash constants, and PCG64's 128-bit multiplier as (high, low) words
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
-_MASK32 = 0xFFFFFFFF
+def _uniforms(seed: int, purpose: int, N: int, k: int) -> np.ndarray:
+    """(N, k) uniforms: the first N k draws of the (seed, purpose) stream, row i holding draws ik to ik + k - 1.
 
-
-def _mix(x, y):
-    """SeedSequence's pool mix of two words, on Python ints or uint32 arrays."""
-    r = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
-    return r ^ r >> 16
-
-
-def _mulhi_lo(a: np.ndarray) -> np.ndarray:
-    """The high word of the 128-bit product of uint64 a and the multiplier's low word, from 32-bit limbs."""
-    a0, a1 = a & _MASK32, a >> 32
-    b0, b1 = _PCG_MULT_LO & _MASK32, _PCG_MULT_LO >> 32
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-
-
-def _substream_uniforms(seed: int, N: int, k: int) -> np.ndarray:
-    """(N, k) uniforms whose row i is ``Generator(PCG64(SeedSequence(seed, spawn_key=(i,)))).random(k)``, bit for bit.
-
-    All N substreams are computed together. The run-entropy words of the seed
-    are hashed once with Python ints, as SeedSequence.mix_entropy does; the
-    spawn-key word i is mixed into the pool, the state words generated, and
-    PCG64 seeded and stepped in uint64 (high, low) lanes of length N. Each
-    draw is the XSL-RR output of the stepped state, as a double in [0, 1).
+    The stream is ``PCG64(SeedSequence(seed, spawn_key=(purpose,)))``, and each 64-bit output x
+    becomes (x >> 11) 2^-53, the double ``Generator.random`` makes of it.
     """
     seed = operator.index(seed)
     if seed < 0:
         raise InvalidArgumentError(f"seed must be non-negative, got {seed}")
-    words = [seed & _MASK32]
-    while seed >> 32:
-        seed >>= 32
-        words.append(seed & _MASK32)
-    words += [0] * (4 - len(words))  # a spawned SeedSequence pads its run entropy to the pool size
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const & _MASK32
-        return value ^ value >> 16
-
-    pool = [hashmix(w) for w in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    # the remaining entropy: run-entropy words past the pool, then the spawn-key word, one lane per individual
-    for w in [*words[4:], np.arange(N, dtype=np.uint32)]:
-        pool = [_mix(pool[dst], hashmix(w)) for dst in range(4)]
-    # generate_state(4, uint64): eight hashed words, paired little-endian
-    state, hash_const = [], _INIT_B
-    for j in range(8):
-        word = pool[j % 4] ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        word = word * hash_const
-        state.append((word ^ word >> 16).astype(np.uint64))
-    init_hi, init_lo, seq_hi, seq_lo = (state[j] | state[j + 1] << 32 for j in range(0, 8, 2))
-    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
-
-    def step(hi, lo):
-        """state * multiplier + inc (mod 2^128)."""
-        hi = _mulhi_lo(lo) + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO
-        lo = lo * _PCG_MULT_LO
-        lo_inc = lo + inc_lo
-        return hi + inc_hi + (lo_inc < lo), lo_inc
-
-    # pcg64_set_seed: from state 0, step, add the initial state, step
-    lo = inc_lo + init_lo
-    hi, lo = step(inc_hi + init_hi + (lo < inc_lo), lo)
-    out = np.empty((N, k))
-    for j in range(k):
-        hi, lo = step(hi, lo)
-        x, rot = hi ^ lo, hi >> 58
-        out[:, j] = ((x >> rot | x << (64 - rot & 63)) >> 11) * 2.0**-53
-    return out
+    raw = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(purpose,))).random_raw(N * k)
+    return (raw >> 11).reshape(N, k) * 2.0**-53
 
 
 def _open_unit(u: np.ndarray) -> np.ndarray:
@@ -292,9 +222,9 @@ def _standard_noise(u: np.ndarray, noise: str) -> np.ndarray:
 def simulate_dataset(spec: ModelSpec, mu_true: MixingMeasure, N: int, seed: int) -> Dataset:
     """Draw N individuals: S from mu_true, T from the design, noise per spec.
 
-    Deterministic for a fixed seed; individual i depends only on (seed, i). Its
-    substream gives 1 + 2n uniforms: the atom, then the n times, then the n noise
-    draws. The forward model is evaluated once per truth atom, on its rows.
+    Deterministic for a fixed seed; individual i depends only on (seed, i). It
+    reads 1 + 2n uniforms of the simulation stream: the atom, then the n times,
+    then the n noise draws. The forward model is evaluated once per truth atom, on its rows.
     """
     if N < 1:
         raise InvalidArgumentError("N must be >= 1")
@@ -302,7 +232,7 @@ def simulate_dataset(spec: ModelSpec, mu_true: MixingMeasure, N: int, seed: int)
         raise InvalidArgumentError("truth dimension does not match the spec")
     n = spec.n
     bounds = spec.time_design.bounds()
-    u = _substream_uniforms(seed, N, 1 + 2 * n)
+    u = _uniforms(seed, 0, N, 1 + 2 * n)
     idx = np.minimum(np.searchsorted(np.cumsum(mu_true.weights), u[:, 0], side="right"), mu_true.m - 1)
     T = bounds[:, 0] + (bounds[:, 1] - bounds[:, 0]) * u[:, 1 : 1 + n]
     F = np.empty((N, n))
@@ -321,12 +251,8 @@ def simulate_dataset(spec: ModelSpec, mu_true: MixingMeasure, N: int, seed: int)
 def apply_censoring(ds: Dataset, design: CensoringDesign, seed: int) -> Dataset:
     """Censor each individual with an i.i.d. mask drawn from the design.
 
-    Individual i's mask is picked by the first uniform of substream (seed, i),
-    which is also the uniform that picks i's truth atom in a sample simulated
-    with this seed. So masks drawn with seed s are a function of the atom
-    labels of the sample simulated with seed s: a consistency experiment
-    censors replicate k with seed k + 2, and the CLI's default censor seed is
-    the simulation seed + 1, so their masks follow another replicate's atoms.
+    Individual i's mask is picked by draw i of the censoring stream (seed, 1),
+    which no simulation reads.
     """
     if ds.is_censored:
         raise InvalidArgumentError("dataset is already censored")
@@ -334,6 +260,6 @@ def apply_censoring(ds: Dataset, design: CensoringDesign, seed: int) -> Dataset:
         raise InvalidArgumentError("censoring design does not match the spec's n")
     masks = [m for m, _ in design.mask_probabilities]
     cum = np.cumsum([p for _, p in design.mask_probabilities])
-    picks = np.minimum(np.searchsorted(cum, _substream_uniforms(seed, ds.N, 1)[:, 0], side="right"), len(masks) - 1)
+    picks = np.minimum(np.searchsorted(cum, _uniforms(seed, 1, ds.N, 1)[:, 0], side="right"), len(masks) - 1)
     Y = np.where(_keep_table(masks, design.n)[picks], ds.Y, np.nan)
     return Dataset(ds.spec, Y, ds.T, ds.seed, ds.truth, design, tuple(masks[j] for j in picks.tolist()))

@@ -142,11 +142,6 @@ def _fit_row(
     return row, fit
 
 
-def _censored(ds: Dataset, design: CensoringDesign, seed: int) -> Dataset:
-    """A sample censored by the config's design, its masks drawn from a seed-derived stream."""
-    return apply_censoring(ds, design, seed + 2)
-
-
 def run_consistency_experiment(cfg: ExperimentConfig) -> List[ReportRow]:
     """Simulate, censor when the config has a design, and fit over the (N, seed) grid.
 
@@ -159,7 +154,7 @@ def run_consistency_experiment(cfg: ExperimentConfig) -> List[ReportRow]:
         for seed in cfg.seeds:
             ds = simulate_dataset(cfg.spec, cfg.truth, N, seed)
             if cfg.censoring is not None:
-                ds = _censored(ds, cfg.censoring, seed)
+                ds = apply_censoring(ds, cfg.censoring, seed)
             rows.append(_fit_row(cfg, ds, "consistency", N, None, seed)[0])
     return sorted(rows, key=_row_key)
 
@@ -194,7 +189,7 @@ def run_censoring_experiment(cfg: ExperimentConfig) -> List[ReportRow]:
         rows.append(row)
 
         full = CensoringDesign(((CensorMask.full(cfg.spec.n), 1.0),))
-        ds_full = apply_censoring(ds, full, seed + 1)
+        ds_full = apply_censoring(ds, full, seed)
         km_plain = build_kernel_matrix(ds, fit.measure)
         km_full = build_kernel_matrix(ds_full, fit.measure)
         gap = abs(log_likelihood(km_plain, fit.measure.weights) - log_likelihood(km_full, fit.measure.weights))
@@ -202,7 +197,7 @@ def run_censoring_experiment(cfg: ExperimentConfig) -> List[ReportRow]:
             raise NumericDomainError(f"full-mask likelihood differs from uncensored by {gap}")
         rows.append(_fit_row(cfg, ds_full, "censoring/full-mask", N, None, seed)[0])
 
-        ds_rand = _censored(ds, cfg.censoring, seed)
+        ds_rand = apply_censoring(ds, cfg.censoring, seed)
         rows.append(_fit_row(cfg, ds_rand, "censoring/random", N, None, seed)[0])
     return sorted(rows, key=_row_key)
 

@@ -297,7 +297,7 @@ def simulation_from_dict(obj: dict) -> tuple:
         _number(obj, "N"),
         seed,
         design,
-        _number(obj, "censor_seed", default=seed + 1),
+        _number(obj, "censor_seed", default=seed),
     )
 
 

@@ -327,15 +327,15 @@ def _nnls(A: np.ndarray, b: np.ndarray, reduce: bool = True, start: Optional[np.
     return x
 
 
-def _newton_step(E: np.ndarray, w: np.ndarray, current: float, warm: bool = True) -> Tuple[np.ndarray, float]:
+def _newton_step(E: np.ndarray, w: np.ndarray, current: float) -> Tuple[np.ndarray, float]:
     """One constrained-Newton step on a fixed support: the new weights and ``_mean_log(E @ w)``.
 
     With S = E / (E w), the quadratic model of the log-likelihood is maximized
     over the simplex by min ||S v - 2|| (rows scaled by 1/sqrt(N)), v >= 0, with
     a heavy sum-to-one row. The step towards v backtracks until the
     log-likelihood rises by an Armijo fraction of the slope; when no step size
-    raises it, the weights come back unchanged. With ``warm``, the NNLS starts
-    from the support of w, which rarely changes from one step to the next.
+    raises it, the weights come back unchanged. The NNLS starts from the
+    support of w, which rarely changes from one step to the next.
 
     The NNLS reduces its system by QR when the support of w has k columns with
     k^3 > 3 m^2: the QR takes about 2 N m^2 flops, and 2 N k^3 / 3 is what the
@@ -349,7 +349,7 @@ def _newton_step(E: np.ndarray, w: np.ndarray, current: float, warm: bool = True
     S = E / np.maximum(E @ w, 1e-300)[:, None]
     A = np.vstack([S / math.sqrt(N), np.full((1, w.size), _SUM_ROW)])
     b = np.concatenate([np.full(N, 2.0 / math.sqrt(N)), [_SUM_ROW]])
-    target = _nnls(A, b, reduce=np.count_nonzero(w) ** 3 > 3 * w.size**2, start=w > 0 if warm else None)
+    target = _nnls(A, b, reduce=np.count_nonzero(w) ** 3 > 3 * w.size**2, start=w > 0)
     target /= target.sum()
     slope = float(S.mean(axis=0) @ (target - w))
     alpha = 1.0
@@ -410,8 +410,7 @@ def _cnm(km: KernelMatrix, w, opts: FitOptions, resolution: int, scan: Optional[
         E, shift = km.shifted
         start, current = w, _mean_log(np.maximum(E @ w, 1e-300))
         for _ in range(_STEPS_PER_ROUND):
-            # a fit's first step starts from the start measure's weights, which no NNLS has solved
-            w_new, current = _newton_step(E, w, current, warm=len(trace) > 1)
+            w_new, current = _newton_step(E, w, current)
             trace.append(current + float(shift.mean()))
             w, step = w_new, float(np.max(np.abs(w_new - w)))
             if step <= _STEP_MOVE_TOL:

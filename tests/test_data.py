@@ -25,7 +25,7 @@ from npmlmix import (
     project_mask,
     simulate_dataset,
 )
-from npmlmix.data import _ndtri, _standard_noise, _substream_uniforms
+from npmlmix.data import _ndtri, _standard_noise, _uniforms
 from npmlmix.likelihood import kernel_columns, log_likelihood
 from npmlmix.model import _forward
 from npmlmix.serialize import dataset_to_dict, dumps, simulation_from_dict
@@ -171,38 +171,44 @@ class TestSimulateDataset:
             simulate_dataset(spec, truth, 5, seed=1)
 
 
-def _substream(seed, index):
-    """Reference: individual index's own generator, keyed (seed, index)."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(index,))))
+def _stream(seed, purpose):
+    """Reference: the (seed, purpose) stream as numpy's own Generator."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(purpose,))))
 
 
-class TestSubstreamUniforms:
+class TestUniforms:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
-        # run entropy of 1, 2, 3 and 5 words; five words take SeedSequence's remaining-entropy pass
+        # run entropy of 1, 2, 3 and 5 words
         seed=st.one_of(
-            st.sampled_from([0, 2**32 - 1, 2**32]),
+            st.sampled_from([0, 2**32 - 1, 2**32, 2**64]),
             st.integers(0, 2**32 - 1),
             st.integers(0, 2**64 - 1).map(lambda x: 2**64 + x),
             st.integers(0, 2**64 - 1).map(lambda x: 2**128 + x),
         ),
+        purpose=st.integers(0, 1),
         N=st.integers(1, 300),
         k=st.integers(1, 9),
     )
-    def test_bits_equal_numpys_generator(self, seed, N, k):
-        expected = np.array([_substream(seed, i).random(k) for i in range(N)])
-        np.testing.assert_array_equal(_substream_uniforms(seed, N, k).view(np.uint64), expected.view(np.uint64))
+    def test_bits_equal_numpys_generator(self, seed, purpose, N, k):
+        expected = _stream(seed, purpose).random((N, k))
+        np.testing.assert_array_equal(_uniforms(seed, purpose, N, k).view(np.uint64), expected.view(np.uint64))
 
     def test_numpy_integer_seeds_are_their_python_ints(self):
         for seed in (np.int64(2**62 + 3), np.uint64(2**64 - 1), np.uint32(7)):
-            np.testing.assert_array_equal(
-                _substream_uniforms(seed, 20, 3).view(np.uint64), _substream_uniforms(int(seed), 20, 3).view(np.uint64)
-            )
+            expected = _stream(int(seed), 1).random((20, 3))
+            np.testing.assert_array_equal(_uniforms(seed, 1, 20, 3).view(np.uint64), expected.view(np.uint64))
 
     def test_rejects_negative_seed(self):
-        for seed in (-1, np.int64(-3)):
+        for seed in (-1, np.int64(-3), -(2**64)):
             with pytest.raises(InvalidArgumentError, match="seed must be non-negative"):
-                _substream_uniforms(seed, 4, 1)
+                _uniforms(seed, 0, 4, 1)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**70), N=st.integers(1, 200))
+    def test_purposes_draw_different_uniforms(self, seed, N):
+        # a censor mask and the atom of the same individual never share a uniform, whatever the seed
+        assert np.all(_uniforms(seed, 0, N, 9)[:, 0] != _uniforms(seed, 1, N, 1)[:, 0])
 
 
 def _data_digest(ds, censored=None):
@@ -220,10 +226,10 @@ class TestDataContract:
     """Pinned digests of simulated and censored data, so a change in numpy's streams cannot pass unseen."""
 
     PK1600 = {
-        0: "00fd946219a1843b71d46c60d36901936e62ed7c0f672b010151ef14616a89e0",
-        1: "808398d5a13eaedc45117034488864fc8eaa06705341d83d05db54e569e93c4d",
-        2: "2761ce070dc7a1bb5e94e3a96e638b4390a799d466f53344736878aede184c29",
-        3: "f465505a6aa6bf43126a0602bd9a9c30c5333c82ca1fc8229f726bec44b0cfb6",
+        0: "de5fbce75e4d186d96e18b756c1e43c6d55050c2150ffa295faa8ae4a8bd5d73",
+        1: "f457fed9af4236f38c65093e6dca4cdab88d10d0470856dd7a054b4cf5e455c5",
+        2: "ed6074dcae364c2da3505e6d253f71c3ddb2d8595c30695acf01804221bd24f5",
+        3: "718ed2f66332cc0c13beb98f16289ebfcbc227e44784e2389884892103bc3664",
     }
 
     @pytest.mark.parametrize("seed", sorted(PK1600))
@@ -246,19 +252,19 @@ class TestDataContract:
             "censoring": {"n": 4, "masks": [[0, 2], [0, 1, 2, 3]], "probabilities": [0.4, 0.6]},
         }
         spec, truth, N, seed, design, censor_seed = simulation_from_dict(config)
-        assert censor_seed == 12
+        assert censor_seed == seed
         ds = simulate_dataset(spec, truth, N, seed)
         censored = apply_censoring(ds, design, censor_seed)
-        assert _data_digest(ds, censored) == "775754e32122ea22df9e35667c555343ede3e531cb93a0c9a20723684ec564ef"
+        assert _data_digest(ds, censored) == "d59f8ff037831beea4e945f34349e6d83078304fff07e0bb65bff0e35fc832a7"
 
 
 def simulate_per_individual(spec, mu_true, N, seed):
-    """Reference: (Y, T) drawn one individual at a time, three draws from each substream."""
+    """Reference: (Y, T) drawn one individual at a time, in order from one simulation stream."""
     bounds = spec.time_design.bounds()
     cum = np.cumsum(mu_true.weights)
+    rng = _stream(seed, 0)
     Y, T = [], []
-    for i in range(N):
-        rng = _substream(seed, i)
+    for _ in range(N):
         idx = min(int(np.searchsorted(cum, rng.random(), side="right")), mu_true.m - 1)
         t = bounds[:, 0] + (bounds[:, 1] - bounds[:, 0]) * rng.random(spec.n)
         eps = _standard_noise(rng.random(spec.n), spec.noise)
@@ -383,9 +389,27 @@ class TestApplyCensoring:
         censored = apply_censoring(simulate_dataset(spec, truth, N, 3), design, seed)
         ordered = [m for m, _ in design.mask_probabilities]
         cum = np.cumsum([p for _, p in design.mask_probabilities])
-        for i, mask in enumerate(censored.masks):
-            j = int(np.searchsorted(cum, _substream(seed, i).random(), side="right"))
+        rng = _stream(seed, 1)
+        for mask in censored.masks:
+            j = int(np.searchsorted(cum, rng.random(), side="right"))
             assert mask == ordered[min(j, len(ordered) - 1)]
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        subsets=st.lists(st.integers(0, 15), min_size=1, max_size=3, unique=True),
+        N=st.integers(1, 100),
+        seeds=st.tuples(st.integers(0, 10**6), st.integers(0, 2**70)),
+    )
+    def test_masks_nest_as_the_sample_grows(self, subsets, N, seeds):
+        spec, _, truth = MODELS["pk"]
+        masks = [CensorMask(4, tuple(i for i in range(4) if s >> i & 1)) for s in subsets]
+        design = CensoringDesign(tuple((mask, 1.0 / len(masks)) for mask in masks))
+        data_seed, censor_seed = seeds
+        small, large = (
+            apply_censoring(simulate_dataset(spec, truth, n, data_seed), design, censor_seed) for n in (N, 2 * N)
+        )
+        assert small.masks == large.masks[:N]
+        assert small.Y.tobytes() == large.Y[:N].tobytes()
 
     def test_rejects_censoring_twice(self, pk_spec, two_point_pk_truth):
         ds = simulate_dataset(pk_spec, two_point_pk_truth, 10, seed=21)

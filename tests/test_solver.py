@@ -826,13 +826,13 @@ class TestFitSieve:
     # final log-likelihoods of the nested 1-D and 2-D sieve fits (N = 400, seed 42), recorded on
     # a kernel built by per-column log-sum-exp (the oracle of tests/test_likelihood.py)
     PINNED_SIEVE_LOGLIKS = {
-        (1, 4): -1.4013827174608156,
-        (1, 8): -1.274110017111839,
-        (1, 16): -1.21986506459486,
-        (1, 32): -1.2103286875247679,
-        (2, 4): -0.03501961988888347,
-        (2, 8): 0.18110668556998188,
-        (2, 16): 0.24373973497174317,
+        (1, 4): -1.2541366020479265,
+        (1, 8): -1.1168415981892503,
+        (1, 16): -1.0555996354687465,
+        (1, 32): -1.0376744631536352,
+        (2, 4): -0.02944870660662602,
+        (2, 8): 0.1713452889425091,
+        (2, 16): 0.2176027639032827,
     }
 
     @pytest.mark.parametrize("p, cells", list(PINNED_SIEVE_LOGLIKS), ids=lambda v: str(v))
